@@ -35,7 +35,6 @@ from .spectral import (
     expected_line,
     floor_channels,
     line_stats,
-    write_line_stats_csv,
     periodogram,
     point_dft,
     point_dft_many,
@@ -77,7 +76,6 @@ from .analysis import (
 )
 from .harness import (
     ImageReport,
-    MomentPoint,
     SweepPoint,
     SweepSpec,
     run_amplitude_nonlinearity,

@@ -15,9 +15,9 @@ One executable, nine subcommands:
 Conventions: rates in counts/second, times in seconds, frequencies in Hz;
 numeric flags accept scientific notation.  ``--seed`` falls back to the
 MCFC_SEED environment variable, then to 0.  Exit codes: 0 success, 1 usage
-error, 2 data/format error, 3 internal error.  Output files are written to
-a temporary name and atomically renamed, so a failed run never leaves a
-partial file behind.
+error, 2 data/format error or too little data for a statistic, 3 internal
+error.  Output files are written to a temporary name and atomically
+renamed, so a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .harness import (
     run_error_vs_spacing,
     run_image_transmission,
     write_manifest,
-    write_moments_csv,
     write_sweep_csv,
 )
 from .photon_channel import (
@@ -177,15 +176,26 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_encode(args) -> int:
+def _transmit_text(args, budget: LinkBudget, label: str):
+    """The plan and a lazily transmitted window per symbol of ``args.text``.
+
+    Each window draws from its own RNG substream.  The whole text is
+    encoded first, so an unknown symbol fails before anything is written.
+    """
     plan = _plan_from(args.plan)
     tone_sets = encode_text(plan, args.text)
+    windows = (
+        transmit(SourceConfig(args.rate, args.window, tones), budget, derive_rng(args.seed, label, i))
+        for i, tones in enumerate(tone_sets)
+    )
+    return plan, windows
+
+
+def _cmd_encode(args) -> int:
+    _, windows = _transmit_text(args, LinkBudget(), "encode")
     os.makedirs(args.out_dir, exist_ok=True)
-    budget = LinkBudget()
     paths = []
-    for i, tones in enumerate(tone_sets):
-        rng = derive_rng(args.seed, "encode", i)
-        seq = transmit(SourceConfig(args.rate, args.window, tones), budget, rng)
+    for i, seq in enumerate(windows):
         path = os.path.join(args.out_dir, f"symbol_{i:04d}.pts1")
         with _atomic(path) as tmp:
             write_pts1(tmp, seq)
@@ -205,13 +215,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_transmit_text(args) -> int:
-    plan = _plan_from(args.plan)
-    tone_sets = encode_text(plan, args.text)
-    budget = _budget_from(args)
+    plan, windows = _transmit_text(args, _budget_from(args), "transmit-text")
     decoded = []
-    for i, tones in enumerate(tone_sets):
-        rng = derive_rng(args.seed, "transmit-text", i)
-        seq = transmit(SourceConfig(args.rate, args.window, tones), budget, rng)
+    for seq in windows:
         try:
             decoded.append(str(decode(seq, plan).value))
         except DecodeError:
@@ -222,7 +228,7 @@ def _cmd_transmit_text(args) -> int:
 
 def _cmd_transmit_image(args) -> int:
     pixels = read_pixmap(args.input)
-    plan = rgb_image_plan() if args.plan == "rgb" else _plan_from(args.plan)
+    plan = _plan_from(args.plan)
     received, report = run_image_transmission(
         pixels, plan, args.rate, _budget_from(args), args.seed, args.window
     )
@@ -236,11 +242,11 @@ def _cmd_transmit_image(args) -> int:
 
 
 _SWEEPS = {
-    "error-vs-noise": (run_error_vs_noise, write_sweep_csv),
-    "error-vs-integration-time": (run_error_vs_integration_time, write_sweep_csv),
-    "error-vs-spacing": (run_error_vs_spacing, write_sweep_csv),
-    "error-vs-components": (run_error_vs_components, write_sweep_csv),
-    "amplitude": (run_amplitude_nonlinearity, write_moments_csv),
+    "error-vs-noise": run_error_vs_noise,
+    "error-vs-integration-time": run_error_vs_integration_time,
+    "error-vs-spacing": run_error_vs_spacing,
+    "error-vs-components": run_error_vs_components,
+    "amplitude": run_amplitude_nonlinearity,
 }
 
 
@@ -259,14 +265,13 @@ def _cmd_sweep(args) -> int:
         if k in doc
     }
     spec = SweepSpec(budget=budget, **spec_fields)
-    runner, writer = _SWEEPS[kind]
-    points = runner(spec)
+    points = _SWEEPS[kind](spec)
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, f"{kind}.csv")
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     with _atomic(csv_path) as tmp:
-        writer(tmp, points)
+        write_sweep_csv(tmp, points)
     with _atomic(manifest_path) as tmp:
         write_manifest(tmp, doc, [os.path.basename(csv_path)])
     print(f"wrote {csv_path} ({len(points)} points) and {manifest_path}")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import ErrorModelInput, channel_error_rate, misdecode_prob
+from .analysis import ErrorModelInput, InsufficientDataError, channel_error_rate, misdecode_prob
 from .codec import FrequencyPlan, Symbol, decode, image_to_symbols, symbols_to_image, DecodeError
 from .photon_channel import (
     LinkBudget,
@@ -38,7 +38,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
-from .spectral import batch_amplitudes, floor_channels
+from .spectral import LineStats, batch_amplitudes, floor_channels
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValueError("sweep grid must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2 to estimate a spread, got {self.trials}")
+        if self.channels_per_band < 2:
+            raise ValueError(
+                f"channels_per_band must be >= 2 to measure a floor, got {self.channels_per_band}"
+            )
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "components", tuple(int(k) for k in self.components))
 
@@ -96,19 +100,6 @@ class SweepPoint:
     def analytic_only(self) -> bool:
         """True when no errors were observed and only the analytic rate is meaningful."""
         return self.errors == 0
-
-
-@dataclass(frozen=True)
-class MomentPoint:
-    """Line/floor amplitude moments at one (rate, component-count) point."""
-
-    value: float
-    components: int
-    trials: int
-    line_mean: float
-    line_std: float
-    floor_mean: float
-    floor_std: float
 
 
 @dataclass(frozen=True)
@@ -143,26 +134,34 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
 # ---------------------------------------------------------------------------
 
 def _measure_point(
+    parameter: str,
+    value: float,
+    components: int,
     config: SourceConfig,
     bands: Sequence[np.ndarray],
     line_indices: Sequence[int],
     trials: int,
     rng: np.random.Generator,
     budget: LinkBudget,
-) -> tuple[int, float, float, float, float, float]:
-    """Decode-error count and moment summary for one operating point.
+) -> SweepPoint:
+    """Sample one operating point, decide every band and summarize.
 
     ``bands`` holds the channel grid of each band, ``line_indices`` the
-    true channel index per band.  Returns (errors, analytic symbol error,
-    line/floor moments of the first band).
+    true channel index per band.  A trial errs when any band's argmax
+    misses its line; the analytic rate combines the per-band Gaussian
+    model, and the reported moments are those of the first band.
     """
     all_freqs = np.concatenate([np.asarray(b, dtype=np.float64) for b in bands])
     batch = sample_event_batch(config, trials, rng, budget)
+    if batch.times.size == 0:
+        raise InsufficientDataError(
+            f"no photons detected at {parameter} = {value:g} in any of {trials} trials"
+        )
     amps = batch_amplitudes(batch, all_freqs)
 
     wrong = np.zeros(batch.trials, dtype=bool)
     survival = 1.0
-    first_moments: tuple[float, float, float, float] | None = None
+    first: LineStats | None = None
     offset = 0
     for band, line_idx in zip(bands, line_indices):
         width = len(band)
@@ -170,43 +169,30 @@ def _measure_point(
         offset += width
         wrong |= np.argmax(segment, axis=1) != line_idx
 
-        line = segment[:, line_idx]
-        floor_freqs = floor_channels(np.asarray(band), float(band[line_idx]))
-        floor_cols = [i for i, f in enumerate(band) if f in set(floor_freqs.tolist())]
-        floor = segment[:, floor_cols].ravel() if floor_cols else segment[:, [line_idx]].ravel()
-        model = ErrorModelInput(
-            line_mean=float(line.mean()),
-            line_std=float(line.std(ddof=1)),
-            floor_mean=float(floor.mean()),
-            floor_std=float(floor.std(ddof=1)),
-            channels=width,
-        )
+        floor_cols = floor_channels(np.arange(width), line_idx)
+        stats = LineStats.from_amplitudes(segment[:, line_idx], segment[:, floor_cols])
+        model = ErrorModelInput.from_line_stats(stats, width)
         survival *= 1.0 - channel_error_rate(misdecode_prob(model), width)
-        if first_moments is None:
-            first_moments = (model.line_mean, model.line_std, model.floor_mean, model.floor_std)
+        if first is None:
+            first = stats
 
     errors = int(wrong.sum())
-    assert first_moments is not None
-    return (errors, 1.0 - survival, *first_moments)
-
-
-def _make_point(parameter: str, value: float, k: int, trials: int, measured) -> SweepPoint:
-    errors, analytic, lm, ls, fm, fs = measured
+    assert first is not None
     low, high = wilson_interval(errors, trials)
     return SweepPoint(
         parameter=parameter,
         value=value,
-        components=k,
+        components=components,
         trials=trials,
         errors=errors,
         empirical_rate=errors / trials,
         wilson_low=low,
         wilson_high=high,
-        analytic_rate=analytic,
-        line_mean=lm,
-        line_std=ls,
-        floor_mean=fm,
-        floor_std=fs,
+        analytic_rate=1.0 - survival,
+        line_mean=first.line_mean,
+        line_std=first.line_std,
+        floor_mean=first.floor_mean,
+        floor_std=first.floor_std,
     )
 
 
@@ -235,8 +221,9 @@ def run_error_vs_noise(spec: SweepSpec) -> list[SweepPoint]:
     for i, noise in enumerate(spec.grid):
         rng = derive_rng(spec.seed, "error-vs-noise", i)
         budget = replace(spec.budget, noise_rate=float(noise))
-        measured = _measure_point(config, [band], [line_idx], spec.trials, rng, budget)
-        points.append(_make_point("noise_rate_cps", float(noise), 1, spec.trials, measured))
+        points.append(_measure_point(
+            "noise_rate_cps", float(noise), 1, config, [band], [line_idx], spec.trials, rng, budget
+        ))
     return points
 
 
@@ -256,8 +243,9 @@ def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
         rate = spec.mean_count / window
         band = f_m + np.arange(spec.channels_per_band) / window
         config = SourceConfig(rate, float(window), (Tone(f_m),))
-        measured = _measure_point(config, [band], [0], spec.trials, rng, spec.budget)
-        points.append(_make_point("window_s", float(window), 1, spec.trials, measured))
+        points.append(_measure_point(
+            "window_s", float(window), 1, config, [band], [0], spec.trials, rng, spec.budget
+        ))
     return points
 
 
@@ -275,26 +263,9 @@ def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
     for i, spacing in enumerate(spec.grid):
         rng = derive_rng(spec.seed, "error-vs-spacing", i)
         band = np.asarray([base, base + float(spacing)])
-        batch = sample_event_batch(config, spec.trials, rng, spec.budget)
-        amps = batch_amplitudes(batch, band)
-        errors = int(np.sum(np.argmax(amps, axis=1) != 0))
-        line, floor = amps[:, 0], amps[:, 1]
-        model = ErrorModelInput(
-            line_mean=float(line.mean()),
-            line_std=float(line.std(ddof=1)),
-            floor_mean=float(floor.mean()),
-            floor_std=float(floor.std(ddof=1)),
-            channels=2,
-        )
-        measured = (
-            errors,
-            channel_error_rate(misdecode_prob(model), 2),
-            model.line_mean,
-            model.line_std,
-            model.floor_mean,
-            model.floor_std,
-        )
-        points.append(_make_point("spacing_hz", float(spacing), 1, spec.trials, measured))
+        points.append(_measure_point(
+            "spacing_hz", float(spacing), 1, config, [band], [0], spec.trials, rng, spec.budget
+        ))
     return points
 
 
@@ -308,6 +279,23 @@ def _component_bands(k: int, spacing: float, channels: int) -> tuple[list[np.nda
     return bands, lines
 
 
+def _tone_count_sweep(spec: SweepSpec, label: str, decided_bands: int | None) -> list[SweepPoint]:
+    """Signal-rate sweep per tone count, deciding the first ``decided_bands`` bands (all if None)."""
+    points = []
+    for k in spec.components:
+        bands, line_indices = _component_bands(k, spec.spacing, spec.channels_per_band)
+        tones = tuple(Tone(float(b[i])) for b, i in zip(bands, line_indices))
+        bands, line_indices = bands[:decided_bands], line_indices[:decided_bands]
+        for i, rate in enumerate(spec.grid):
+            rng = derive_rng(spec.seed, label, k, i)
+            config = SourceConfig(float(rate), spec.window, tones)
+            points.append(_measure_point(
+                "signal_rate_cps", float(rate), k, config, bands, line_indices,
+                spec.trials, rng, spec.budget,
+            ))
+    return points
+
+
 def run_error_vs_components(spec: SweepSpec) -> list[SweepPoint]:
     """Symbol error versus signal rate for each tone count in ``spec.components``.
 
@@ -315,49 +303,17 @@ def run_error_vs_components(spec: SweepSpec) -> list[SweepPoint]:
     per band; a symbol decodes correctly only if every band's argmax lands
     on its line.
     """
-    points = []
-    for k in spec.components:
-        bands, line_indices = _component_bands(k, spec.spacing, spec.channels_per_band)
-        tones = tuple(Tone(float(b[i])) for b, i in zip(bands, line_indices))
-        for i, rate in enumerate(spec.grid):
-            rng = derive_rng(spec.seed, "error-vs-components", k, i)
-            config = SourceConfig(float(rate), spec.window, tones)
-            measured = _measure_point(config, bands, line_indices, spec.trials, rng, spec.budget)
-            points.append(_make_point("signal_rate_cps", float(rate), k, spec.trials, measured))
-    return points
+    return _tone_count_sweep(spec, "error-vs-components", None)
 
 
-def run_amplitude_nonlinearity(spec: SweepSpec) -> list[MomentPoint]:
+def run_amplitude_nonlinearity(spec: SweepSpec) -> list[SweepPoint]:
     """Line and floor amplitude moments versus signal rate, per tone count.
 
-    Moments are taken on the first band; with k tones sharing the fixed
-    total rate the per-band line amplitude shrinks accordingly, which is
-    exactly the effect this sweep quantifies.
+    Only the first band is measured and decided; with k tones sharing the
+    fixed total rate the per-band line amplitude shrinks accordingly,
+    which is exactly the effect this sweep quantifies.
     """
-    points = []
-    for k in spec.components:
-        bands, line_indices = _component_bands(k, spec.spacing, spec.channels_per_band)
-        tones = tuple(Tone(float(b[i])) for b, i in zip(bands, line_indices))
-        for i, rate in enumerate(spec.grid):
-            rng = derive_rng(spec.seed, "amplitude", k, i)
-            config = SourceConfig(float(rate), spec.window, tones)
-            band = bands[0]
-            batch = sample_event_batch(config, spec.trials, rng, spec.budget)
-            amps = batch_amplitudes(batch, band)
-            line = amps[:, line_indices[0]]
-            floors = floor_channels(band, float(band[line_indices[0]]))
-            cols = [j for j, f in enumerate(band) if f in set(floors.tolist())]
-            floor = amps[:, cols].ravel()
-            points.append(MomentPoint(
-                value=float(rate),
-                components=k,
-                trials=spec.trials,
-                line_mean=float(line.mean()),
-                line_std=float(line.std(ddof=1)),
-                floor_mean=float(floor.mean()),
-                floor_std=float(floor.std(ddof=1)),
-            ))
-    return points
+    return _tone_count_sweep(spec, "amplitude", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +388,6 @@ def write_sweep_csv(path: str | os.PathLike, points: Sequence[SweepPoint]) -> No
                 repr(p.empirical_rate), repr(p.wilson_low), repr(p.wilson_high),
                 repr(p.analytic_rate), repr(p.line_mean), repr(p.line_std),
                 repr(p.floor_mean), repr(p.floor_std), int(p.analytic_only),
-            ])
-
-
-def write_moments_csv(path: str | os.PathLike, points: Sequence[MomentPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "signal_rate_cps", "components", "trials",
-            "line_mean", "line_std", "floor_mean", "floor_std",
-        ])
-        for p in points:
-            writer.writerow([
-                repr(p.value), p.components, p.trials, repr(p.line_mean),
-                repr(p.line_std), repr(p.floor_mean), repr(p.floor_std),
             ])
 
 

@@ -237,8 +237,13 @@ class LinkBudget:
         for name in ("noise_rate", "dark_rate", "jitter_sigma", "dead_time"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.rep_period is not None and self.rep_period <= 0.0:
-            raise ValueError("rep_period must be positive when set")
+        # gating quantizes picosecond timestamps, so the period must round to >= 1 ps
+        if self.rep_period is not None and not (
+            np.isfinite(self.rep_period) and self.rep_period * PS_PER_SECOND > 0.5
+        ):
+            raise ValueError(
+                f"rep_period must be finite and round to at least 1 ps, got {self.rep_period!r} s"
+            )
 
     @property
     def is_identity(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,15 +80,25 @@ class LineStats:
     floor_std: float
     trials: int
 
+    @classmethod
+    def from_amplitudes(cls, line: np.ndarray, floor: np.ndarray) -> "LineStats":
+        """Moments of the line magnitudes and of the floor magnitudes pooled.
 
-def write_line_stats_csv(path: str | os.PathLike, rows: Sequence[tuple[str, LineStats]]) -> None:
-    """Write labelled LineStats rows: one configuration per line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "line_mean", "line_std", "floor_mean", "floor_std", "trials"])
-        for label, s in rows:
-            writer.writerow([label, repr(s.line_mean), repr(s.line_std),
-                             repr(s.floor_mean), repr(s.floor_std), s.trials])
+        ``line`` holds one magnitude per trial; ``floor`` holds one row of
+        floor-channel magnitudes per trial.  Spreads are sample standard
+        deviations, so at least two trials are needed.
+        """
+        trials = len(line)
+        if trials < 2:
+            raise ValueError(f"trials must be >= 2 to estimate a spread, got {trials}")
+        floor = floor.ravel()
+        return cls(
+            line_mean=float(line.mean()),
+            line_std=float(line.std(ddof=1)),
+            floor_mean=float(floor.mean()),
+            floor_std=float(floor.std(ddof=1)),
+            trials=trials,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +217,18 @@ def floor_channels(channel_frequencies: np.ndarray, line_frequency: float) -> np
 
     Drops the line channel and its nearest neighbor on each side, since
     those carry leakage from the line itself; everything else in the band
-    measures the white floor.
+    measures the white floor.  A band too narrow to keep any channel that
+    way falls back to every channel but the line.  Passing the index
+    ladder ``np.arange(M)`` and a line index returns floor column indices.
     """
-    freqs = np.asarray(channel_frequencies, dtype=np.float64)
+    freqs = np.asarray(channel_frequencies)
+    if freqs.size < 2:
+        raise ValueError("a band needs at least two channels to measure a floor")
     idx = int(np.argmin(np.abs(freqs - line_frequency)))
     mask = np.ones(freqs.size, dtype=bool)
     mask[max(idx - 1, 0): idx + 2] = False
+    if not mask.any():
+        mask = np.arange(freqs.size) != idx
     return freqs[mask]
 
 
@@ -229,12 +244,4 @@ def line_stats(
     floors = np.asarray(floor_frequencies, dtype=np.float64)
     batch = sample_event_batch(config, trials, rng, budget)
     amps = batch_amplitudes(batch, np.concatenate([[line_frequency], floors]))
-    line = amps[:, 0]
-    floor = amps[:, 1:].ravel()
-    return LineStats(
-        line_mean=float(line.mean()),
-        line_std=float(line.std(ddof=1)),
-        floor_mean=float(floor.mean()),
-        floor_std=float(floor.std(ddof=1)),
-        trials=trials,
-    )
+    return LineStats.from_amplitudes(amps[:, 0], amps[:, 1:])

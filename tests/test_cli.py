@@ -145,6 +145,17 @@ def test_sweep_command(tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 3
 
 
+def test_amplitude_sweep_writes_sweep_columns(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sweep": "amplitude", "grid": [80e3], "trials": 200, "seed": 14, "components": [1, 2],
+    }))
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "out"]) == EXIT_OK
+    rows = (tmp_path / "out" / "amplitude.csv").read_text().splitlines()
+    assert rows[0].startswith("parameter,value,components,trials,")
+    assert len(rows) == 3
+
+
 def test_sweep_rejects_unknown_kind(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sweep": "nope", "grid": [1.0]}))
@@ -172,6 +183,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                 "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
     assert run(["generate", "--rate", 1e3, "--duration", 1e-3, "--tone", "bogus",
                 "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
+    assert run(["generate", "--rate", 1e6, "--duration", 1e-3, "--rep-period", 2e-13,
+                "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
+    assert "rep_period" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -181,6 +195,22 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert run(["decode", "--plan", "letters", bad]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "offset 0" in err
+
+
+def test_insufficient_data_exits_2(tmp_path, capsys):
+    short = tmp_path / "short.pts1"
+    assert run(["generate", "--rate", 80e3, "--duration", 1e-2, "--out", short]) == EXIT_OK
+    # 10 windows of 1 ms, Mandel Q needs 100
+    assert run(["stats", "--in", short, "--mandel-window", 1e-3]) == EXIT_DATA
+    assert "need at least 100" in capsys.readouterr().err
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sweep": "error-vs-noise", "grid": [0.0], "trials": 50, "signal_rate": 0.0,
+    }))
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "out"]) == EXIT_DATA
+    assert "noise_rate_cps = 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "error-vs-noise.csv").exists()
 
 
 def test_help_exits_zero(capsys):

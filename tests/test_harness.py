@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from mcfc.analysis import InsufficientDataError
 from mcfc.codec import FAILED_PIXEL
 from mcfc.harness import (
     ImageReport,
@@ -17,7 +18,6 @@ from mcfc.harness import (
     run_image_transmission,
     wilson_interval,
     write_manifest,
-    write_moments_csv,
     write_sweep_csv,
 )
 from mcfc.photon_channel import LinkBudget
@@ -28,6 +28,12 @@ def test_sweep_spec_validation():
         SweepSpec(grid=())
     with pytest.raises(ValueError):
         SweepSpec(grid=(1.0,), trials=0)
+    # one trial has no sample spread for the error model
+    with pytest.raises(ValueError, match="trials"):
+        SweepSpec(grid=(1.0,), trials=1)
+    # a one-channel band has no floor to compare the line against
+    with pytest.raises(ValueError, match="channels_per_band"):
+        SweepSpec(grid=(1.0,), channels_per_band=1)
     spec = SweepSpec(grid=[1, 2], components=[1, 3])
     assert spec.grid == (1.0, 2.0)
     assert spec.components == (1, 3)
@@ -86,6 +92,36 @@ def test_error_vs_noise_reproducible_and_calibrated():
     assert noisy.wilson_low <= noisy.empirical_rate <= noisy.wilson_high
     ratio = noisy.empirical_rate / noisy.analytic_rate
     assert 1 / 3 < ratio < 3
+
+
+def test_three_channel_band_measures_a_real_floor():
+    # with the line's neighbours as the only other channels, the floor is
+    # those neighbours, not the line itself
+    spec = SweepSpec(grid=(0.0,), trials=800, seed=90, channels_per_band=3)
+    (clean,) = run_error_vs_noise(spec)
+    assert clean.errors == 0
+    assert clean.floor_mean != clean.line_mean
+    assert clean.floor_mean < clean.line_mean / 3
+    assert clean.analytic_rate < 1e-3
+
+
+def test_pure_noise_point_is_measured():
+    spec = SweepSpec(grid=(80e3,), trials=500, seed=91, signal_rate=0.0)
+    (point,) = run_error_vs_noise(spec)
+    # no line: the decision is a coin toss over the band
+    assert point.empirical_rate > 0.5
+    assert point.line_std > 0.0 and point.floor_std > 0.0
+    assert point.line_mean == pytest.approx(point.floor_mean, rel=0.2)
+
+
+@pytest.mark.parametrize("runner, spec, named", [
+    (run_error_vs_noise, SweepSpec(grid=(0.0,), trials=50, signal_rate=0.0), "noise_rate_cps = 0"),
+    (run_error_vs_components, SweepSpec(grid=(0.0,), trials=50), "signal_rate_cps = 0"),
+    (run_amplitude_nonlinearity, SweepSpec(grid=(0.0,), trials=50), "signal_rate_cps = 0"),
+])
+def test_point_without_photons_is_insufficient_data(runner, spec, named):
+    with pytest.raises(InsufficientDataError, match=named):
+        runner(spec)
 
 
 def test_error_vs_spacing_shape():
@@ -171,10 +207,12 @@ def test_moments_csv(tmp_path):
     spec = SweepSpec(grid=(80e3,), trials=500, seed=89, components=(1, 2))
     points = run_amplitude_nonlinearity(spec)
     path = tmp_path / "amp.csv"
-    write_moments_csv(path, points)
+    write_sweep_csv(path, points)
     rows = list(csv.DictReader(path.read_text().splitlines()))
     assert len(rows) == 2
     assert {r["components"] for r in rows} == {"1", "2"}
+    assert rows[0]["parameter"] == "signal_rate_cps"
+    assert float(rows[0]["value"]) == 80e3
     assert float(rows[0]["line_mean"]) == points[0].line_mean
 
 

@@ -66,6 +66,10 @@ def test_link_budget_validation():
         LinkBudget(noise_rate=-1.0)
     with pytest.raises(ValueError):
         LinkBudget(rep_period=0.0)
+    # below half a picosecond the gate period would round to zero
+    with pytest.raises(ValueError, match="rep_period"):
+        LinkBudget(rep_period=2e-13)
+    assert LinkBudget(rep_period=1e-12).rep_period == 1e-12
     assert LinkBudget().is_identity
     assert not LinkBudget(noise_rate=10.0).is_identity
 

@@ -18,7 +18,6 @@ from mcfc.photon_channel import (
 from mcfc.spectral import (
     MAX_GRID_POINTS,
     Band,
-    LineStats,
     band_peak,
     batch_amplitudes,
     expected_line,
@@ -27,7 +26,6 @@ from mcfc.spectral import (
     periodogram,
     point_dft,
     point_dft_many,
-    write_line_stats_csv,
 )
 
 
@@ -205,6 +203,13 @@ def test_floor_channels_mask():
     assert 200e3 not in floors and 199e3 not in floors and 201e3 not in floors
     # line at the band edge only has one neighbor to drop
     assert floor_channels(band, float(band[0])).size == 9
+    # too narrow to drop the neighbors: every channel but the line is floor
+    assert floor_channels(band[4:7], 200e3).tolist() == [199e3, 201e3]
+    assert floor_channels(band[5:7], 200e3).tolist() == [201e3]
+    with pytest.raises(ValueError):
+        floor_channels(band[5:6], 200e3)
+    # on the index ladder the same rule gives floor column indices
+    assert floor_channels(np.arange(11), 5).tolist() == [0, 1, 2, 3, 7, 8, 9, 10]
 
 
 def test_line_stats_against_theory():
@@ -219,6 +224,8 @@ def test_line_stats_against_theory():
     assert stats.floor_mean == pytest.approx(np.sqrt(np.pi * n / 4), rel=0.05)
     assert stats.floor_std == pytest.approx(np.sqrt((4 - np.pi) * n / 4), rel=0.10)
     assert stats.trials == 10_000
+    with pytest.raises(ValueError, match="trials"):
+        line_stats(config, 200e3, floor_channels(band, 200e3), 1, derive_rng(51))
 
 
 # -----------------------------------------------------------------
@@ -238,14 +245,3 @@ def test_spectrum_csv_format(tmp_path):
     f, re, im, mag = (float(x) for x in rows[6])
     assert f == 50e3
     assert np.hypot(re, im) == pytest.approx(mag, rel=1e-12)
-
-
-def test_line_stats_csv(tmp_path):
-    rows = [("a", LineStats(40.0, 6.3, 7.9, 4.1, 100)),
-            ("b", LineStats(20.0, 4.4, 5.6, 2.9, 200))]
-    path = tmp_path / "stats.csv"
-    write_line_stats_csv(path, rows)
-    got = list(csv.reader(path.read_text().splitlines()))
-    assert got[0][0] == "label"
-    assert got[1][0] == "a" and float(got[1][1]) == 40.0
-    assert got[2][5] == "200"
