@@ -30,12 +30,14 @@ from .spectral import (
     Band,
     LineStats,
     Spectrum,
+    band_argmax,
     band_peak,
     batch_amplitudes,
     expected_line,
     floor_channels,
     line_stats,
     periodogram,
+    phasor_sums,
     point_dft,
     point_dft_many,
 )

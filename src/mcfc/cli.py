@@ -115,14 +115,17 @@ def _budget_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _budget_from(args: argparse.Namespace) -> LinkBudget:
-    return LinkBudget(
-        transmittance=args.transmittance,
-        noise_rate=args.noise_rate,
-        dark_rate=args.dark_rate,
-        jitter_sigma=args.jitter,
-        dead_time=args.dead_time,
-        rep_period=args.rep_period,
-    )
+    try:
+        return LinkBudget(
+            transmittance=args.transmittance,
+            noise_rate=args.noise_rate,
+            dark_rate=args.dark_rate,
+            jitter_sigma=args.jitter,
+            dead_time=args.dead_time,
+            rep_period=args.rep_period,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _plan_from(name: str) -> FrequencyPlan:
@@ -155,10 +158,9 @@ def _cmd_generate(args) -> int:
     tones = tuple(_parse_tone(t) for t in args.tone or [])
     try:
         config = SourceConfig(args.rate, args.duration, tones)
-        budget = _budget_from(args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    seq = transmit(config, budget, derive_rng(args.seed, "generate"))
+    seq = transmit(config, _budget_from(args), derive_rng(args.seed, "generate"))
     with _atomic(args.out) as tmp:
         write_pts1(tmp, seq)
     print(f"wrote {args.out}: {len(seq)} events over {seq.window:g} s")

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .photon_channel import PhotonSequence, Tone
-from .spectral import point_dft_many
+from .spectral import band_argmax, point_dft_many
 
 #: Color written into a reconstructed image where decoding failed outright.
 FAILED_PIXEL = (255, 0, 255)
@@ -276,11 +276,10 @@ def decode(seq: PhotonSequence, plan: FrequencyPlan) -> Symbol:
     """
     if len(seq) == 0:
         raise DecodeError("empty sequence: no events to decode")
-    freqs = []
-    for band in plan.bands:
-        mags = np.abs(point_dft_many(seq, np.asarray(band.channels)))
-        freqs.append(band.channels[int(np.argmax(mags))])
-    return plan.symbol_for(freqs)
+    channels = [band.channels for band in plan.bands]
+    mags = np.abs(point_dft_many(seq, np.concatenate(channels)))
+    picks = band_argmax(mags, [len(c) for c in channels])
+    return plan.symbol_for([c[i] for c, i in zip(channels, picks)])
 
 
 # ---------------------------------------------------------------------------

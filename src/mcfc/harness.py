@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -38,7 +39,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
-from .spectral import LineStats, batch_amplitudes, floor_channels
+from .spectral import LineStats, band_argmax, batch_amplitudes, floor_channels
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,11 @@ class SweepSpec:
             raise ValueError(
                 f"channels_per_band must be >= 2 to measure a floor, got {self.channels_per_band}"
             )
+        # sample_event_batch has no dead time or gating: refuse them here, by field name
+        if self.budget.dead_time > 0.0:
+            raise ValueError("budget.dead_time is a per-sequence effect that sweeps cannot sample")
+        if self.budget.rep_period is not None:
+            raise ValueError("budget.rep_period is a per-sequence effect that sweeps cannot sample")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "components", tuple(int(k) for k in self.components))
 
@@ -151,6 +157,7 @@ def _measure_point(
     misses its line; the analytic rate combines the per-band Gaussian
     model, and the reported moments are those of the first band.
     """
+    widths = [len(b) for b in bands]
     all_freqs = np.concatenate([np.asarray(b, dtype=np.float64) for b in bands])
     batch = sample_event_batch(config, trials, rng, budget)
     if batch.times.size == 0:
@@ -158,26 +165,19 @@ def _measure_point(
             f"no photons detected at {parameter} = {value:g} in any of {trials} trials"
         )
     amps = batch_amplitudes(batch, all_freqs)
+    errors = int((band_argmax(amps, widths) != np.asarray(line_indices)).any(axis=1).sum())
 
-    wrong = np.zeros(batch.trials, dtype=bool)
-    survival = 1.0
-    first: LineStats | None = None
-    offset = 0
-    for band, line_idx in zip(bands, line_indices):
-        width = len(band)
-        segment = amps[:, offset: offset + width]
-        offset += width
-        wrong |= np.argmax(segment, axis=1) != line_idx
-
+    # 1 - prod(1 - r_b) cancels to 0 below ~1e-16; summing log-survivals keeps the tail
+    log_survival = 0.0
+    moments = []
+    for segment, line_idx in zip(np.split(amps, np.cumsum(widths)[:-1], axis=1), line_indices):
+        width = segment.shape[1]
         floor_cols = floor_channels(np.arange(width), line_idx)
         stats = LineStats.from_amplitudes(segment[:, line_idx], segment[:, floor_cols])
-        model = ErrorModelInput.from_line_stats(stats, width)
-        survival *= 1.0 - channel_error_rate(misdecode_prob(model), width)
-        if first is None:
-            first = stats
-
-    errors = int(wrong.sum())
-    assert first is not None
+        rate = channel_error_rate(misdecode_prob(ErrorModelInput.from_line_stats(stats, width)), width)
+        log_survival += math.log1p(-rate) if rate < 1.0 else -math.inf
+        moments.append(stats)
+    first = moments[0]
     low, high = wilson_interval(errors, trials)
     return SweepPoint(
         parameter=parameter,
@@ -188,7 +188,7 @@ def _measure_point(
         empirical_rate=errors / trials,
         wilson_low=low,
         wilson_high=high,
-        analytic_rate=1.0 - survival,
+        analytic_rate=-math.expm1(log_survival),
         line_mean=first.line_mean,
         line_std=first.line_std,
         floor_mean=first.floor_mean,
@@ -214,17 +214,13 @@ def run_error_vs_noise(spec: SweepSpec) -> list[SweepPoint]:
     """
     band = _centered_band(spec.modulation_frequency, spec.spacing, spec.channels_per_band)
     line_idx = spec.channels_per_band // 2
-    config = SourceConfig(
-        spec.signal_rate, spec.window, (Tone(spec.modulation_frequency),)
-    )
-    points = []
-    for i, noise in enumerate(spec.grid):
-        rng = derive_rng(spec.seed, "error-vs-noise", i)
-        budget = replace(spec.budget, noise_rate=float(noise))
-        points.append(_measure_point(
-            "noise_rate_cps", float(noise), 1, config, [band], [line_idx], spec.trials, rng, budget
-        ))
-    return points
+    config = SourceConfig(spec.signal_rate, spec.window, (Tone(spec.modulation_frequency),))
+    return [
+        _measure_point("noise_rate_cps", noise, 1, config, [band], [line_idx], spec.trials,
+                       derive_rng(spec.seed, "error-vs-noise", i),
+                       replace(spec.budget, noise_rate=noise))
+        for i, noise in enumerate(spec.grid)
+    ]
 
 
 def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
@@ -237,16 +233,13 @@ def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
     probe stays positive even for very short windows.
     """
     f_m = spec.modulation_frequency
-    points = []
-    for i, window in enumerate(spec.grid):
-        rng = derive_rng(spec.seed, "error-vs-window", i)
-        rate = spec.mean_count / window
-        band = f_m + np.arange(spec.channels_per_band) / window
-        config = SourceConfig(rate, float(window), (Tone(f_m),))
-        points.append(_measure_point(
-            "window_s", float(window), 1, config, [band], [0], spec.trials, rng, spec.budget
-        ))
-    return points
+    return [
+        _measure_point("window_s", window, 1,
+                       SourceConfig(spec.mean_count / window, window, (Tone(f_m),)),
+                       [f_m + np.arange(spec.channels_per_band) / window], [0], spec.trials,
+                       derive_rng(spec.seed, "error-vs-window", i), spec.budget)
+        for i, window in enumerate(spec.grid)
+    ]
 
 
 def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
@@ -259,39 +252,29 @@ def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
     """
     base = round(spec.modulation_frequency * spec.window) / spec.window
     config = SourceConfig(spec.signal_rate, spec.window, (Tone(base),))
-    points = []
-    for i, spacing in enumerate(spec.grid):
-        rng = derive_rng(spec.seed, "error-vs-spacing", i)
-        band = np.asarray([base, base + float(spacing)])
-        points.append(_measure_point(
-            "spacing_hz", float(spacing), 1, config, [band], [0], spec.trials, rng, spec.budget
-        ))
-    return points
-
-
-def _component_bands(k: int, spacing: float, channels: int) -> tuple[list[np.ndarray], list[int]]:
-    """Non-overlapping bands for k simultaneous tones, 20 kHz pitch from 30 kHz."""
-    bands, lines = [], []
-    for b in range(k):
-        center = 30_000.0 + 20_000.0 * b
-        bands.append(_centered_band(center, spacing, channels))
-        lines.append(channels // 2)
-    return bands, lines
+    return [
+        _measure_point("spacing_hz", spacing, 1, config, [np.asarray([base, base + spacing])], [0],
+                       spec.trials, derive_rng(spec.seed, "error-vs-spacing", i), spec.budget)
+        for i, spacing in enumerate(spec.grid)
+    ]
 
 
 def _tone_count_sweep(spec: SweepSpec, label: str, decided_bands: int | None) -> list[SweepPoint]:
-    """Signal-rate sweep per tone count, deciding the first ``decided_bands`` bands (all if None)."""
+    """Signal-rate sweep per tone count, deciding the first ``decided_bands`` bands (all if None).
+
+    The k tones sit one per band, at the centres of bands 20 kHz apart from 30 kHz.
+    """
+    line = spec.channels_per_band // 2
     points = []
     for k in spec.components:
-        bands, line_indices = _component_bands(k, spec.spacing, spec.channels_per_band)
-        tones = tuple(Tone(float(b[i])) for b, i in zip(bands, line_indices))
-        bands, line_indices = bands[:decided_bands], line_indices[:decided_bands]
+        bands = [_centered_band(30_000.0 + 20_000.0 * b, spec.spacing, spec.channels_per_band)
+                 for b in range(k)]
+        tones = tuple(Tone(float(band[line])) for band in bands)
+        bands = bands[:decided_bands]
         for i, rate in enumerate(spec.grid):
-            rng = derive_rng(spec.seed, label, k, i)
-            config = SourceConfig(float(rate), spec.window, tones)
             points.append(_measure_point(
-                "signal_rate_cps", float(rate), k, config, bands, line_indices,
-                spec.trials, rng, spec.budget,
+                "signal_rate_cps", rate, k, SourceConfig(rate, spec.window, tones), bands,
+                [line] * len(bands), spec.trials, derive_rng(spec.seed, label, k, i), spec.budget,
             ))
     return points
 
@@ -338,7 +321,6 @@ def run_image_transmission(
     h, w = pixels.shape[:2]
     received: list[Symbol | None] = []
     band_errors = {band.name: 0 for band in plan.bands}
-    failures = 0
     for i, sym in enumerate(sent):
         rng = derive_rng(seed, "image", i)
         tones = tuple(Tone(f) for f in plan.frequencies_for(sym))
@@ -346,22 +328,15 @@ def run_image_transmission(
         try:
             got = decode(seq, plan)
         except DecodeError:
-            received.append(None)
-            failures += 1
-            for name in band_errors:
-                band_errors[name] += 1
-            continue
+            got = None  # an undecodable window counts against every band
         received.append(got)
-        for band, a, b in zip(plan.bands, sym.value, got.value):
-            if a != b:
-                band_errors[band.name] += 1
-    errors = sum(
-        1 for s, r in zip(sent, received) if r is None or s != r
-    )
+        got_levels = (None,) * len(plan.bands) if got is None else got.value
+        for band, a, b in zip(plan.bands, sym.value, got_levels):
+            band_errors[band.name] += int(a != b)
     report = ImageReport(
         pixels=len(sent),
-        pixel_errors=errors,
-        failed_pixels=failures,
+        pixel_errors=sum(r != s for s, r in zip(sent, received)),
+        failed_pixels=received.count(None),
         band_errors=band_errors,
     )
     return symbols_to_image(received, (h, w)), report

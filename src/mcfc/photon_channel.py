@@ -134,12 +134,9 @@ class SourceConfig:
     def expected_count(self) -> float:
         """Exact expected number of events, integral of the rate over the window."""
         total = self.mean_rate * self.duration
-        if not self.tones:
-            return total
-        k = len(self.tones)
         for tone in self.tones:
             w = 2.0 * np.pi * tone.frequency
-            total += (self.mean_rate / k) * tone.depth * (
+            total += (self.mean_rate / len(self.tones)) * tone.depth * (
                 np.cos(tone.phase) - np.cos(w * self.duration + tone.phase)
             ) / w
         return total
@@ -247,14 +244,7 @@ class LinkBudget:
 
     @property
     def is_identity(self) -> bool:
-        return (
-            self.transmittance == 1.0
-            and self.noise_rate == 0.0
-            and self.dark_rate == 0.0
-            and self.jitter_sigma == 0.0
-            and self.dead_time == 0.0
-            and self.rep_period is None
-        )
+        return self == LinkBudget()
 
 
 # ---------------------------------------------------------------------------

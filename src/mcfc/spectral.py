@@ -12,6 +12,11 @@ flat noise floor with ``E[|X|^2] = count``, and a full-depth modulation
 at frequency ``f`` raises a line of expected magnitude ``count/2`` (per
 shared tone) on top of that floor.  All decoding reduces to comparing
 these magnitudes across a known channel grid.
+
+:func:`phasor_sums` is the one kernel for the sum, over a batch of trials;
+:func:`point_dft`, :func:`point_dft_many`, :func:`batch_amplitudes`,
+:func:`periodogram` and :func:`band_peak` adapt it.  :func:`band_argmax`
+is the one per-band decision, shared by decoding and the sweeps.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -105,43 +111,66 @@ class LineStats:
 # phasor sums
 # ---------------------------------------------------------------------------
 
+#: Most phasors (frequencies x events) evaluated by one ``exp`` call.  Its
+#: temporaries then stay in a 2 MiB L2 cache: on a Xeon with that cache, a
+#: 2k-event window at 33 channels ran ~1.4x slower as one 64k-phasor call.
+PHASOR_CHUNK = 1 << 15
+
+
+def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
+                trial_ids: np.ndarray | None = None, trials: int = 1) -> np.ndarray:
+    """Phasor sums of each trial at each frequency, complex, shape (trials, len(frequencies)).
+
+    Event ``i`` belongs to trial ``trial_ids[i]`` in ``[0, trials)``, or to
+    trial 0 when ``trial_ids`` is omitted: a single sequence is a batch of
+    one.  Events are grouped by trial once; each block of at most
+    :data:`PHASOR_CHUNK` phasors is then reduced per trial by ``reduceat``.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    freqs = np.asarray(frequencies, dtype=np.float64)
+    tid = np.zeros(t.size, dtype=np.intp) if trial_ids is None else np.asarray(trial_ids)
+    if tid.shape != t.shape or (tid.size and not 0 <= tid.min() <= tid.max() < trials):
+        raise ValueError(f"trial_ids must match times in shape and lie in [0, {trials})")
+    order = np.argsort(tid, kind="stable")
+    t, tid = t[order], tid[order]
+    out = np.zeros((trials, freqs.size), dtype=np.complex128)
+    events = max(1, min(t.size, PHASOR_CHUNK))
+    step = max(1, PHASOR_CHUNK // events)
+    for lo in range(0, t.size, events):
+        block, owner = t[lo: lo + events], tid[lo: lo + events]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        for f0 in range(0, freqs.size, step):
+            phasors = np.exp(-2j * np.pi * np.outer(freqs[f0: f0 + step], block))
+            out[owner[starts], f0: f0 + step] += np.add.reduceat(phasors, starts, axis=1).T
+    return out
+
+
+def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """In-band index of the strongest channel per band, ties to the lowest index.
+
+    The last axis of ``magnitudes`` holds the bands' channels side by side,
+    ``widths[b]`` for band ``b``; that axis becomes one entry per band.
+    """
+    mags = np.asarray(magnitudes)
+    if sum(widths) != mags.shape[-1]:
+        raise ValueError(f"band widths {list(widths)} do not tile {mags.shape[-1]} channels")
+    segments = np.split(mags, np.cumsum(widths)[:-1], axis=-1)
+    return np.stack([np.argmax(s, axis=-1) for s in segments], axis=-1)
+
+
 def point_dft(seq: PhotonSequence, frequency: float) -> complex:
     """Evaluate the phasor sum of one sequence at a single frequency."""
-    t = seq.seconds
-    return complex(np.sum(np.exp(-2j * np.pi * frequency * t)))
+    return complex(phasor_sums(seq.seconds, [frequency])[0, 0])
 
 
 def point_dft_many(seq: PhotonSequence, frequencies: np.ndarray) -> np.ndarray:
     """Phasor sums of one sequence at many frequencies, shape (len(frequencies),)."""
-    freqs = np.asarray(frequencies, dtype=np.float64)
-    t = seq.seconds
-    if t.size == 0:
-        return np.zeros(freqs.shape, dtype=np.complex128)
-    # outer product in chunks keeps peak memory bounded for long sequences
-    out = np.empty(freqs.shape, dtype=np.complex128)
-    chunk = max(1, int(4e6 // max(t.size, 1)))
-    for start in range(0, freqs.size, chunk):
-        sl = slice(start, start + chunk)
-        out[sl] = np.exp(-2j * np.pi * np.outer(freqs[sl], t)).sum(axis=1)
-    return out
+    return phasor_sums(seq.seconds, frequencies)[0]
 
 
 def batch_amplitudes(batch: EventBatch, frequencies: np.ndarray) -> np.ndarray:
-    """Phasor-sum magnitudes for every trial of a batch.
-
-    Returns an array of shape (trials, len(frequencies)).  One
-    ``bincount`` pass per frequency over the flat event arrays; this is
-    the workhorse of every Monte-Carlo sweep.
-    """
-    freqs = np.asarray(frequencies, dtype=np.float64)
-    out = np.empty((batch.trials, freqs.size), dtype=np.float64)
-    t, tid = batch.times, batch.trial_ids
-    for j, f in enumerate(freqs):
-        ph = np.exp(-2j * np.pi * f * t)
-        re = np.bincount(tid, weights=ph.real, minlength=batch.trials)
-        im = np.bincount(tid, weights=ph.imag, minlength=batch.trials)
-        out[:, j] = np.hypot(re, im)
-    return out
+    """Phasor-sum magnitudes for every trial of a batch, shape (trials, len(frequencies))."""
+    return np.abs(phasor_sums(batch.times, frequencies, batch.trial_ids, batch.trials))
 
 
 def periodogram(seq: PhotonSequence, band: Band, resolution: float) -> Spectrum:
@@ -166,7 +195,7 @@ def band_peak(seq: PhotonSequence, channel_frequencies: np.ndarray) -> tuple[int
     """
     freqs = np.asarray(channel_frequencies, dtype=np.float64)
     mags = np.abs(point_dft_many(seq, freqs))
-    idx = int(np.argmax(mags))  # argmax returns the first (lowest-f) maximum on ties
+    idx = int(band_argmax(mags, [freqs.size])[0])
     return idx, float(freqs[idx]), float(mags[idx])
 
 
@@ -196,15 +225,13 @@ def expected_line(config: SourceConfig, frequency: float) -> complex:
     w = 2.0 * np.pi * frequency
     T = config.duration
     total = config.mean_rate * _finite_exp_integral(-w, T)
-    if config.tones:
-        k = len(config.tones)
-        for tone in config.tones:
-            wm = 2.0 * np.pi * tone.frequency
-            term = (
-                np.exp(1j * tone.phase) * _finite_exp_integral(wm - w, T)
-                - np.exp(-1j * tone.phase) * _finite_exp_integral(-(wm + w), T)
-            ) / 2j
-            total += (config.mean_rate / k) * tone.depth * term
+    for tone in config.tones:
+        wm = 2.0 * np.pi * tone.frequency
+        term = (
+            np.exp(1j * tone.phase) * _finite_exp_integral(wm - w, T)
+            - np.exp(-1j * tone.phase) * _finite_exp_integral(-(wm + w), T)
+        ) / 2j
+        total += (config.mean_rate / len(config.tones)) * tone.depth * term
     return complex(total)
 
 

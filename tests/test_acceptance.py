@@ -44,7 +44,7 @@ from mcfc.photon_channel import (
     sample_event_batch,
     transmit,
 )
-from mcfc.spectral import batch_amplitudes, floor_channels, line_stats, point_dft
+from mcfc.spectral import band_argmax, batch_amplitudes, floor_channels, line_stats, point_dft
 
 SEED = 20260819
 
@@ -96,14 +96,9 @@ def _per_band_error_rate(plan, rate, trials, label):
     rng = derive_rng(SEED, label)
     batch = sample_event_batch(SourceConfig(rate, 1e-3, tones), trials, rng)
     amps = batch_amplitudes(batch, all_freqs)
-    wrong = np.zeros(batch.trials, dtype=bool)
-    offset = 0
-    for band, sent in zip(plan.bands, plan.frequencies_for(target)):
-        width = len(band.channels)
-        segment = amps[:, offset:offset + width]
-        wrong |= np.argmax(segment, axis=1) != band.channels.index(sent)
-        offset += width
-    return float(wrong.mean())
+    picks = band_argmax(amps, [len(b.channels) for b in plan.bands])
+    lines = [b.channels.index(f) for b, f in zip(plan.bands, plan.frequencies_for(target))]
+    return float((picks != lines).any(axis=1).mean())
 
 
 @pytest.mark.xfail(

@@ -162,6 +162,16 @@ def test_sweep_rejects_unknown_kind(tmp_path, capsys):
     assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "x"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("budget", [{"dead_time": 1e-8}, {"rep_period": 1e-9}])
+def test_sweep_rejects_per_sequence_budget(tmp_path, capsys, budget):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sweep": "error-vs-noise", "grid": [0], "trials": 10, "budget": budget,
+    }))
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "x"]) == EXIT_DATA
+    assert f"budget.{next(iter(budget))}" in capsys.readouterr().err
+
+
 def test_capacity_output(capsys):
     assert run(["capacity", "--bandwidth", 1e9, "--spacing", 1e3,
                 "--window", 1e-3, "--k", 3]) == EXIT_OK
@@ -186,6 +196,19 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["generate", "--rate", 1e6, "--duration", 1e-3, "--rep-period", 2e-13,
                 "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
     assert "rep_period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--rate", 1e6, "--duration", 1e-3, "--out", "x.pts1"],
+    ["transmit-text", "A"],
+    ["transmit-image", "--in", "in.ppm", "--out", "out.ppm"],
+])
+def test_bad_budget_flag_exits_1_on_every_subcommand(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    write_pixmap(tmp_path / "in.ppm", np.zeros((1, 1, 3), dtype=np.uint8))
+    assert run(command + ["--rep-period", 2e-13]) == EXIT_USAGE
+    assert "rep_period" in capsys.readouterr().err
+    assert not (tmp_path / "x.pts1").exists() and not (tmp_path / "out.ppm").exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

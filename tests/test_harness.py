@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mcfc.analysis import InsufficientDataError
+from mcfc.analysis import ErrorModelInput, InsufficientDataError, channel_error_rate, misdecode_prob
 from mcfc.codec import FAILED_PIXEL
 from mcfc.harness import (
     ImageReport,
@@ -34,6 +34,11 @@ def test_sweep_spec_validation():
     # a one-channel band has no floor to compare the line against
     with pytest.raises(ValueError, match="channels_per_band"):
         SweepSpec(grid=(1.0,), channels_per_band=1)
+    # sweeps sample without dead time or gating; refuse them by field name
+    with pytest.raises(ValueError, match="budget.dead_time"):
+        SweepSpec(grid=(1.0,), budget=LinkBudget(dead_time=1e-8))
+    with pytest.raises(ValueError, match="budget.rep_period"):
+        SweepSpec(grid=(1.0,), budget=LinkBudget(rep_period=1e-9))
     spec = SweepSpec(grid=[1, 2], components=[1, 3])
     assert spec.grid == (1.0, 2.0)
     assert spec.components == (1, 3)
@@ -112,6 +117,17 @@ def test_pure_noise_point_is_measured():
     assert point.empirical_rate > 0.5
     assert point.line_std > 0.0 and point.floor_std > 0.0
     assert point.line_mean == pytest.approx(point.floor_mean, rel=0.2)
+
+
+def test_analytic_rate_keeps_its_tail_below_double_epsilon():
+    # at 640 kcps a lone tone's band rate is ~1e-42; 1 - (1 - r) would give 0
+    spec = SweepSpec(grid=(640e3,), trials=400, seed=13)
+    (point,) = run_error_vs_components(spec)
+    model = ErrorModelInput(point.line_mean, point.line_std, point.floor_mean,
+                            point.floor_std, spec.channels_per_band)
+    band_rate = channel_error_rate(misdecode_prob(model), spec.channels_per_band)
+    assert 0.0 < point.analytic_rate < 1e-16
+    assert point.analytic_rate == pytest.approx(band_rate, rel=1e-12)
 
 
 @pytest.mark.parametrize("runner, spec, named", [

@@ -1,11 +1,15 @@
 """Phasor-sum estimation: identities, floor/line statistics, expectations."""
 
 import csv
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from mcfc import spectral
 from mcfc.photon_channel import (
     PhotonSequence,
     SourceConfig,
@@ -18,12 +22,14 @@ from mcfc.photon_channel import (
 from mcfc.spectral import (
     MAX_GRID_POINTS,
     Band,
+    band_argmax,
     band_peak,
     batch_amplitudes,
     expected_line,
     floor_channels,
     line_stats,
     periodogram,
+    phasor_sums,
     point_dft,
     point_dft_many,
 )
@@ -104,6 +110,78 @@ def test_batch_amplitudes_match_per_trial_dft():
             # from_seconds snaps timestamps onto the picosecond grid, so
             # allow the resulting phase slew instead of exact agreement
             assert amps[trial, j] == pytest.approx(abs(point_dft(seq, f)), rel=1e-5)
+
+
+# -----------------------------------------------------------------
+# the kernel against the direct sum (property tests)
+# -----------------------------------------------------------------
+
+@st.composite
+def _events(draw):
+    """Unordered event times, their trial ids (some trials left empty), and the trial count."""
+    trials = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 60))
+    times = draw(st.lists(st.floats(0.0, 2e-3), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, trials - 1), min_size=n, max_size=n))
+    return np.array(times, dtype=np.float64), np.array(ids, dtype=np.int64), trials
+
+
+@settings(deadline=None)
+@given(_events(), st.lists(st.floats(0.0, 3e5), max_size=8),
+       st.integers(1, 40))
+def test_phasor_sums_match_direct_fsum(events, freqs, chunk):
+    times, ids, trials = events
+    # a tiny chunk cap drives the event and frequency blocking on small inputs
+    with mock.patch.object(spectral, "PHASOR_CHUNK", chunk):
+        got = phasor_sums(times, freqs, ids, trials)
+    assert got.shape == (trials, len(freqs))
+    for k in range(trials):
+        t = times[ids == k]
+        for j, f in enumerate(freqs):
+            re = math.fsum(math.cos(2 * math.pi * f * x) for x in t)
+            im = math.fsum(-math.sin(2 * math.pi * f * x) for x in t)
+            # relative to the sum of the phasor magnitudes, i.e. the count
+            assert abs(got[k, j] - complex(re, im)) <= 1e-9 * max(t.size, 1)
+
+
+@settings(deadline=None)
+@given(_events())
+def test_phasor_sum_at_dc_is_count_per_trial(events):
+    times, ids, trials = events
+    dc = phasor_sums(times, [0.0], ids, trials)[:, 0]
+    assert np.array_equal(np.abs(dc), np.bincount(ids, minlength=trials))
+
+
+def test_phasor_sums_single_sequence_is_one_trial():
+    t = np.sort(derive_rng(53).uniform(0, 1e-3, 200))
+    freqs = [10e3, 50e3]
+    assert np.array_equal(phasor_sums(t, freqs), phasor_sums(t, freqs, np.zeros(200, int), 1))
+    assert phasor_sums(np.empty(0), freqs, trials=3).shape == (3, 2)
+    with pytest.raises(ValueError, match="trial_ids"):
+        phasor_sums(t, freqs, np.full(200, 3), 3)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4).flatmap(
+    lambda widths: st.tuples(
+        st.just(widths),
+        st.lists(st.integers(0, 2), min_size=sum(widths), max_size=sum(widths)),
+    )))
+def test_band_argmax_ties_resolve_to_lowest_index(case):
+    widths, values = case
+    picks = band_argmax(np.array(values, dtype=np.float64), widths)
+    offset = 0
+    for b, width in enumerate(widths):
+        band = values[offset: offset + width]
+        assert picks[b] == band.index(max(band))
+        offset += width
+
+
+def test_band_argmax_over_trials():
+    mags = np.array([[1.0, 3.0, 3.0, 0.0, 2.0], [5.0, 0.0, 0.0, 1.0, 1.0]])
+    assert band_argmax(mags, [3, 2]).tolist() == [[1, 1], [0, 0]]
+    with pytest.raises(ValueError, match="widths"):
+        band_argmax(mags, [3, 3])
 
 
 # -----------------------------------------------------------------
