@@ -192,12 +192,6 @@ class FrequencyPlan:
     def total_bandwidth(self) -> float:
         return float(sum(b.high - b.low for b in self.bands))
 
-    def band(self, name: str) -> NamedBand:
-        for b in self.bands:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
     def frequencies_for(self, symbol: Symbol) -> tuple[float, ...]:
         try:
             return self.symbol_map[symbol]

@@ -457,6 +457,11 @@ def read_pts1(path: str | os.PathLike) -> PhotonSequence:
             f"offset {len(blob)}: truncated payload, header promises {count} events "
             f"({expected} bytes total), file has {len(blob)} bytes"
         )
+    if len(blob) > expected:
+        raise StreamFormatError(
+            f"offset {expected}: {len(blob) - expected} trailing bytes after the {count} "
+            f"events the header promises"
+        )
 
     times = np.frombuffer(blob, dtype="<u8", count=count, offset=_HEADER_BYTES).copy()
     bad_order = np.nonzero(times[1:] < times[:-1])[0]

@@ -1,7 +1,10 @@
 """Source sampling, channel impairments, and the PTS1 container."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from mcfc.photon_channel import (
@@ -379,6 +382,79 @@ def test_pts1_event_outside_window(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(StreamFormatError, match="offset 40.*outside"):
         read_pts1(path)
+
+
+def test_pts1_trailing_bytes_name_the_payload_end(tmp_path):
+    path = tmp_path / "long.pts1"
+    blob = bytearray(_valid_blob())
+    blob[16:24] = (1).to_bytes(8, "little")  # three events on disk, one promised
+    path.write_bytes(bytes(blob))
+    with pytest.raises(StreamFormatError, match="offset 32: 16 trailing bytes"):
+        read_pts1(path)
+    path.write_bytes(_valid_blob() + bytes(5))
+    with pytest.raises(StreamFormatError, match="offset 48: 5 trailing bytes"):
+        read_pts1(path)
+
+
+_U64_MAX = 2**64 - 1
+
+
+@st.composite
+def _sequences(draw):
+    times = sorted(draw(st.lists(st.integers(0, _U64_MAX - 1), max_size=20)))
+    window = draw(st.integers(times[-1] + 1 if times else 1, _U64_MAX))
+    return PhotonSequence(np.array(times, dtype=np.uint64), window)
+
+
+@pytest.fixture(scope="module")
+def pts1_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pts1") / "fuzz.pts1"
+
+
+@settings(deadline=None)
+@given(_sequences())
+def test_pts1_round_trips_any_nondecreasing_times(pts1_path, seq):
+    write_pts1(pts1_path, seq)
+    back = read_pts1(pts1_path)
+    assert np.array_equal(back.times_ps, seq.times_ps)
+    assert back.window_ps == seq.window_ps
+
+
+def _pts1_bytes(seq):
+    header = PTS1_MAGIC + seq.window_ps.to_bytes(8, "little") + len(seq).to_bytes(8, "little")
+    return header + seq.times_ps.astype("<u8").tobytes()
+
+
+@st.composite
+def _corrupt(draw, blob):
+    """A truncated, extended or byte-flipped copy of ``blob``."""
+    how = draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if how == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if how == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=24))
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@settings(deadline=None)
+@given(_sequences().flatmap(lambda seq: st.tuples(st.just(seq), _corrupt(_pts1_bytes(seq)))))
+def test_pts1_corruption_parses_or_names_an_offset_in_the_file(pts1_path, case):
+    seq, blob = case
+    pts1_path.write_bytes(blob)
+    try:
+        back = read_pts1(pts1_path)
+    except StreamFormatError as exc:
+        offset = re.match(r"offset (\d+): ", str(exc))
+        assert offset is not None, str(exc)
+        assert 0 <= int(offset.group(1)) <= len(blob)
+    else:
+        # whatever parses is a valid sequence that accounts for every byte
+        assert len(blob) == 24 + 8 * len(back)
+        assert np.all(back.times_ps[1:] >= back.times_ps[:-1])
+        assert len(back) == 0 or int(back.times_ps[-1]) < back.window_ps
 
 
 def test_pts1_zero_window(tmp_path):

@@ -126,22 +126,82 @@ def _events(draw):
     return np.array(times, dtype=np.float64), np.array(ids, dtype=np.int64), trials
 
 
-@settings(deadline=None)
-@given(_events(), st.lists(st.floats(0.0, 3e5), max_size=8),
-       st.integers(1, 40))
-def test_phasor_sums_match_direct_fsum(events, freqs, chunk):
-    times, ids, trials = events
-    # a tiny chunk cap drives the event and frequency blocking on small inputs
+def _direct_sum(t, f):
+    """The direct formula, exp(-i*fl(2*pi*fl(f*t))) per event, summed exactly."""
+    phase = 2.0 * np.pi * (f * np.asarray(t, dtype=np.float64))
+    return complex(math.fsum(np.cos(phase)), -math.fsum(np.sin(phase)))
+
+
+def _assert_match_direct_fsum(times, ids, trials, freqs, chunk):
+    # a small chunk cap drives the event blocking on small inputs
     with mock.patch.object(spectral, "PHASOR_CHUNK", chunk):
         got = phasor_sums(times, freqs, ids, trials)
     assert got.shape == (trials, len(freqs))
     for k in range(trials):
         t = times[ids == k]
         for j, f in enumerate(freqs):
-            re = math.fsum(math.cos(2 * math.pi * f * x) for x in t)
-            im = math.fsum(-math.sin(2 * math.pi * f * x) for x in t)
             # relative to the sum of the phasor magnitudes, i.e. the count
-            assert abs(got[k, j] - complex(re, im)) <= 1e-9 * max(t.size, 1)
+            assert abs(got[k, j] - _direct_sum(t, f)) <= 1e-9 * max(t.size, 1)
+
+
+@settings(deadline=None)
+@given(_events(), st.lists(st.floats(0.0, 3e5), max_size=8),
+       st.integers(1, 40))
+def test_phasor_sums_match_direct_fsum(events, freqs, chunk):
+    _assert_match_direct_fsum(*events, freqs, chunk)
+
+
+@st.composite
+def _ladder_frequencies(draw):
+    """Uniform ladders back to back: ascending, descending or zero-step, some through 0 Hz."""
+    freqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 2 * spectral.ANCHOR + 20))
+        step = draw(st.sampled_from([1.0, -1.0, 0.0])) * draw(st.floats(0.5, 2e3))
+        if draw(st.booleans()):
+            start = draw(st.floats(0.0, 3e5))
+        else:  # 0 Hz lands on one rung of this ladder
+            start = -step * draw(st.integers(0, length - 1))
+        freqs.extend(start + step * np.arange(length))
+    return freqs
+
+
+@settings(deadline=None, max_examples=60)
+@given(_events(), _ladder_frequencies(), st.sampled_from([1, 97, spectral.PHASOR_CHUNK]))
+def test_phasor_sums_on_ladders_match_direct_fsum(events, freqs, chunk):
+    _assert_match_direct_fsum(*events, freqs, chunk)
+
+
+def test_rotation_keeps_the_direct_rounding_at_the_quietest_point():
+    # at f*t ~ 5e4 the phase is ~3e5 rad, whose ulp is ~6e-11 rad; an uncorrected
+    # rotation misses each direct (rounded) phase by up to half of that, which
+    # shows at the ladder's smallest |X| (~0.1 sqrt(N)) as a relative error ~1e-10
+    t = np.sort(derive_rng(54).uniform(0.0, 1.0, 50_000))
+    ladder = 49_950.0 + 1.0 * np.arange(101)
+    values = phasor_sums(t, ladder)[0]
+    quiet = int(np.argmin(np.abs(values)))
+    ref = _direct_sum(t, ladder[quiet])
+    assert abs(values[quiet] - ref) <= 1e-12 * abs(ref)
+
+
+def test_many_event_blocks_add_up_like_one_sum():
+    # one event per block: next to a strong line the running sum swings by ~1e3
+    # over the capture, and adding 20k block sums in turn would drift by ~1e-11
+    seq = sample_modulated(SourceConfig(20e3, 1.0, (Tone(50e3),)), derive_rng(61))
+    ladder = np.array([49_998.0, 49_999.0, 50_000.0, 50_001.0, 50_002.0])
+    with mock.patch.object(spectral, "PHASOR_CHUNK", ladder.size):
+        values = phasor_sums(seq.seconds, ladder)[0]
+    for f, value in zip(ladder, values):
+        assert abs(value - _direct_sum(seq.seconds, f)) <= 1e-12
+
+
+def test_ladder_runs_follow_the_channel_grids(rgb_plan):
+    channels = np.concatenate([band.channels for band in rgb_plan.bands])
+    assert spectral._ladders(channels) == [(0, 11, -1e3), (11, 22, -1e3), (22, 33, -1e3)]
+    grid = periodogram(PhotonSequence.empty(1.0), Band(49_750.0, 50_250.0), 1.0).frequencies
+    assert spectral._ladders(grid) == [(0, 501, 1.0)]
+    assert spectral._ladders(np.array([5.0, 5.0, 5.0, 7.0])) == [(0, 3, 0.0), (3, 4, 0.0)]
+    assert spectral._ladders(np.array([1.0, np.inf, 2.0])) == [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)]
 
 
 @settings(deadline=None)
@@ -261,6 +321,19 @@ def test_periodogram_grid_and_peak():
     idx, freq, mag = band_peak(seq, spec.frequencies)
     assert (idx, freq) == (10, pytest.approx(50e3))
     assert mag == pytest.approx(spec.magnitude.max(), rel=1e-12)
+
+
+def test_periodogram_keeps_the_closed_band_top():
+    empty = PhotonSequence.empty(1.0)
+    # 0.6 / 0.1 and 0.3 / 0.1 round to just below 6 and 3
+    for low, high, resolution, points in [(0.1, 0.7, 0.1, 7), (1000.0, 1000.3, 0.1, 4),
+                                          (0.1, 0.75, 0.1, 7), (40e3, 60e3, 1e3, 21)]:
+        freqs = periodogram(empty, Band(low, high), resolution).frequencies
+        assert freqs.size == points
+        assert freqs[0] == low
+    assert periodogram(empty, Band(0.1, 0.7), 0.1).frequencies[-1] == pytest.approx(0.7)
+    scan = periodogram(empty, Band(49_750.0, 50_250.0), 1.0).frequencies
+    assert np.array_equal(scan, 49_750.0 + 1.0 * np.arange(501))
 
 
 def test_periodogram_grid_cap():
