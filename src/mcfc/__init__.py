@@ -17,7 +17,6 @@ from .photon_channel import (
     apply_detector,
     apply_loss,
     derive_rng,
-    fwhm_to_sigma,
     merge_noise,
     read_pts1,
     sample_event_batch,

@@ -75,11 +75,6 @@ class SweepSpec:
             raise ValueError(
                 f"channels_per_band must be >= 2 to measure a floor, got {self.channels_per_band}"
             )
-        # sample_event_batch has no dead time or gating: refuse them here, by field name
-        if self.budget.dead_time > 0.0:
-            raise ValueError("budget.dead_time is a per-sequence effect that sweeps cannot sample")
-        if self.budget.rep_period is not None:
-            raise ValueError("budget.rep_period is a per-sequence effect that sweeps cannot sample")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "components", tuple(int(k) for k in self.components))
 

@@ -11,9 +11,12 @@ so the time-averaged detection rate stays at ``mean_rate`` no matter how
 many tones are active.  Sampling uses thinning of a homogeneous proposal
 process, which is exact for bounded rate functions.
 
-The receive side is a chain of independently seeded stages: geometric
-loss, background light, timing jitter, detector dead time and (optionally)
-a gated detector that quantizes arrival times onto its clock grid.
+One pipeline, :func:`sample_event_batch`, samples many trials at once:
+source thinning with loss folded in, background light and dark counts,
+timing jitter, then detector dead time and (optionally) gating onto a clock
+grid.  Arrival stages work in float seconds, the detector in integer
+picoseconds.  :func:`transmit` runs it on one trial, and the per-sequence
+functions are adapters onto its stages.
 
 Timestamps are stored as integer picoseconds (``numpy.uint64``) so that
 sequences survive serialization round trips bit-exactly.  The on-disk
@@ -39,11 +42,6 @@ _HEADER_BYTES = 24  # magic(8) + window_ps(8) + count(8)
 
 class StreamFormatError(ValueError):
     """Raised when a serialized timestamp stream is malformed."""
-
-
-def fwhm_to_sigma(fwhm: float) -> float:
-    """Convert a full-width-at-half-maximum to a Gaussian standard deviation."""
-    return float(fwhm) / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,7 @@ class PhotonSequence:
         t = np.asarray(list(times) if not isinstance(times, np.ndarray) else times, dtype=np.float64)
         if t.size and (np.any(t < 0.0) or np.any(t >= window)):
             raise ValueError("timestamps must lie in [0, window)")
-        ps = np.sort(np.round(t * PS_PER_SECOND)).astype(np.uint64)
-        if ps.size:
-            ps = np.minimum(ps, np.uint64(window_ps - 1))
-        return cls(ps, window_ps)
+        return cls(np.sort(_to_ps(t, window_ps)).astype(np.uint64), window_ps)
 
     @classmethod
     def empty(cls, window: float) -> "PhotonSequence":
@@ -215,10 +210,14 @@ class LinkBudget:
     noise_rate    : homogeneous background rate added before the detector, counts/s
     dark_rate     : detector-generated homogeneous rate, counts/s
     jitter_sigma  : Gaussian timing jitter standard deviation, seconds
-    dead_time     : detector paralysis after each registered event, seconds
+    dead_time     : non-extending detector dead time, seconds, compared in
+                    integer picoseconds: without gating, registered events of
+                    a window are at least ``round(dead_time / 1 ps)`` ps apart
     rep_period    : optional gated-detector clock period, seconds.  When set,
-                    timestamps are quantized down onto the clock grid and
+                    registered times are floored onto the clock grid and
                     events falling into one gate merge into a single count.
+                    Gating follows dead time, so a gated gap can be shorter
+                    than the dead time (5 ns dead time, 3 ns gate: 3000 ps).
     """
 
     transmittance: float = 1.0
@@ -234,125 +233,103 @@ class LinkBudget:
         for name in ("noise_rate", "dark_rate", "jitter_sigma", "dead_time"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        # gating quantizes picosecond timestamps, so the period must round to >= 1 ps
-        if self.rep_period is not None and not (
-            np.isfinite(self.rep_period) and self.rep_period * PS_PER_SECOND > 0.5
-        ):
-            raise ValueError(
-                f"rep_period must be finite and round to at least 1 ps, got {self.rep_period!r} s"
-            )
-
-    @property
-    def is_identity(self) -> bool:
-        return self == LinkBudget()
+        # the detector works in integer picoseconds, so a dead time or gate must round to >= 1 ps
+        for name, value in (("dead_time", self.dead_time or None), ("rep_period", self.rep_period)):
+            if value is not None and not (np.isfinite(value) and value * PS_PER_SECOND > 0.5):
+                raise ValueError(f"{name} must be finite and round to at least 1 ps, got {value!r} s")
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# the sampling pipeline, and per-sequence adapters onto its stages
 # ---------------------------------------------------------------------------
 
-def sample_homogeneous(rate: float, duration: float, rng: np.random.Generator) -> PhotonSequence:
-    """Sample a homogeneous Poisson process on [0, duration)."""
-    n = rng.poisson(rate * duration)
-    times = rng.uniform(0.0, duration, size=n)
-    return PhotonSequence.from_seconds(times, duration)
+def _poisson_times(rate: float, duration: float, trials: int, rng: np.random.Generator):
+    """Homogeneous Poisson arrivals on [0, duration): float seconds, grouped by trial, and counts."""
+    counts = rng.poisson(rate * duration, size=trials)
+    return rng.uniform(0.0, duration, size=int(counts.sum())), counts
 
 
-def sample_modulated(config: SourceConfig, rng: np.random.Generator) -> PhotonSequence:
-    """Sample the modulated source by thinning a homogeneous proposal.
+def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float,
+               config: SourceConfig | None = None) -> np.ndarray:
+    """Keep each event with probability ``eta``, times ``rate(t) / ceiling`` if ``config`` is modulated."""
+    if config is None or not config.tones:
+        return rng.uniform(size=t.size) < eta
+    return rng.uniform(size=t.size) * config.rate_ceiling < config.rate(t) * eta
 
-    Draw ``Poisson(ceiling * T)`` candidate times uniformly on the window
-    and keep each with probability ``rate(t) / ceiling``.  The survivors
-    are exactly an inhomogeneous Poisson sample of the target rate.
+
+def _jitter(t: np.ndarray, sigma: float, high: float, rng: np.random.Generator) -> np.ndarray:
+    """Add Gaussian timing noise of standard deviation ``sigma``, clipped to [0, high]."""
+    return np.clip(t + rng.normal(0.0, sigma, size=t.size), 0.0, high)
+
+
+def _arrivals(config: SourceConfig, trials: int, rng: np.random.Generator, budget: LinkBudget):
+    """Source thinning with loss folded in, background and dark counts, jitter: seconds, trial ids."""
+    t, counts = _poisson_times(config.rate_ceiling, config.duration, trials, rng)
+    # trial ids of the survivors only: a candidate-sized id array would raise the peak
+    keep = np.flatnonzero(_survivors(t, rng, budget.transmittance, config))
+    t, tid = t[keep], np.searchsorted(np.cumsum(counts), keep, side="right")
+    extra_rate = budget.noise_rate + budget.dark_rate
+    if extra_rate > 0.0:
+        te, extra = _poisson_times(extra_rate, config.duration, trials, rng)
+        t, tid = np.concatenate([t, te]), np.concatenate([tid, np.repeat(np.arange(trials), extra)])
+    if budget.jitter_sigma > 0.0 and t.size:
+        t = _jitter(t, budget.jitter_sigma, config.duration - 1e-12, rng)
+    return t, tid
+
+
+def _to_ps(t: np.ndarray, window_ps: int) -> np.ndarray:
+    """Round float seconds to int64 picoseconds, at most one tick inside the window."""
+    return np.minimum(np.rint(t * PS_PER_SECOND).astype(np.int64), window_ps - 1)
+
+
+def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
+            budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
+    """Non-extending dead time, then gating, of int64 ps times; sorted by trial and time.
+
+    Trials lie ``window_ps + tau`` apart on one axis, so no gate and no cluster
+    (a run of events each closer than ``tau`` to the one before) spans two.
+    A cluster's first event is registered; each round then registers, per open
+    cluster, the first event ``tau`` or more after the last registered one.
     """
-    lam_max = config.rate_ceiling
-    if lam_max == 0.0:
-        return PhotonSequence.empty(config.duration)
-    n = rng.poisson(lam_max * config.duration)
-    t = rng.uniform(0.0, config.duration, size=n)
-    if not config.tones:
-        return PhotonSequence.from_seconds(t, config.duration)
-    keep = rng.uniform(size=n) * lam_max < config.rate(t)
-    return PhotonSequence.from_seconds(t[keep], config.duration)
-
-
-def apply_loss(seq: PhotonSequence, transmittance: float, rng: np.random.Generator) -> PhotonSequence:
-    """Thin a sequence by an independent Bernoulli survival trial per event."""
-    if transmittance >= 1.0 or len(seq) == 0:
-        return seq
-    keep = rng.uniform(size=len(seq)) < transmittance
-    return PhotonSequence(seq.times_ps[keep], seq.window_ps)
-
-
-def merge_noise(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
-    """Superimpose background light and dark counts onto a sequence.
-
-    Both contributions are homogeneous Poisson streams, so they merge into
-    one stream at the summed rate.
-    """
-    rate = budget.noise_rate + budget.dark_rate
-    if rate <= 0.0:
-        return seq
-    extra = sample_homogeneous(rate, seq.window, rng)
-    merged = np.sort(np.concatenate([seq.times_ps, extra.times_ps]))
-    return PhotonSequence(merged, seq.window_ps)
-
-
-def apply_detector(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
-    """Apply detector-side impairments: timing jitter, dead time, gating.
-
-    Jittered events are clamped to the observation window and re-sorted.
-    Dead time is non-extending: after each registered event the detector
-    ignores arrivals for ``dead_time`` seconds.
-    """
-    window = seq.window
-    times = seq.seconds
-
-    if budget.jitter_sigma > 0.0 and times.size:
-        times = times + rng.normal(0.0, budget.jitter_sigma, size=times.size)
-        times = np.sort(np.clip(times, 0.0, window - 1e-12))
-
-    if budget.dead_time > 0.0 and times.size:
-        kept = [times[0]]
-        for t in times[1:]:
-            if t - kept[-1] >= budget.dead_time:
-                kept.append(t)
-        times = np.asarray(kept)
-
-    out = PhotonSequence.from_seconds(times, window)
-
-    if budget.rep_period is not None and len(out):
-        period_ps = int(round(budget.rep_period * PS_PER_SECOND))
-        gated = (out.times_ps // period_ps) * period_ps
-        out = PhotonSequence(np.unique(gated), out.window_ps)
-    return out
+    tau = round(budget.dead_time * PS_PER_SECOND)
+    stride = window_ps + tau
+    if trials * stride > np.iinfo(np.int64).max:
+        raise ValueError(f"{trials} trials of a {window_ps} ps window overflow int64 picoseconds")
+    key = np.sort(tid * stride + ps)
+    if tau > 0:
+        keep = np.zeros(key.size, dtype=bool)
+        at = np.flatnonzero(np.diff(key, prepend=key[:1] - tau) >= tau)
+        end = np.append(at[1:], key.size)
+        while at.size:
+            keep[at] = True
+            at = np.searchsorted(key, key[at] + tau)
+            at, end = at[at < end], end[at < end]
+        key = key[keep]
+    if budget.rep_period is not None:
+        key = key - key % stride % round(budget.rep_period * PS_PER_SECOND)
+        key = key[np.diff(key, prepend=-1) > 0]  # still sorted: drop repeats
+    return key % stride, key // stride
 
 
 def transmit(config: SourceConfig, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
-    """Run the full pipeline: source, loss, background, detector.
+    """Run the full pipeline on one window: source, loss, background, detector.
 
-    Each stage consumes its own child generator spawned from ``rng``, so
-    adding or removing an impairment does not shift the randomness seen by
-    the remaining stages.
+    This is :func:`sample_event_batch` with one trial, drawing the same
+    numbers from ``rng``, with the registered times kept in picoseconds.
     """
-    streams = rng.spawn(4)
-    seq = sample_modulated(config, streams[0])
-    seq = apply_loss(seq, budget.transmittance, streams[1])
-    seq = merge_noise(seq, budget, streams[2])
-    return apply_detector(seq, budget, streams[3])
+    window_ps = round(config.duration * PS_PER_SECOND)
+    t, tid = _arrivals(config, 1, rng, budget)
+    ps, _ = _detect(_to_ps(t, window_ps), tid, 1, window_ps, budget)
+    return PhotonSequence(ps.astype(np.uint64), window_ps)
 
-
-# ---------------------------------------------------------------------------
-# batched sampling for Monte-Carlo studies
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EventBatch:
     """Events of many independent trials in flat arrays.
 
     ``times`` holds float-second timestamps, ``trial_ids`` the owning trial
-    of each event.  Events within a trial are unordered; spectral reduction
-    does not need them sorted.
+    of each event.  Events within a trial are unordered (sorted after dead
+    time or gating); spectral reduction does not need them sorted.
     """
 
     times: np.ndarray
@@ -371,45 +348,70 @@ def sample_event_batch(
     rng: np.random.Generator,
     budget: LinkBudget | None = None,
 ) -> EventBatch:
-    """Sample many independent realizations of the same source at once.
+    """Sample many independent realizations of the same link at once.
 
     Loss is folded into the thinning acceptance (one uniform draw per
     candidate), background and dark counts are appended as homogeneous
-    events, and jitter is applied vectorized.  Dead time and gating are
-    sequential per-trial effects and are intentionally not supported here;
-    use :func:`transmit` for those.
+    events, and jitter is applied vectorized.  Dead time and gating draw
+    nothing; a budget with either rounds the times to picoseconds first.
     """
     budget = budget or LinkBudget()
+    t, tid = _arrivals(config, trials, rng, budget)
     if budget.dead_time > 0.0 or budget.rep_period is not None:
-        raise NotImplementedError(
-            "dead time and gating are per-sequence effects; use transmit()"
-        )
-    T = config.duration
-    lam_max = config.rate_ceiling
-    eta = budget.transmittance
+        window_ps = round(config.duration * PS_PER_SECOND)
+        ps, tid = _detect(_to_ps(t, window_ps), tid, trials, window_ps, budget)
+        t = ps / PS_PER_SECOND
+    return EventBatch(times=t, trial_ids=tid, trials=trials, window=config.duration)
 
-    counts = rng.poisson(lam_max * T, size=trials)
-    total = int(counts.sum())
-    t = rng.uniform(0.0, T, size=total)
-    tid = np.repeat(np.arange(trials), counts)
 
-    if config.tones:
-        accept = rng.uniform(size=total) * lam_max < config.rate(t) * eta
-    else:
-        accept = rng.uniform(size=total) < eta
-    t, tid = t[accept], tid[accept]
+def sample_homogeneous(rate: float, duration: float, rng: np.random.Generator) -> PhotonSequence:
+    """Sample a homogeneous Poisson process on [0, duration)."""
+    return sample_modulated(SourceConfig(rate, duration), rng)
 
-    extra_rate = budget.noise_rate + budget.dark_rate
-    if extra_rate > 0.0:
-        n_extra = rng.poisson(extra_rate * T, size=trials)
-        te = rng.uniform(0.0, T, size=int(n_extra.sum()))
-        t = np.concatenate([t, te])
-        tid = np.concatenate([tid, np.repeat(np.arange(trials), n_extra)])
 
-    if budget.jitter_sigma > 0.0 and t.size:
-        t = np.clip(t + rng.normal(0.0, budget.jitter_sigma, size=t.size), 0.0, T - 1e-12)
+def sample_modulated(config: SourceConfig, rng: np.random.Generator) -> PhotonSequence:
+    """Sample the modulated source by thinning a homogeneous proposal.
 
-    return EventBatch(times=t, trial_ids=tid, trials=trials, window=T)
+    Draw ``Poisson(ceiling * T)`` candidate times uniformly on the window
+    and keep each with probability ``rate(t) / ceiling``.  The survivors
+    are exactly an inhomogeneous Poisson sample of the target rate.
+    """
+    t, _ = _arrivals(config, 1, rng, LinkBudget())
+    return PhotonSequence.from_seconds(t, config.duration)
+
+
+def apply_loss(seq: PhotonSequence, transmittance: float, rng: np.random.Generator) -> PhotonSequence:
+    """Thin a sequence by an independent Bernoulli survival trial per event."""
+    if transmittance >= 1.0 or len(seq) == 0:
+        return seq
+    return PhotonSequence(seq.times_ps[_survivors(seq.times_ps, rng, transmittance)], seq.window_ps)
+
+
+def merge_noise(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
+    """Superimpose background light and dark counts onto a sequence.
+
+    Both contributions are homogeneous Poisson streams, so they merge into
+    one stream at the summed rate.
+    """
+    rate = budget.noise_rate + budget.dark_rate
+    if rate <= 0.0:
+        return seq
+    extra = sample_homogeneous(rate, seq.window, rng).times_ps
+    return PhotonSequence(np.sort(np.concatenate([seq.times_ps, extra])), seq.window_ps)
+
+
+def apply_detector(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
+    """Apply detector-side impairments: timing jitter, dead time, gating.
+
+    Jittered events are clamped to the observation window and rounded to
+    the picosecond grid; dead time and gating then act as in the batch.
+    """
+    ps = seq.times_ps.astype(np.int64)
+    if budget.jitter_sigma > 0.0 and ps.size:
+        sigma_ps = budget.jitter_sigma * PS_PER_SECOND
+        ps = np.rint(_jitter(ps.astype(np.float64), sigma_ps, seq.window_ps - 1, rng)).astype(np.int64)
+    ps, _ = _detect(ps, np.zeros_like(ps), 1, seq.window_ps, budget)
+    return PhotonSequence(ps.astype(np.uint64), seq.window_ps)
 
 
 # ---------------------------------------------------------------------------

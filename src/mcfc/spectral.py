@@ -267,7 +267,8 @@ def periodogram(seq: PhotonSequence, band: Band, resolution: float) -> Spectrum:
 
     The grid starts at ``band.low`` and keeps ``band.high`` when the width is
     a whole number of steps up to rounding (``Band(0.1, 0.7)`` at 0.1 Hz has 7
-    points, though ``0.6 / 0.1`` rounds to just below 6).
+    points, though ``0.6 / 0.1`` rounds to just below 6).  Every point lies
+    inside the closed band.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -278,7 +279,7 @@ def periodogram(seq: PhotonSequence, band: Band, resolution: float) -> Spectrum:
             f"grid of {n} points exceeds the {MAX_GRID_POINTS}-point cap; "
             "coarsen the resolution or narrow the band"
         )
-    freqs = band.low + resolution * np.arange(n)
+    freqs = np.minimum(band.low + resolution * np.arange(n), band.high)
     return Spectrum(freqs, point_dft_many(seq, freqs), seq.window, len(seq))
 
 

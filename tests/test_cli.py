@@ -1,5 +1,6 @@
 """Command-line interface: round trips, exit codes, determinism, diagnostics."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -163,13 +164,13 @@ def test_sweep_rejects_unknown_kind(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("budget", [{"dead_time": 1e-8}, {"rep_period": 1e-9}])
-def test_sweep_rejects_per_sequence_budget(tmp_path, capsys, budget):
+def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "sweep": "error-vs-noise", "grid": [0], "trials": 10, "budget": budget,
     }))
-    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "x"]) == EXIT_DATA
-    assert f"budget.{next(iter(budget))}" in capsys.readouterr().err
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "x"]) == EXIT_OK
+    assert len((tmp_path / "x" / "error-vs-noise.csv").read_text().splitlines()) == 2
 
 
 def test_capacity_output(capsys):
@@ -273,3 +274,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # linkbench's tracer rebinds these names from outside the package; a
+    # refactor that drops one leaves `linkbench/run.py --trace 1` crashing
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "linkbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("linkbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look themselves up there
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYER_TARGETS
+    for target in tracing.LAYER_TARGETS:
+        assert callable(getattr(importlib.import_module(target.module), target.attr, None)), target

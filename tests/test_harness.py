@@ -34,11 +34,10 @@ def test_sweep_spec_validation():
     # a one-channel band has no floor to compare the line against
     with pytest.raises(ValueError, match="channels_per_band"):
         SweepSpec(grid=(1.0,), channels_per_band=1)
-    # sweeps sample without dead time or gating; refuse them by field name
-    with pytest.raises(ValueError, match="budget.dead_time"):
-        SweepSpec(grid=(1.0,), budget=LinkBudget(dead_time=1e-8))
-    with pytest.raises(ValueError, match="budget.rep_period"):
-        SweepSpec(grid=(1.0,), budget=LinkBudget(rep_period=1e-9))
+    # sweeps sample dead time and gating like every other impairment
+    for budget in (LinkBudget(dead_time=1e-8), LinkBudget(rep_period=1e-9)):
+        (point,) = run_error_vs_noise(SweepSpec(grid=(0.0,), trials=10, budget=budget))
+        assert point.trials == 10 and point.line_mean > point.floor_mean
     spec = SweepSpec(grid=[1, 2], components=[1, 3])
     assert spec.grid == (1.0, 2.0)
     assert spec.components == (1, 3)

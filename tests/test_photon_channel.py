@@ -18,7 +18,6 @@ from mcfc.photon_channel import (
     apply_detector,
     apply_loss,
     derive_rng,
-    fwhm_to_sigma,
     merge_noise,
     read_pts1,
     sample_event_batch,
@@ -27,6 +26,7 @@ from mcfc.photon_channel import (
     transmit,
     write_pts1,
 )
+from mcfc.photon_channel import _detect
 
 
 # -----------------------------------------------------------------
@@ -73,12 +73,11 @@ def test_link_budget_validation():
     with pytest.raises(ValueError, match="rep_period"):
         LinkBudget(rep_period=2e-13)
     assert LinkBudget(rep_period=1e-12).rep_period == 1e-12
-    assert LinkBudget().is_identity
-    assert not LinkBudget(noise_rate=10.0).is_identity
-
-
-def test_fwhm_to_sigma():
-    assert fwhm_to_sigma(2.3548200450309493) == pytest.approx(1.0, rel=1e-12)
+    # dead time is compared in whole picoseconds too
+    for dead in (4e-13, float("inf")):
+        with pytest.raises(ValueError, match="dead_time"):
+            LinkBudget(dead_time=dead)
+    assert LinkBudget(dead_time=1e-12).dead_time == 1e-12
 
 
 def test_derive_rng_reproducible_and_distinct():
@@ -288,28 +287,108 @@ def test_transmit_deterministic_per_seed():
 # -----------------------------------------------------------------
 
 def test_batch_matches_sequence_pipeline():
-    """The flat batch sampler and the per-sequence pipeline must agree in law."""
+    """transmit is the batch pipeline on one trial: same draws, same events, same law."""
     config = SourceConfig(80e3, 1e-3, (Tone(50e3),))
-    budget = LinkBudget(transmittance=0.75, noise_rate=20e3)
+    for budget in (
+        LinkBudget(transmittance=0.75, noise_rate=20e3),
+        # the documented gated case: a 3 ns gate after 5 ns of dead time
+        LinkBudget(transmittance=0.75, noise_rate=20e3, jitter_sigma=1e-9,
+                   dead_time=5e-9, rep_period=3e-9),
+    ):
+        seqs = [transmit(config, budget, derive_rng(32, "seq", i)) for i in range(1500)]
+        for i in range(5):
+            one = sample_event_batch(config, 1, derive_rng(32, "seq", i), budget)
+            assert np.array_equal(PhotonSequence.from_seconds(one.times, 1e-3).times_ps,
+                                  seqs[i].times_ps)
 
-    batch = sample_event_batch(config, 1500, derive_rng(32, "batch"), budget)
-    counts_batch = batch.counts()
-    counts_seq = np.array([
-        len(transmit(config, budget, derive_rng(32, "seq", i))) for i in range(1500)
-    ])
-    assert stats.ks_2samp(counts_batch, counts_seq).pvalue > 0.01
-    expected = config.expected_count * budget.transmittance + budget.noise_rate * config.duration
-    se = np.sqrt(expected / 1500)
-    assert counts_batch.mean() == pytest.approx(expected, abs=4 * se)
-    assert counts_seq.mean() == pytest.approx(expected, abs=4 * se)
+        counts_batch = sample_event_batch(config, 1500, derive_rng(32, "batch"), budget).counts()
+        counts_seq = np.array([len(seq) for seq in seqs])
+        assert stats.ks_2samp(counts_batch, counts_seq).pvalue > 0.01
+        # dead time and gating remove ~0.04 of the ~80 events here, well inside 4 SE
+        expected = config.expected_count * budget.transmittance + budget.noise_rate * config.duration
+        se = np.sqrt(expected / 1500)
+        assert counts_batch.mean() == pytest.approx(expected, abs=4 * se)
+        assert counts_seq.mean() == pytest.approx(expected, abs=4 * se)
 
 
-def test_batch_rejects_sequential_effects():
-    config = SourceConfig(1e4, 1e-3)
-    with pytest.raises(NotImplementedError):
-        sample_event_batch(config, 10, derive_rng(33), LinkBudget(dead_time=1e-6))
-    with pytest.raises(NotImplementedError):
-        sample_event_batch(config, 10, derive_rng(33), LinkBudget(rep_period=1e-7))
+def _registered(times, tau_ps, period_ps=None):
+    """The detector rule one event at a time: non-extending dead time, then gating."""
+    kept = []
+    for t in sorted(times):
+        if not kept or t - kept[-1] >= tau_ps:
+            kept.append(t)
+    return kept if period_ps is None else sorted({t - t % period_ps for t in kept})
+
+
+@st.composite
+def _detector_cases(draw):
+    """Dense picosecond trials (equal times and gaps of exactly tau are common), in any order."""
+    window = draw(st.integers(1, 300))
+    tau = draw(st.one_of(st.integers(1, 40), st.integers(window, 2 * window)))
+    period = draw(st.one_of(st.none(), st.integers(1, 60)))
+    trials = draw(st.lists(st.lists(st.integers(0, window - 1), max_size=25), min_size=1, max_size=5))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(
+        sum(len(times) for times in trials))
+    ps = np.array([t for times in trials for t in times], dtype=np.int64)[order]
+    tid = np.repeat(np.arange(len(trials)), [len(times) for times in trials])[order]
+    return window, tau, period, trials, ps, tid
+
+
+@settings(deadline=None)
+@given(_detector_cases())
+def test_dead_time_and_gating_match_the_sequential_rule(case):
+    window, tau, period, trials, ps, tid = case
+    budget = LinkBudget(dead_time=tau * 1e-12, rep_period=None if period is None else period * 1e-12)
+    out, out_tid = _detect(ps, tid, len(trials), window, budget)
+    for i, times in enumerate(trials):
+        assert out[out_tid == i].tolist() == _registered(times, tau, period)
+    # without gating every registered gap within a trial is at least tau
+    if period is None:
+        gaps = np.diff(out)[np.diff(out_tid) == 0]
+        assert np.all(gaps >= tau)
+
+
+def test_gating_is_idempotent_and_merges_within_a_trial_only():
+    budget = LinkBudget(rep_period=1e-9)
+    # two trials hit the 1000 ps gate: each keeps its event; one trial's pair merges
+    ps = np.array([1500, 1200, 1999, 3000], dtype=np.int64)
+    tid = np.array([0, 1, 1, 1])
+    out, out_tid = _detect(ps, tid, 2, 10_000, budget)
+    assert out.tolist() == [1000, 1000, 3000]
+    assert out_tid.tolist() == [0, 1, 1]
+    again, again_tid = _detect(out, out_tid, 2, 10_000, budget)
+    assert np.array_equal(again, out) and np.array_equal(again_tid, out_tid)
+
+    seq = sample_homogeneous(2e7, 1e-4, derive_rng(37))
+    gated = apply_detector(seq, budget, derive_rng(38))
+    assert len(gated) < len(seq)
+    assert np.array_equal(apply_detector(gated, budget, derive_rng(38)).times_ps, gated.times_ps)
+
+
+def test_batch_dead_time_and_gating_draw_nothing():
+    """A batch with a detector budget is its detector-free twin, passed through the rule."""
+    config = SourceConfig(3e6, 1e-5, (Tone(1e6),))
+    tau_ps, period_ps = 200_000, 70_000
+    free = sample_event_batch(config, 300, derive_rng(33), LinkBudget(jitter_sigma=1e-9))
+    times_ps = np.minimum(np.rint(free.times * PS_PER_SECOND), 10**7 - 1).astype(np.int64)
+    for period in (None, period_ps):
+        budget = LinkBudget(jitter_sigma=1e-9, dead_time=tau_ps * 1e-12,
+                            rep_period=None if period is None else period * 1e-12)
+        batch = sample_event_batch(config, 300, derive_rng(33), budget)
+        got = np.rint(batch.times * PS_PER_SECOND).astype(np.int64)
+        for i in range(300):
+            assert got[batch.trial_ids == i].tolist() == _registered(
+                times_ps[free.trial_ids == i], tau_ps, period)
+
+
+def test_dead_time_mean_count_follows_the_non_extending_rate():
+    # lambda*tau = 0.5 drops a third of the events; the renewal mean is
+    # lambda*T / (1 + lambda*tau) up to a start-up term of ~0.06 events, 0.1 SE here
+    rate, duration, dead = 80e3, 1e-2, 6.25e-6
+    counts = sample_event_batch(SourceConfig(rate, duration), 1000, derive_rng(39),
+                                LinkBudget(dead_time=dead)).counts()
+    se = counts.std(ddof=1) / np.sqrt(counts.size)
+    assert counts.mean() == pytest.approx(rate * duration / (1 + rate * dead), abs=4 * se)
 
 
 def test_batch_counts_shape():
