@@ -61,7 +61,6 @@ from .codec import (
 )
 from .analysis import (
     CapacityReport,
-    ErrorModelInput,
     G2Curve,
     InsufficientDataError,
     binary_entropy,

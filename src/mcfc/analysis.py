@@ -41,33 +41,11 @@ class InsufficientDataError(ValueError):
 # decoding error model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErrorModelInput:
-    """Gaussian moments of the line and floor magnitudes, plus band size."""
-
-    line_mean: float
-    line_std: float
-    floor_mean: float
-    floor_std: float
-    channels: int
-
-    def __post_init__(self) -> None:
-        if self.line_std <= 0.0 or self.floor_std <= 0.0:
-            raise ValueError("standard deviations must be positive")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-
-    @classmethod
-    def from_line_stats(cls, stats: LineStats, channels: int) -> "ErrorModelInput":
-        return cls(stats.line_mean, stats.line_std, stats.floor_mean,
-                   stats.floor_std, channels)
-
-
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def misdecode_prob(model: ErrorModelInput) -> float:
+def misdecode_prob(model: LineStats) -> float:
     """Probability that one floor channel outgrows the line, closed form.
 
     The difference of two independent Gaussians is Gaussian, so
@@ -78,7 +56,7 @@ def misdecode_prob(model: ErrorModelInput) -> float:
     return _norm_cdf(-gap / spread)
 
 
-def misdecode_prob_quadrature(model: ErrorModelInput) -> float:
+def misdecode_prob_quadrature(model: LineStats) -> float:
     """Same probability by direct numeric integration of the two-Gaussian overlap.
 
     Integrates P(floor > a) against the line-magnitude density over the

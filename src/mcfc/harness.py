@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import ErrorModelInput, InsufficientDataError, channel_error_rate, misdecode_prob
+from .analysis import InsufficientDataError, channel_error_rate, misdecode_prob
 from .codec import FrequencyPlan, Symbol, decode, image_to_symbols, symbols_to_image, DecodeError
 from .photon_channel import (
     LinkBudget,
@@ -169,7 +169,7 @@ def _measure_point(
         width = segment.shape[1]
         floor_cols = floor_channels(np.arange(width), line_idx)
         stats = LineStats.from_amplitudes(segment[:, line_idx], segment[:, floor_cols])
-        rate = channel_error_rate(misdecode_prob(ErrorModelInput.from_line_stats(stats, width)), width)
+        rate = channel_error_rate(misdecode_prob(stats), width)
         log_survival += math.log1p(-rate) if rate < 1.0 else -math.inf
         moments.append(stats)
     first = moments[0]

@@ -31,6 +31,25 @@ difference between the direct phase and the rotated one.  A ladder of
 ``n`` rungs then costs about ``n / ANCHOR + 1`` ``exp`` calls per event
 instead of ``n``, and its sums agree with the direct formula to ~1e-13
 relative.
+
+A dense scan of one sequence (one trial, a run of more than
+:data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
+FFT (Dutt & Rokhlin 1993; the exponential-of-semicircle kernel of
+Barnett, Magland & af Klinteberg 2019): one ``exp`` per event to rotate it
+by the run's centre frequency, a spread of each event onto a periodic grid,
+one FFT, and a division by the kernel's transform.  Its cost per event does
+not grow with the run's length.  The NUFFT approximates the exact sum to
+``eps * N`` for ``N`` events, but the direct formula rounds each event's
+phase by up to an ulp, so the two differ by a random walk of those ulps,
+``W = sqrt(sum(u_i**2)) <= u*sqrt(N)`` (``u`` the ulp of the largest
+phase, plus the rounding of the mode phase).  Near a line that is far below
+1e-9 of ``|X|``; at a quiet point, where ``|X|`` is of the order of ``W``,
+it is not.  So every point with ``|X| < b = (eps*N + 3*W) / NUFFT_RTOL``
+(:data:`NUFFT_RTOL` = 1e-9) is recomputed on the ladder path, and every
+value keeps the direct formula's rounding to 1e-9 relative unless the walk
+strays beyond 6 of its scales.  At a floor
+point ``|X|**2`` is about exponential with mean ``N``, so the recomputed
+fraction is about ``b**2 / N``: ~1.5% of a 1 s, 180k-event capture's scan.
 """
 
 from __future__ import annotations
@@ -42,6 +61,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import fft
 
 from .photon_channel import EventBatch, LinkBudget, PhotonSequence, SourceConfig, sample_event_batch
 
@@ -93,13 +113,24 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LineStats:
-    """Monte-Carlo amplitude moments at a line and its local noise floor."""
+    """Amplitude moments at a line and its local noise floor, the error model's input.
+
+    ``trials`` counts the Monte Carlo trials the moments came from and
+    ``channels`` the band's size; either may be left out.
+    """
 
     line_mean: float
     line_std: float
     floor_mean: float
     floor_std: float
-    trials: int
+    trials: int | None = None
+    channels: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.line_std <= 0.0 or self.floor_std <= 0.0:
+            raise ValueError("standard deviations must be positive")
+        if self.channels is not None and self.channels < 1:
+            raise ValueError("channels must be >= 1")
 
     @classmethod
     def from_amplitudes(cls, line: np.ndarray, floor: np.ndarray) -> "LineStats":
@@ -144,6 +175,55 @@ ANCHOR = 64
 #: the larger frequency count as equal, so ``low + step * np.arange(n)`` is one run.
 _LADDER_ULPS = 8.0
 
+#: One-trial runs of more than this many rungs go through the type-1 NUFFT
+#: (:func:`_nufft_run`) instead of the ladder rotation.  On a 2-vCPU Xeon the
+#: NUFFT overtook the ladder at ~24 rungs for 1k events and at ~40 for 90k
+#: events, and was 1.7-4x faster at 64; the channel bands (11-33 rungs) stay
+#: on the ladder, whose sums keep the direct rounding more closely.
+NUFFT_MIN_RUNGS = 64
+
+#: A NUFFT value stands only where the bound on its distance from the direct
+#: formula's rounding is at most this fraction of ``|X|``; quieter points are
+#: recomputed on the ladder path.
+NUFFT_RTOL = 1e-9
+
+#: Exponential-of-semicircle kernel ``exp(beta*(sqrt(1 - z*z) - 1))`` on
+#: ``|z| <= 1``, spanning this many cells of a grid oversampled twice, with
+#: ``beta = 2.3 * width`` (Barnett, Magland & af Klinteberg 2019).
+_ES_WIDTH = 16
+_ES_BETA = 2.3 * _ES_WIDTH
+
+
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    return np.exp(_ES_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+
+
+#: Trapezoid rule on [0, 1] for the kernel's Fourier transform, its weights
+#: doubled for the even kernel's other half and multiplied by the kernel.  The
+#: kernel and its derivatives fall to ``exp(-beta)`` ~ 1e-16 at the ends, so the
+#: rule converges as on a periodic function: these 33 nodes match a 200-node
+#: Gauss-Legendre rule to 7e-15 relative, and need no LAPACK call, whose first
+#: use holds ~1 MB more of resident memory.
+_ES_NODES = np.linspace(0.0, 1.0, 2 * _ES_WIDTH + 1)
+_ES_WEIGHTS = np.where((_ES_NODES == 0.0) | (_ES_NODES == 1.0), 1.0, 2.0) / (2 * _ES_WIDTH)
+_ES_WEIGHTS *= _es_kernel(_ES_NODES)
+
+#: Bound on the NUFFT's own error, relative to the event count: against the
+#: direct sum, on runs of 150 to 4001 points whose phases round finely, it
+#: stayed below 5e-15.
+_NUFFT_EPS = 3e-14
+
+#: The direct formula rounds each event's phase by about one of its ulps
+#: ``u_i``, and the NUFFT's rotation and mode phase round it again.  Summed at
+#: random, the two drift apart by ``W = sqrt(sum(u_i**2))`` times a Rayleigh
+#: variable whose scale measured 0.29 to 0.52 (capture scans, late and offset
+#: windows, a 20 001-point grid); the bound allows this many ``W``, 6 to 10 scales.
+_WALK_SCALE = 3.0
+
+#: ``(fl(pi) - pi) / pi``: the direct phase ``fl(2*pi)*f*t`` runs at
+#: ``(1 + _PI_ROUNDING)`` times the frequency, while an FFT's modes use the exact 2*pi.
+_PI_ROUNDING = -math.sin(math.pi) / math.pi
+
 
 def _ladders(freqs: np.ndarray) -> list[tuple[int, int, float]]:
     """Cut ``freqs`` into maximal arithmetic runs ``(start, stop, step)``, in order.
@@ -172,25 +252,48 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
 
     Event ``i`` belongs to trial ``trial_ids[i]`` in ``[0, trials)``, or to
     trial 0 when ``trial_ids`` is omitted: a single sequence is a batch of
-    one.  Events are grouped by trial once and each block of events is
-    reduced per trial by ``reduceat``.
+    one.
 
-    The frequencies are cut into arithmetic runs (:func:`_ladders`) and each
-    run into pieces of at most :data:`ANCHOR` rows.  A piece's first row is
-    ``exp(-i*phi)`` at the direct phase ``phi = fl(2*pi*fl(f*t))``; row ``k``
-    is that anchor rotated by ``w**k``, ``w = exp(-i*theta)`` for the run's
-    step.  The rotated phasor is then multiplied by ``1 - i*r``, where
-    ``r = phi_k - phi_0 - k*theta`` comes from the direct phases, so each
-    phasor keeps the direct formula's rounding: ``r`` is a few ulps of
-    ``phi``, and the dropped ``r**2`` terms lie far below double precision.
+    The frequencies are cut into arithmetic runs (:func:`_ladders`).  With
+    one trial, a run of more than :data:`NUFFT_MIN_RUNGS` rungs and a nonzero
+    step is evaluated by :func:`_nufft_run`; every other run, and every point
+    of a NUFFT run too quiet for its NUFFT value to hold the direct formula's
+    rounding, goes through :func:`_ladder_sums`.
     """
     t = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64).reshape(-1)
     tid = np.zeros(t.size, dtype=np.intp) if trial_ids is None else np.asarray(trial_ids)
     if tid.shape != t.shape or (tid.size and not 0 <= tid.min() <= tid.max() < trials):
         raise ValueError(f"trial_ids must match times in shape and lie in [0, {trials})")
-    order = np.argsort(tid, kind="stable")
-    t, tid = t[order], tid[order]
+    if trial_ids is not None:  # group the events by trial
+        order = np.argsort(tid, kind="stable")
+        t, tid = t[order], tid[order]
+    if trials > 1 or freqs.size <= NUFFT_MIN_RUNGS:
+        return _ladder_sums(t, tid, freqs, trials)
+    out = np.zeros((1, freqs.size), dtype=np.complex128)
+    ladder = np.ones(freqs.size, dtype=bool)
+    for start, stop, step in _ladders(freqs):
+        if stop - start > NUFFT_MIN_RUNGS and step != 0.0:
+            out[0, start:stop], ladder[start:stop] = _nufft_run(t, freqs[start:stop])
+    cols = np.flatnonzero(ladder)
+    if cols.size:
+        out[:, cols] = _ladder_sums(t, tid, freqs[cols], 1)
+    return out
+
+
+def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int) -> np.ndarray:
+    """Phasor sums along ladders, events ``t`` grouped by their trial ids ``tid``.
+
+    Each block of events is reduced per trial by ``reduceat``.  Each run of
+    :func:`_ladders` is cut into pieces of at most :data:`ANCHOR` rows.  A
+    piece's first row is ``exp(-i*phi)`` at the direct phase
+    ``phi = fl(2*pi*fl(f*t))``; row ``k`` is that anchor rotated by
+    ``w**k``, ``w = exp(-i*theta)`` for the run's step.  The rotated phasor
+    is then multiplied by ``1 - i*r``, where ``r = phi_k - phi_0 - k*theta``
+    comes from the direct phases, so each phasor keeps the direct formula's
+    rounding: ``r`` is a few ulps of ``phi``, and the dropped ``r**2`` terms
+    lie far below double precision.
+    """
     out = np.zeros((trials, freqs.size), dtype=np.complex128)
     carry = np.zeros_like(out)  # Kahan compensation: a long trial adds up hundreds of blocks
     runs = _ladders(freqs)
@@ -232,6 +335,79 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
                 carry[cell] = (total - out[cell]) - addend
                 out[cell] = total
     return out
+
+
+def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phasor sums of one sequence along one arithmetic run by type-1 NUFFT.
+
+    Returns the sums and a mask of the quiet points, those whose ``|X|`` lies
+    below the bound ``b`` on the NUFFT's distance from the direct formula's
+    rounding divided by :data:`NUFFT_RTOL`; their values are to be recomputed.
+
+    With ``h = len(freqs) // 2``, point ``j`` is ``fc + k*s + d_k`` for
+    ``k = j - h``, centre ``fc = freqs[h]`` and the step ``s`` fitted to the
+    run's ends.  Each event is rotated by ``fc`` at the direct phase (one
+    ``exp`` per event), so the sum at point ``j`` is mode ``k`` of the
+    rotated phasors ``c`` at ``x = (s*t) mod 1``: spread onto a periodic grid
+    of twice the run's length by the ES kernel, one FFT, and divided by the
+    kernel's transform.  The same transform of ``t*c`` is the derivative in
+    frequency, which moves each mode by ``d_k`` onto its point and by
+    ``_PI_ROUNDING * k * s`` onto the direct formula's ``fl(2*pi)``.
+
+    The bound is ``b = (N*(eps + (2*pi*D*T)**2 / 2) + 3*W) / NUFFT_RTOL`` for
+    ``N`` events, the NUFFT error ``eps`` (:data:`_NUFFT_EPS`), the largest
+    ``|t|`` ``T``, the largest frequency shift ``D`` (its second-order term is
+    what the correction drops) and the rounding walk ``W = sqrt(sum(u_i**2))``
+    (:data:`_WALK_SCALE`), where event ``i``'s ``u_i`` is the ulp of its
+    largest phase plus the mode phase's rounding, ``h*2*pi*ulp(s*t_i)``.
+    """
+    m = freqs.size
+    h = m // 2
+    fc = freqs[h]
+    s = (freqs[-1] - freqs[0]) / (m - 1)
+    k = np.arange(-h, m - h, dtype=np.float64)
+    # d_k = freqs - fc - k*s, exactly: a two-sum for freqs - fc and a Veltkamp
+    # split of s (k * s_hi is exact while |k| < 2**27)
+    diff = freqs - fc
+    back = diff - freqs
+    lost = (freqs - (diff - back)) - (fc + back)
+    split = float((1 << 27) + 1)
+    s_hi = s * split - (s * split - s)
+    shift = ((diff - k * s_hi) - k * (s - s_hi)) + lost + _PI_ROUNDING * k * s
+
+    n = fft.next_fast_len(2 * max(m, _ES_WIDTH))
+    grid = np.zeros((4, n + _ES_WIDTH))  # cells past n wrap around to the start
+    offsets = np.arange(_ES_WIDTH)
+    top_f = max(abs(freqs[0]), abs(freqs[-1]))
+    walk_sq, top_t = 0.0, 0.0
+    events = max(1, PHASOR_CHUNK // _ES_WIDTH)
+    for lo in range(0, t.size, events):
+        block = t[lo: lo + events]
+        c = np.exp(-1j * (2.0 * np.pi * (fc * block)))
+        x = s * block
+        nx = n * (x - np.floor(x))
+        first = np.ceil(nx - _ES_WIDTH / 2)
+        z = np.add.outer(first - nx, offsets) * (2.0 / _ES_WIDTH)  # exact, in [-1, 1)
+        kernel = _es_kernel(z)
+        cells = np.add.outer(first.astype(np.intp) % n, offsets).ravel()
+        weighted = c * block
+        for row, weight in enumerate((c.real, c.imag, weighted.real, weighted.imag)):
+            grid[row] += np.bincount(cells, (kernel * weight[:, None]).ravel(), minlength=grid.shape[1])
+        span = np.abs(block)
+        ulps = np.spacing(2.0 * np.pi * top_f * span) + h * 2.0 * np.pi * np.spacing(abs(s) * span)
+        walk_sq += np.dot(ulps, ulps)
+        top_t = max(top_t, span.max())
+    grid[:, :_ES_WIDTH] += grid[:, n:]
+    modes = fft.fft(grid[0::2, :n] + 1j * grid[1::2, :n])[:, k.astype(np.intp) % n]
+    transform = np.zeros(h + 1)
+    for node, weight in zip(_ES_NODES, _ES_WEIGHTS):
+        transform += weight * np.cos((np.pi * _ES_WIDTH / n * node) * np.arange(h + 1))
+    modes /= (_ES_WIDTH / 2) * transform[np.abs(k).astype(np.intp)]
+    values = modes[0] - 2j * np.pi * shift * modes[1]
+
+    taylor = 0.5 * (2.0 * np.pi * np.abs(shift).max() * top_t) ** 2
+    bound = (t.size * (_NUFFT_EPS + taylor) + _WALK_SCALE * math.sqrt(walk_sq)) / NUFFT_RTOL
+    return values, np.abs(values) < bound
 
 
 def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from mcfc.analysis import (
-    ErrorModelInput,
     capacity,
     channel_error_rate,
     g2,
@@ -44,7 +43,7 @@ from mcfc.photon_channel import (
     sample_event_batch,
     transmit,
 )
-from mcfc.spectral import band_argmax, batch_amplitudes, floor_channels, line_stats, point_dft
+from mcfc.spectral import LineStats, band_argmax, batch_amplitudes, floor_channels, line_stats, point_dft
 
 SEED = 20260819
 
@@ -134,7 +133,7 @@ def test_criterion_03_error_at_80_kcps_monte_carlo_and_analytic():
         SourceConfig(80e3, 1e-3, (Tone(200e3),)), 200e3, floors, 10_000, rng
     )
     analytic = channel_error_rate(
-        misdecode_prob(ErrorModelInput.from_line_stats(stats, 11)), 10
+        misdecode_prob(stats), 10
     )
     assert 1e-7 <= analytic <= 1e-3, f"analytic error {analytic:.2e}"
 
@@ -147,7 +146,7 @@ def _analytic_error_with_noise(rate, noise_rate, label):
     budget = LinkBudget(noise_rate=noise_rate) if noise_rate else LinkBudget()
     stats = line_stats(cfg, 200e3, floors, 20_000, rng, budget)
     return channel_error_rate(
-        misdecode_prob(ErrorModelInput.from_line_stats(stats, 11)), 10
+        misdecode_prob(stats), 10
     )
 
 
@@ -342,7 +341,7 @@ def test_criterion_11_invariant_spot_checks(rgb_plan, letters):
     # Closed-form misdecode probability matches numerical quadrature.
     rng = derive_rng(SEED, "c11-quad")
     for _ in range(5):
-        model = ErrorModelInput(
+        model = LineStats(
             line_mean=rng.uniform(10, 60),
             line_std=rng.uniform(2, 8),
             floor_mean=rng.uniform(5, 15),

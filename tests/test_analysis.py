@@ -7,7 +7,6 @@ import pytest
 
 from mcfc.analysis import (
     CapacityReport,
-    ErrorModelInput,
     InsufficientDataError,
     binary_entropy,
     capacity,
@@ -37,21 +36,22 @@ from mcfc.spectral import LineStats, batch_amplitudes
 
 def test_error_model_input_validation():
     with pytest.raises(ValueError):
-        ErrorModelInput(10.0, 0.0, 5.0, 1.0, 11)
+        LineStats(10.0, 0.0, 5.0, 1.0, channels=11)
     with pytest.raises(ValueError):
-        ErrorModelInput(10.0, 1.0, 5.0, -1.0, 11)
+        LineStats(10.0, 1.0, 5.0, -1.0, channels=11)
     with pytest.raises(ValueError):
-        ErrorModelInput(10.0, 1.0, 5.0, 1.0, 0)
+        LineStats(10.0, 1.0, 5.0, 1.0, channels=0)
     stats = LineStats(40.0, 6.3, 7.9, 4.1, 500)
-    model = ErrorModelInput.from_line_stats(stats, 11)
-    assert (model.line_mean, model.floor_std, model.channels) == (40.0, 4.1, 11)
+    assert (stats.line_mean, stats.floor_std, stats.trials, stats.channels) == (40.0, 4.1, 500, None)
+    model = LineStats(40.0, 6.3, 7.9, 4.1, channels=11)
+    assert misdecode_prob(model) == misdecode_prob(stats)
 
 
 def test_closed_form_agrees_with_quadrature():
     rng = np.random.default_rng(70)
     worst = 0.0
     for _ in range(100):
-        model = ErrorModelInput(
+        model = LineStats(
             line_mean=rng.uniform(5.0, 100.0),
             line_std=rng.uniform(0.5, 10.0),
             floor_mean=rng.uniform(1.0, 60.0),
@@ -63,16 +63,16 @@ def test_closed_form_agrees_with_quadrature():
 
 
 def test_misdecode_limits_and_monotonicity():
-    equal = ErrorModelInput(10.0, 2.0, 10.0, 2.0, 2)
+    equal = LineStats(10.0, 2.0, 10.0, 2.0, channels=2)
     assert misdecode_prob(equal) == pytest.approx(0.5, abs=1e-12)
 
-    far = ErrorModelInput(100.0, 3.0, 10.0, 3.0, 2)
+    far = LineStats(100.0, 3.0, 10.0, 3.0, channels=2)
     assert misdecode_prob(far) < 1e-23
 
-    base = ErrorModelInput(40.0, 6.0, 8.0, 4.0, 11)
-    higher_floor = ErrorModelInput(40.0, 6.0, 12.0, 4.0, 11)
-    stronger_line = ErrorModelInput(50.0, 6.0, 8.0, 4.0, 11)
-    noisier = ErrorModelInput(40.0, 9.0, 8.0, 4.0, 11)
+    base = LineStats(40.0, 6.0, 8.0, 4.0, channels=11)
+    higher_floor = LineStats(40.0, 6.0, 12.0, 4.0, channels=11)
+    stronger_line = LineStats(50.0, 6.0, 8.0, 4.0, channels=11)
+    noisier = LineStats(40.0, 9.0, 8.0, 4.0, channels=11)
     assert misdecode_prob(higher_floor) > misdecode_prob(base)
     assert misdecode_prob(stronger_line) < misdecode_prob(base)
     assert misdecode_prob(noisier) > misdecode_prob(base)

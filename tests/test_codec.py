@@ -1,9 +1,13 @@
 """Symbol alphabets, frequency plans, image quantization, and plan/pixmap I/O."""
 
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcfc.codec import (
     FAILED_PIXEL,
@@ -228,6 +232,36 @@ def test_plan_json_round_trip(tmp_path, rgb_plan):
     assert back.name == rgb_plan.name
     assert back.bands == rgb_plan.bands
     assert back.symbol_map == rgb_plan.symbol_map
+
+
+@st.composite
+def _uniform_plans(draw):
+    """Plans of 1-3 bands, each a uniform ladder, ascending or descending, at a drawn spacing."""
+    spacing = draw(st.floats(0.5, 5e3))
+    bands = []
+    for b in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(1, 6))
+        low = draw(st.floats(1.0, 1e5)) + b * 1e6
+        channels = low + spacing * (0.5 + np.arange(count))
+        if draw(st.booleans()):
+            channels = channels[::-1]
+        bands.append(NamedBand(f"band{b}", low, low + spacing * count, tuple(channels)))
+    symbol_map = {
+        Symbol.gray(*levels): tuple(band.channels[i] for band, i in zip(bands, levels))
+        for levels in itertools.product(*(range(len(band)) for band in bands))
+    }
+    return FrequencyPlan("drawn", spacing, tuple(bands), symbol_map)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.just(letter_plan()), st.just(rgb_image_plan()), _uniform_plans()))
+def test_plans_round_trip_through_json(plan):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        save_plan(path, plan)
+        back = load_plan(path)
+    assert (back.name, back.spacing, back.bands) == (plan.name, plan.spacing, plan.bands)
+    assert back.symbol_map == plan.symbol_map
 
 
 def test_load_plan_rejects_unknown_format(tmp_path):

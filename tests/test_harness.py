@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mcfc.analysis import ErrorModelInput, InsufficientDataError, channel_error_rate, misdecode_prob
+from mcfc.analysis import InsufficientDataError, channel_error_rate, misdecode_prob
 from mcfc.codec import FAILED_PIXEL
 from mcfc.harness import (
     ImageReport,
@@ -21,6 +21,7 @@ from mcfc.harness import (
     write_sweep_csv,
 )
 from mcfc.photon_channel import LinkBudget
+from mcfc.spectral import LineStats
 
 
 def test_sweep_spec_validation():
@@ -122,8 +123,8 @@ def test_analytic_rate_keeps_its_tail_below_double_epsilon():
     # at 640 kcps a lone tone's band rate is ~1e-42; 1 - (1 - r) would give 0
     spec = SweepSpec(grid=(640e3,), trials=400, seed=13)
     (point,) = run_error_vs_components(spec)
-    model = ErrorModelInput(point.line_mean, point.line_std, point.floor_mean,
-                            point.floor_std, spec.channels_per_band)
+    model = LineStats(point.line_mean, point.line_std, point.floor_mean,
+                      point.floor_std, channels=spec.channels_per_band)
     band_rate = channel_error_rate(misdecode_prob(model), spec.channels_per_band)
     assert 0.0 < point.analytic_rate < 1e-16
     assert point.analytic_rate == pytest.approx(band_rate, rel=1e-12)

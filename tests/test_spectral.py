@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from mcfc import spectral
+from mcfc.codec import Symbol
 from mcfc.photon_channel import (
     PhotonSequence,
     SourceConfig,
@@ -184,6 +185,95 @@ def test_rotation_keeps_the_direct_rounding_at_the_quietest_point():
     assert abs(values[quiet] - ref) <= 1e-12 * abs(ref)
 
 
+def test_ladder_callers_stay_off_the_nufft(rgb_plan):
+    # decode windows (33 channels in 11-rung bands) and multi-trial batches keep
+    # the ladder's values bit for bit, so image and sweep outputs cannot change
+    tones = tuple(Tone(f) for f in rgb_plan.frequencies_for(Symbol.gray(4, 5, 10)))
+    window = sample_modulated(SourceConfig(2e6, 1e-3, tones), derive_rng(55)).seconds
+    channels = np.concatenate([band.channels for band in rgb_plan.bands])
+    batch = sample_event_batch(SourceConfig(1e5, 1e-3, (Tone(50e3),)), 20, derive_rng(56))
+    scan = 49_750.0 + 1.0 * np.arange(501)
+    assert window.size > 1500
+    with mock.patch.object(spectral, "_nufft_run", wraps=spectral._nufft_run) as nufft:
+        values = phasor_sums(window, channels)
+        amps = batch_amplitudes(batch, scan)
+        assert not nufft.called
+        phasor_sums(window, scan)
+        assert nufft.called
+    with mock.patch.object(spectral, "NUFFT_MIN_RUNGS", scan.size):
+        assert np.array_equal(values, phasor_sums(window, channels))
+        assert np.array_equal(amps, batch_amplitudes(batch, scan))
+
+
+def _run_through_nufft(times, freqs):
+    with mock.patch.object(spectral, "_nufft_run", wraps=spectral._nufft_run) as nufft:
+        got = phasor_sums(times, freqs)[0]
+    assert nufft.call_count == 1
+    return got
+
+
+@pytest.mark.parametrize("times, freqs", [
+    pytest.param(np.empty(0), 49_900.0 + 1.0 * np.arange(201), id="empty"),
+    pytest.param(np.array([0.3]), 49_900.0 + 1.0 * np.arange(201), id="one-event"),
+    pytest.param(np.sort(derive_rng(57).uniform(0.0, 1.0, 2000)), 1_000.0 + 0.37 * np.arange(301),
+                 id="0.37Hz-on-1s"),
+    pytest.param(np.sort(derive_rng(58).uniform(0.0, 0.25, 2000)), 20_000.0 + 3.0 * np.arange(301),
+                 id="3Hz-on-0.25s"),
+    pytest.param(np.concatenate([[0.0], np.sort(derive_rng(59).uniform(0.0, 1.0, 500)), [1.0 - 1e-12]]),
+                 49_900.0 + 1.0 * np.arange(201), id="window-edges"),
+    pytest.param(np.sort(derive_rng(60).uniform(0.0, 1.0, 2000)), 50_100.0 - 1.0 * np.arange(201),
+                 id="descending"),
+])
+def test_nufft_runs_match_direct_fsum(times, freqs):
+    got = _run_through_nufft(times, freqs)
+    if times.size == 0:
+        assert np.array_equal(got, np.zeros(freqs.size))
+    for f, value in zip(freqs, got):
+        assert abs(value - _direct_sum(times, f)) <= 1e-9 * max(times.size, 1)
+
+
+def test_nufft_moves_each_mode_onto_its_exact_frequency():
+    # 0.0037 Hz steps round, so the points sit ~1 ulp (7e-12 Hz) off the run's
+    # line; over a 100 s capture that drifts the line's phasors by ~4e-9 rad,
+    # which the derivative transform must take out to keep 1e-9 relative
+    grid = 49_999.8 + 0.0037 * np.arange(121)
+    seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[100]),)), derive_rng(67))
+    values = _run_through_nufft(seq.seconds, grid)
+    for f, value in zip(grid, values):
+        ref = _direct_sum(seq.seconds, f)
+        assert abs(value - ref) <= 1e-9 * abs(ref)
+
+
+def test_nufft_recomputes_a_planted_quiet_point():
+    # pairs an odd number of half periods apart cancel at 50 kHz, and two events
+    # on whole periods leave |X| ~ 2 there: below the bound (~3.8 for these 2002
+    # events), so the NUFFT value, ~1e-10 relative off the direct rounding, must
+    # be replaced by the ladder's
+    f0 = 50_000.0
+    first = derive_rng(62).uniform(0.0, 0.9, 1000)
+    t = np.sort(np.concatenate([first, first + 5001 / (2 * f0), np.arange(1, 3) / f0]))
+    grid = 49_850.0 + 1.0 * np.arange(201)  # off the centre, whose phase is the direct one
+    ref = _direct_sum(t, f0)
+    assert abs(ref) < 2.5
+    assert abs(_run_through_nufft(t, grid)[150] - ref) <= 1e-12 * abs(ref)
+    with mock.patch.object(spectral, "NUFFT_RTOL", np.inf):  # nothing counts as quiet
+        assert abs(_run_through_nufft(t, grid)[150] - ref) > 1e-12 * abs(ref)
+
+
+def test_nufft_recomputes_few_points_of_a_capture_scan():
+    seq = sample_modulated(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(63))
+    assert len(seq) > 170_000
+    scan = 49_750.0 + 1.0 * np.arange(501)
+    with mock.patch.object(spectral, "_ladder_sums", wraps=spectral._ladder_sums) as ladder:
+        values = _run_through_nufft(seq.seconds, scan)
+    (call,) = ladder.call_args_list
+    recomputed = call.args[2]
+    assert 0 < recomputed.size < 0.05 * scan.size
+    for f in recomputed[:3]:
+        ref = _direct_sum(seq.seconds, f)
+        assert abs(values[np.searchsorted(scan, f)] - ref) <= 1e-12 * abs(ref)
+
+
 def test_many_event_blocks_add_up_like_one_sum():
     # one event per block: next to a strong line the running sum swings by ~1e3
     # over the capture, and adding 20k block sums in turn would drift by ~1e-11
@@ -301,6 +391,22 @@ def test_expected_line_matches_quadrature():
         got = expected_line(config, probe)
         assert got.real == pytest.approx(re, abs=1e-6 * max(1.0, abs(re)))
         assert got.imag == pytest.approx(im, abs=1e-6 * max(1.0, abs(im)))
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.lists(st.tuples(st.floats(5e3, 90e3), st.floats(0.0, 2 * np.pi), st.floats(0.0, 1.0)),
+                min_size=1, max_size=3),
+       st.floats(5e3, 90e3), st.booleans())
+def test_expected_line_matches_the_monte_carlo_mean(tones, probe, on_tone):
+    config = SourceConfig(5e4, 1e-3, tuple(Tone(f, phase, depth) for f, phase, depth in tones))
+    probe = tones[0][0] if on_tone else probe
+    trials = 3000
+    batch = sample_event_batch(config, trials, derive_rng(64, len(tones)))
+    values = phasor_sums(batch.times, [probe], batch.trial_ids, trials)[:, 0]
+    want = expected_line(config, probe)
+    for got, spread, exact in ((values.real, values.real.std(ddof=1), want.real),
+                               (values.imag, values.imag.std(ddof=1), want.imag)):
+        assert abs(got.mean() - exact) <= 5.0 * spread / math.sqrt(trials)
 
 
 def test_expected_line_at_dc_is_expected_count():
