@@ -30,7 +30,10 @@ each rotated phasor is multiplied by ``1 - i*r``, with ``r`` the
 difference between the direct phase and the rotated one.  A ladder of
 ``n`` rungs then costs about ``n / ANCHOR + 1`` ``exp`` calls per event
 instead of ``n``, and its sums agree with the direct formula to ~1e-13
-relative.
+relative.  The ladder's work arrays (phases, rotated phasors, ``k * theta``)
+persist between calls in a per-thread workspace of at most
+:data:`PHASOR_CHUNK` phasors a piece, 1.5 MiB in all, so a stream of short
+windows neither allocates nor page-faults them again on every call.
 
 A dense scan of one sequence (one trial, a run of more than
 :data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
@@ -54,10 +57,13 @@ fraction is about ``b**2 / N``: ~1.5% of a 1 s, 180k-event capture's scan.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +180,7 @@ ANCHOR = 64
 #: Steps that differ from their run's first step by at most this many ulps of
 #: the larger frequency count as equal, so ``low + step * np.arange(n)`` is one run.
 _LADDER_ULPS = 8.0
+_SLACK = _LADDER_ULPS * np.finfo(np.float64).eps
 
 #: One-trial runs of more than this many rungs go through the type-1 NUFFT
 #: (:func:`_nufft_run`) instead of the ladder rotation.  On a 2-vCPU Xeon the
@@ -225,24 +232,90 @@ _WALK_SCALE = 3.0
 _PI_ROUNDING = -math.sin(math.pi) / math.pi
 
 
+class _Workspace(threading.local):
+    """Work arrays of :func:`_ladder_sums`, one set per thread, kept between calls.
+
+    A call needs ``rows * events`` float64 phases, complex rotated phasors and
+    float64 ``k * theta``, at most ``max(PHASOR_CHUNK, ANCHOR)`` elements each,
+    plus a few event-long vectors: 1.2 MiB for 11-rung bands, 1.5 MiB at most.
+    Fresh arrays of that size went back to the operating system when freed
+    and were faulted in again by the next call, ~250 page faults per 1 ms
+    image window, so the arrays stay.  They grow on demand and never shrink; each
+    call writes every element it reads, so no result depends on an earlier call.
+    """
+
+    def __init__(self) -> None:
+        self.real = np.empty(0)
+        self.cplx = np.empty(0, dtype=np.complex128)
+
+    def take(self, rows: int, events: int) -> SimpleNamespace:
+        """Views for pieces of up to ``rows`` x ``events`` phasors, grown if too small."""
+        span, count = rows * events, (rows - 1).bit_length()
+        if self.real.size < 2 * span + 2 * events:
+            self.real = np.empty(2 * span + 2 * events)
+        if self.cplx.size < span + count * events:
+            self.cplx = np.empty(span + count * events, dtype=np.complex128)
+        real, cplx = self.real, self.cplx
+        vectors = 2 * span + events * np.arange(3)
+        return SimpleNamespace(
+            phase=real[:span], k_theta=real[span: 2 * span],
+            theta=real[vectors[0]: vectors[1]], spare=real[vectors[1]: vectors[2]],
+            rot=cplx[:span], powers=[cplx[span + i * events:][:events] for i in range(count)],
+        )
+
+
+_WORKSPACE = _Workspace()
+
+
 def _ladders(freqs: np.ndarray) -> list[tuple[int, int, float]]:
     """Cut ``freqs`` into maximal arithmetic runs ``(start, stop, step)``, in order.
 
     A run keeps going while each step stays within a few ulps of its first
     step; a lone frequency (or one next to a non-finite step) is a run of one.
+    The step that breaks a run joins no run: the next run starts after it.
+
+    Runs break against their first step, not the step before, so comparing
+    neighbouring steps only proposes where runs end.  One array pass checks
+    every proposed run against its first step; a run that fails is cut where
+    the rule says, and the runs after it are proposed and checked again.
     """
-    steps = np.diff(freqs).tolist()
-    slack = (_LADDER_ULPS * np.finfo(np.float64).eps
-             * np.maximum(np.abs(freqs[:-1]), np.abs(freqs[1:]))).tolist()
+    size = freqs.size
+    last = size - 1  # the number of steps
     runs, start = [], 0
-    while start < freqs.size:
-        stop, step = start + 1, 0.0
-        if start < len(steps) and math.isfinite(steps[start]):
-            step = steps[start]
-            while stop < freqs.size and abs(steps[stop - 1] - step) <= slack[stop - 1]:
-                stop += 1
-        runs.append((start, stop, step))
-        start = stop
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan step, which joins no run
+        steps = freqs[1:] - freqs[:-1]
+        slack = _SLACK * np.maximum(np.abs(freqs[:-1]), np.abs(freqs[1:]))
+        # proposed ends: steps that leave the slack of the step before them
+        ends = (np.flatnonzero(~(np.abs(steps[1:] - steps[:-1]) <= slack[1:])) + 1).tolist() + [last]
+        while start < size:
+            # each run ends at the next proposed end, or just after a step that is not finite
+            proposed, firsts, stops, at, s = [], [], [], bisect.bisect_right(ends, start), start
+            while s < size:
+                if s < last and math.isfinite(steps[s]):
+                    while ends[at] <= s:
+                        at += 1
+                    proposed.append((s, ends[at] + 1, float(steps[s])))
+                else:
+                    proposed.append((s, s + 1, 0.0))
+                if s < last:
+                    firsts.append(s)
+                    stops.append(proposed[-1][1])
+                s = proposed[-1][1]
+            # a run's steps lie within the slack of its first step up to its stop - 1, the step there not
+            firsts, stops = np.array(firsts, dtype=np.intp), np.array(stops, dtype=np.intp)
+            first_steps = np.repeat(steps[firsts], np.minimum(stops, last) - firsts)
+            near = np.abs(steps[start:] - first_steps) <= slack[start:]
+            near[stops[stops < size] - 1 - start] ^= True  # now all True where the proposal holds
+            wrong = np.flatnonzero(~near)
+            if not wrong.size:
+                return runs + proposed
+            # the first wrong proposal: cut its run by the rule, then propose again after it
+            bad = int(np.searchsorted(firsts, start + wrong[0], side="right")) - 1
+            runs.extend(proposed[:bad])
+            first, _, step = proposed[bad]
+            off = np.flatnonzero(~(np.abs(steps[first:] - step) <= slack[first:]))
+            start = first + int(off[0]) + 1 if off.size else size
+            runs.append((first, start, step))
     return runs
 
 
@@ -302,34 +375,51 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
     # Veltkamp split: theta keeps 53 - bits(rows - 1) bits, so k * theta is exact
     split = float(1 << (rows - 1).bit_length()) + 1.0
     events = max(1, PHASOR_CHUNK // rows)
+    work = _WORKSPACE.take(rows, min(events, t.size))
     for lo in range(0, t.size, events):
         block, owner = t[lo: lo + events], tid[lo: lo + events]
         starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-        rotors = {}  # per step over this block: theta, k * theta, [w, w**2, w**4, ...]
+        n = block.size
+        theta, spare, k_theta = work.theta[:n], work.spare[:n], work.k_theta[:rows * n].reshape(rows, n)
+        powers = [w[:n] for w in work.powers]  # w, w**2, w**4, ... for this block's step
+        rotor, ready = None, 0
         for start, stop, step in runs:
-            if step not in rotors:
-                theta = 2.0 * np.pi * step * block
-                theta = theta * split - (theta * split - theta)
-                rotors[step] = theta, np.multiply.outer(offsets, theta), []
-            theta, k_theta, powers = rotors[step]
-            while len(powers) < (min(stop - start, rows) - 1).bit_length():
-                powers.append(powers[-1] * powers[-1] if powers else np.exp(-1j * theta))
+            if step != rotor:  # theta and k * theta for a new step
+                np.multiply(2.0 * np.pi * step, block, out=theta)
+                # theta = theta * split - (theta * split - theta)
+                np.multiply(theta, split, out=spare)
+                np.subtract(spare, theta, out=theta)
+                np.subtract(spare, theta, out=theta)
+                np.multiply.outer(offsets, theta, out=k_theta)
+                rotor, ready = step, 0
+            while ready < (min(stop - start, rows) - 1).bit_length():
+                w = powers[ready]
+                if ready:
+                    np.multiply(powers[ready - 1], powers[ready - 1], out=w)
+                else:
+                    np.exp(np.multiply(-1j, theta, out=w), out=w)
+                ready += 1
             for first in range(start, stop, rows):
-                phase = np.multiply.outer(freqs[first: min(first + rows, stop)], block)
+                r = min(first + rows, stop) - first
+                phase = work.phase[:r * n].reshape(r, n)
+                rot = work.rot[:r * n].reshape(r, n)
+                np.multiply.outer(freqs[first: first + r], block, out=phase)
                 phase *= 2.0 * np.pi
-                rot = np.empty(phase.shape, dtype=np.complex128)
-                np.exp(-1j * phase[0], out=rot[0])
+                np.exp(np.multiply(-1j, phase[0], out=rot[0]), out=rot[0])
                 filled = 1
-                for w in powers[:(len(rot) - 1).bit_length()]:  # w**filled
-                    n = min(filled, len(rot) - filled)  # rows [filled, filled + n) from rows [0, n)
-                    np.multiply(rot[:n], w, out=rot[filled: filled + n])
-                    filled += n
-                phase -= phase[0]  # exact (Sterbenz) while phi_k and phi_0 lie within a factor of 2
-                phase -= k_theta[:len(phase)]
+                for w in powers[:(r - 1).bit_length()]:  # w**filled
+                    m = min(filled, r - filled)  # rows [filled, filled + m) from rows [0, m)
+                    np.multiply(rot[:m], w, out=rot[filled: filled + m])
+                    filled += m
+                # phi_k - phi_0, exact (Sterbenz) while they lie within a factor of 2;
+                # row 0 last, so the other rows read it unchanged
+                np.subtract(phase[1:], phase[0], out=phase[1:])
+                np.subtract(phase[0], phase[0], out=phase[0])
+                phase -= k_theta[:r]
                 sums = np.add.reduceat(rot, starts, axis=1)
                 rot *= phase
                 sums -= 1j * np.add.reduceat(rot, starts, axis=1)
-                cell = owner[starts], slice(first, first + len(phase))
+                cell = owner[starts], slice(first, first + r)
                 addend = sums.T - carry[cell]
                 total = out[cell] + addend
                 carry[cell] = (total - out[cell]) - addend

@@ -1,6 +1,7 @@
 """Source sampling, channel impairments, and the PTS1 container."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mcfc.photon_channel import (
     transmit,
     write_pts1,
 )
+from mcfc import photon_channel
 from mcfc.photon_channel import _detect
 
 
@@ -309,6 +311,101 @@ def test_batch_matches_sequence_pipeline():
         se = np.sqrt(expected / 1500)
         assert counts_batch.mean() == pytest.approx(expected, abs=4 * se)
         assert counts_seq.mean() == pytest.approx(expected, abs=4 * se)
+
+
+# -----------------------------------------------------------------
+# the thinning screen keeps the exact thinning test's decisions
+# -----------------------------------------------------------------
+
+def _rate(config, t):
+    """The source's rate law, rate(t) = (mean_rate / k) * sum_i (1 + d_i sin(2 pi f_i t + phase_i))."""
+    total = np.zeros_like(t)
+    for tone in config.tones:
+        total = total + 1.0 + tone.depth * np.sin(2.0 * np.pi * tone.frequency * t + tone.phase)
+    return total * (config.mean_rate / len(config.tones))
+
+
+def _thinning_reference(t, rng, eta, config=None):
+    """The thinning test u * ceiling < rate(t) * eta, one float64 sine per tone and candidate."""
+    if config is None or not config.tones:
+        return rng.uniform(size=t.size) < eta
+    return rng.uniform(size=t.size) * config.rate_ceiling < _rate(config, t) * eta
+
+
+@st.composite
+def _thinning_cases(draw):
+    """1-4 tones up to ~1e6 rad over the window, depths including 0 and 1, eta in (0, 1]."""
+    duration = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    depth = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    tones = tuple(
+        Tone(draw(st.floats(1.0, 1e6)) / (2.0 * np.pi * duration), draw(st.floats(0.0, 2.0 * np.pi)),
+             draw(depth))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    config = SourceConfig(draw(st.floats(0.0, 1500.0)) / duration, duration, tones)
+    eta = draw(st.floats(1e-6, 1.0))
+    return config, eta, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([7, 1000, 1 << 14]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_thinning_cases())
+def test_screened_thinning_keeps_the_exact_decisions(case):
+    config, eta, seed, chunk = case
+    t = np.random.default_rng(seed).uniform(0.0, config.duration, 20_000)
+    assert np.array_equal(config.rate(t), _rate(config, t))
+    with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk):
+        got = photon_channel._survivors(t, np.random.default_rng(seed), eta, config)
+        budget = LinkBudget(transmittance=eta)
+        batch = sample_event_batch(config, 3, np.random.default_rng(seed), budget)
+        window = transmit(config, budget, np.random.default_rng(seed))
+    assert np.array_equal(got, _thinning_reference(t, np.random.default_rng(seed), eta, config))
+    with mock.patch.object(photon_channel, "_survivors", _thinning_reference):
+        want_batch = sample_event_batch(config, 3, np.random.default_rng(seed), budget)
+        want_window = transmit(config, budget, np.random.default_rng(seed))
+    assert np.array_equal(batch.times, want_batch.times)
+    assert np.array_equal(batch.trial_ids, want_batch.trial_ids)
+    assert np.array_equal(window.times_ps, want_window.times_ps)
+
+
+class _Planted:
+    """Stands in for a generator whose uniform draws are given."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def uniform(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+@pytest.mark.parametrize("tones", [1, 2, 4])
+def test_screened_thinning_leaves_ties_to_the_exact_test(tones):
+    # full-depth tones and a mean rate of 2**19 make the ceiling 2**20, so
+    # u = level / ceiling is exact and u * ceiling can be planted on rate(t) * eta
+    # and one ulp either side of it; only the exact test can tell those apart
+    config = SourceConfig(2.0**19, 1e-3, tuple(Tone(1e3 * (3 + i), phase=0.4 * i) for i in range(tones)))
+    assert config.rate_ceiling == 2.0**20
+    eta = 0.7
+    t = np.random.default_rng(80).uniform(0.0, 1e-3, 400)
+    t = t[_rate(config, t) > 1e3]
+    target = _rate(config, t) * eta
+    level = np.concatenate([target, np.nextafter(target, np.inf), np.nextafter(target, -np.inf)])
+    times = np.tile(t, 3)
+    with mock.patch.object(SourceConfig, "rate", autospec=True, side_effect=_rate) as exact:
+        keep = photon_channel._survivors(times, _Planted(level / 2.0**20), eta, config)
+    assert keep.tolist() == [False] * (2 * t.size) + [True] * t.size
+    checked = np.concatenate([np.atleast_1d(call.args[1]) for call in exact.call_args_list])
+    assert np.isin(times, checked).all()
+
+
+def test_screened_thinning_falls_back_at_huge_phases():
+    # 2 pi f t reaches ~6e9 rad, past the screen's 2**32, so every candidate takes the exact test
+    config = SourceConfig(2e6, 1e-3, (Tone(1e12, depth=0.8), Tone(3e3)))
+    t = np.random.default_rng(81).uniform(0.0, 1e-3, 5000)
+    with mock.patch.object(SourceConfig, "rate", autospec=True, side_effect=_rate) as exact:
+        keep = photon_channel._survivors(t, np.random.default_rng(82), 0.9, config)
+    assert exact.call_count == 1 and exact.call_args.args[1].size == t.size
+    assert np.array_equal(keep, _thinning_reference(t, np.random.default_rng(82), 0.9, config))
 
 
 def _registered(times, tau_ps, period_ps=None):

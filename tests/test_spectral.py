@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -292,6 +294,137 @@ def test_ladder_runs_follow_the_channel_grids(rgb_plan):
     assert spectral._ladders(grid) == [(0, 501, 1.0)]
     assert spectral._ladders(np.array([5.0, 5.0, 5.0, 7.0])) == [(0, 3, 0.0), (3, 4, 0.0)]
     assert spectral._ladders(np.array([1.0, np.inf, 2.0])) == [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)]
+
+
+def _ladders_loop(freqs):
+    """The sequential definition of the ladder cut, one Python step per frequency."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        steps = np.diff(freqs).tolist()
+    slack = (spectral._LADDER_ULPS * np.finfo(np.float64).eps
+             * np.maximum(np.abs(freqs[:-1]), np.abs(freqs[1:]))).tolist()
+    runs, start = [], 0
+    while start < freqs.size:
+        stop, step = start + 1, 0.0
+        if start < len(steps) and math.isfinite(steps[start]):
+            step = steps[start]
+            while stop < freqs.size and abs(steps[stop - 1] - step) <= slack[stop - 1]:
+                stop += 1
+        runs.append((start, stop, step))
+        start = stop
+    return runs
+
+
+@st.composite
+def _cut_frequencies(draw):
+    """Ladders, some with steps a few ulps inside or past the slack, repeats, inf and nan."""
+    freqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["ladder", "jitter", "repeat", "special", "loose"]))
+        length = draw(st.integers(1, 12))
+        start = draw(st.floats(-3e5, 3e5))
+        step = draw(st.sampled_from([1.0, -1.0, 1e-3, 37.5]))
+        run = start + step * np.arange(length)
+        if kind == "jitter":  # each rung moved by up to 12 ulps, so steps straddle the 8-ulp slack
+            ulps = draw(st.lists(st.integers(-12, 12), min_size=length, max_size=length))
+            run = run + np.array(ulps) * np.spacing(np.abs(run))
+        elif kind == "repeat":
+            run = np.full(length, start)
+        elif kind == "special":
+            run = np.array(draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 0.0, start]),
+                                         min_size=length, max_size=length)))
+        elif kind == "loose":
+            run = np.array(draw(st.lists(st.floats(-3e5, 3e5), min_size=length, max_size=length)))
+        freqs.extend(run)
+    return np.array(freqs, dtype=np.float64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cut_frequencies())
+def test_ladder_cut_matches_the_sequential_rule(freqs):
+    assert spectral._ladders(freqs) == _ladders_loop(freqs)
+
+
+def test_ladder_cut_of_a_drifting_ladder():
+    # each step is within the slack of the one before, but the drift leaves the
+    # first step's slack: runs break against their first step, not the last one
+    freqs = 1e5 + np.cumsum(np.concatenate([[0.0], 1.0 + 4e-11 * np.arange(1, 200)]))
+    runs = spectral._ladders(freqs)
+    assert runs == _ladders_loop(freqs)
+    assert len(runs) > 1
+
+
+# -----------------------------------------------------------------
+# the kernel's persistent workspace
+# -----------------------------------------------------------------
+
+def _kernel_cases():
+    rng = derive_rng(70)
+    channels = 200e3 + 1e3 * np.arange(-5, 6)
+    big_t = rng.uniform(0.0, 1e-3, 20_000)
+    big = (big_t, np.concatenate([channels, channels + 37e3]), rng.integers(0, 40, big_t.size), 40)
+    small = (rng.uniform(0.0, 1e-3, 50), channels[:3], None, 1)
+    return big, small
+
+
+def test_workspace_leaves_no_trace_between_calls():
+    big, small = _kernel_cases()
+    first = phasor_sums(*big)
+    lone = phasor_sums(*small)
+    assert np.array_equal(phasor_sums(*big), first)
+    assert np.array_equal(phasor_sums(*small), lone)
+    assert np.array_equal(phasor_sums(*big), first)
+
+
+def _in_threads(*jobs, timeout=120.0):
+    """Run each job in its own thread, all at once; return their results."""
+    results = [None] * len(jobs)
+
+    def runner(i, job):
+        results[i] = job()
+
+    threads = [threading.Thread(target=runner, args=(i, job)) for i, job in enumerate(jobs)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the threads interleave inside the kernel
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_workspace_is_per_thread():
+    big, small = _kernel_cases()
+    want_big, want_small = phasor_sums(*big), phasor_sums(*small)
+
+    def repeat(case, times):
+        return [phasor_sums(*case) for _ in range(times)]
+
+    got_big, got_small, got_big_too = _in_threads(lambda: repeat(big, 3), lambda: repeat(small, 300),
+                                                  lambda: repeat(big, 3))
+    assert all(np.array_equal(v, want_big) for v in got_big + got_big_too)
+    assert all(np.array_equal(v, want_small) for v in got_small)
+
+
+def test_workspace_follows_a_patched_chunk_cap():
+    # a new thread starts with an empty workspace, so its size shows the cap in force
+    t = derive_rng(71).uniform(0.0, 1e-3, 1000)
+    ladder = 200e3 + 1e3 * np.arange(-5, 6)
+
+    def workspace_size(chunk):
+        with mock.patch.object(spectral, "PHASOR_CHUNK", chunk):
+            (values,) = _in_threads(lambda: (phasor_sums(t, ladder), spectral._WORKSPACE.real.size))
+        return values
+
+    (capped, capped_size), (free, free_size) = workspace_size(97), workspace_size(spectral.PHASOR_CHUNK)
+    assert capped_size <= 4 * 97  # two pieces of at most 97 phasors, two event vectors
+    assert capped_size < free_size
+    for j, f in enumerate(ladder):
+        assert abs(capped[0, j] - _direct_sum(t, f)) <= 1e-9 * t.size
+    assert np.allclose(capped, free, rtol=0.0, atol=1e-9 * t.size)
 
 
 @settings(deadline=None)
