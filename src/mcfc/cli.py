@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -252,21 +255,55 @@ _SWEEPS = {
 }
 
 
+def _fits(value, hint) -> bool:
+    """Whether the JSON value ``value`` can stand for a field annotated ``hint``."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    # tuple[X, ...]: a JSON list of X
+    return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+
+
+def _from_config(cls, doc, where: str):
+    """The dataclass ``cls`` built from the JSON object ``doc``, nested objects for dataclass fields.
+
+    A key that is not a field of ``cls``, a missing required field and a
+    value of the wrong JSON type are refused by a ``ValueError`` naming the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(doc)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in {where}; expected one of {sorted(fields)}")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _from_config(hint, value, f"{where} {key!r}")
+        elif not _fits(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise ValueError(f"{where} key {key!r} must be {kind}, got {json.dumps(value)}")
+        kwargs[key] = value
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in kwargs:
+            raise ValueError(f"{where} is missing the required key {name!r}")
+    return cls(**kwargs)
+
+
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    kind = doc.get("sweep")
+    kind = doc.get("sweep") if isinstance(doc, dict) else None
     if kind not in _SWEEPS:
         raise ValueError(f"config 'sweep' must be one of {sorted(_SWEEPS)}, got {kind!r}")
-    budget = LinkBudget(**doc.get("budget", {}))
-    spec_fields = {
-        k: doc[k]
-        for k in ("grid", "trials", "seed", "window", "signal_rate",
-                  "modulation_frequency", "spacing", "channels_per_band",
-                  "components", "mean_count")
-        if k in doc
-    }
-    spec = SweepSpec(budget=budget, **spec_fields)
+    spec = _from_config(SweepSpec, {k: v for k, v in doc.items() if k != "sweep"}, "config")
     points = _SWEEPS[kind](spec)
 
     os.makedirs(args.out_dir, exist_ok=True)

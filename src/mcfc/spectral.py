@@ -57,7 +57,6 @@ fraction is about ``b**2 / N``: ~1.5% of a 1 s, 180k-event capture's scan.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import os
@@ -270,52 +269,28 @@ _WORKSPACE = _Workspace()
 def _ladders(freqs: np.ndarray) -> list[tuple[int, int, float]]:
     """Cut ``freqs`` into maximal arithmetic runs ``(start, stop, step)``, in order.
 
-    A run keeps going while each step stays within a few ulps of its first
-    step; a lone frequency (or one next to a non-finite step) is a run of one.
-    The step that breaks a run joins no run: the next run starts after it.
-
-    Runs break against their first step, not the step before, so comparing
-    neighbouring steps only proposes where runs end.  One array pass checks
-    every proposed run against its first step; a run that fails is cut where
-    the rule says, and the runs after it are proposed and checked again.
+    The rule: a run keeps going while each step stays within the slack of its
+    first step; a lone frequency (or one next to a non-finite step) is a run
+    of one, and the step that breaks a run joins no run.  A list whose steps
+    are all finite and within the first step's slack is one run, found by one
+    array check (every periodogram grid); any other list goes by the rule, one
+    Python step per frequency.
     """
-    size = freqs.size
-    last = size - 1  # the number of steps
-    runs, start = [], 0
     with np.errstate(invalid="ignore"):  # inf - inf is a nan step, which joins no run
         steps = freqs[1:] - freqs[:-1]
         slack = _SLACK * np.maximum(np.abs(freqs[:-1]), np.abs(freqs[1:]))
-        # proposed ends: steps that leave the slack of the step before them
-        ends = (np.flatnonzero(~(np.abs(steps[1:] - steps[:-1]) <= slack[1:])) + 1).tolist() + [last]
-        while start < size:
-            # each run ends at the next proposed end, or just after a step that is not finite
-            proposed, firsts, stops, at, s = [], [], [], bisect.bisect_right(ends, start), start
-            while s < size:
-                if s < last and math.isfinite(steps[s]):
-                    while ends[at] <= s:
-                        at += 1
-                    proposed.append((s, ends[at] + 1, float(steps[s])))
-                else:
-                    proposed.append((s, s + 1, 0.0))
-                if s < last:
-                    firsts.append(s)
-                    stops.append(proposed[-1][1])
-                s = proposed[-1][1]
-            # a run's steps lie within the slack of its first step up to its stop - 1, the step there not
-            firsts, stops = np.array(firsts, dtype=np.intp), np.array(stops, dtype=np.intp)
-            first_steps = np.repeat(steps[firsts], np.minimum(stops, last) - firsts)
-            near = np.abs(steps[start:] - first_steps) <= slack[start:]
-            near[stops[stops < size] - 1 - start] ^= True  # now all True where the proposal holds
-            wrong = np.flatnonzero(~near)
-            if not wrong.size:
-                return runs + proposed
-            # the first wrong proposal: cut its run by the rule, then propose again after it
-            bad = int(np.searchsorted(firsts, start + wrong[0], side="right")) - 1
-            runs.extend(proposed[:bad])
-            first, _, step = proposed[bad]
-            off = np.flatnonzero(~(np.abs(steps[first:] - step) <= slack[first:]))
-            start = first + int(off[0]) + 1 if off.size else size
-            runs.append((first, start, step))
+        if steps.size and np.isfinite(steps).all() and (np.abs(steps - steps[0]) <= slack).all():
+            return [(0, freqs.size, float(steps[0]))]
+    steps, slack = steps.tolist(), slack.tolist()
+    runs, start = [], 0
+    while start < freqs.size:
+        stop, step = start + 1, 0.0
+        if start < len(steps) and math.isfinite(steps[start]):
+            step = steps[start]
+            while stop < freqs.size and abs(steps[stop - 1] - step) <= slack[stop - 1]:
+                stop += 1
+        runs.append((start, stop, step))
+        start = stop
     return runs
 
 

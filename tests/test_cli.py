@@ -173,6 +173,27 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     assert len((tmp_path / "x" / "error-vs-noise.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"trails": 20}, "trails"),
+    ({"budget": {"dead_tme": 1e-8}}, "dead_tme"),
+    ({"trials": "20"}, "trials"),
+    ({"grid": 5}, "grid"),
+    ({"trials": 20.5}, "trials"),
+    ({"components": [1, "2"]}, "components"),
+    ({"budget": {"rep_period": "1e-9"}}, "rep_period"),
+    ({"budget": [1e-8]}, "budget"),
+    ({"grid": None}, "grid"),
+    ({"grid": ...}, "grid"),  # ... drops the key
+])
+def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
+    doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "x"]) == EXIT_DATA
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_capacity_output(capsys):
     assert run(["capacity", "--bandwidth", 1e9, "--spacing", 1e3,
                 "--window", 1e-3, "--k", 3]) == EXIT_OK

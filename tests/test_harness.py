@@ -2,10 +2,12 @@
 
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mcfc import harness
 from mcfc.analysis import InsufficientDataError, channel_error_rate, misdecode_prob
 from mcfc.codec import FAILED_PIXEL
 from mcfc.harness import (
@@ -193,6 +195,24 @@ def test_image_transmission_total_loss_marks_failures(rgb_plan):
     assert report.failed_pixels == report.pixels == 4
     assert report.pixel_errors == 4
     assert np.all(received.reshape(-1, 3) == FAILED_PIXEL)
+
+
+# The link benchmark counts image windows by its probe on harness.decode and
+# sweep points by its probe on harness.sample_event_batch, so these counts
+# are part of the runners' contract.
+
+def test_image_transmission_decodes_once_per_window(rgb_plan):
+    img = np.zeros((2, 2, 3), dtype=np.uint8)
+    with mock.patch.object(harness, "decode", wraps=harness.decode) as decode:
+        run_image_transmission(img, rgb_plan, 1.44e6, seed=88)
+    assert decode.call_count == 4
+
+
+def test_components_sweep_samples_once_per_point():
+    spec = SweepSpec(grid=(80e3, 160e3), trials=20, seed=89, components=(1, 3))
+    with mock.patch.object(harness, "sample_event_batch", wraps=harness.sample_event_batch) as sample:
+        points = run_error_vs_components(spec)
+    assert len(points) == sample.call_count == 4
 
 
 def test_image_report_rate_empty():

@@ -294,6 +294,11 @@ def test_ladder_runs_follow_the_channel_grids(rgb_plan):
     assert spectral._ladders(grid) == [(0, 501, 1.0)]
     assert spectral._ladders(np.array([5.0, 5.0, 5.0, 7.0])) == [(0, 3, 0.0), (3, 4, 0.0)]
     assert spectral._ladders(np.array([1.0, np.inf, 2.0])) == [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)]
+    # the whole-list check must fall through to the rule at its edges
+    assert spectral._ladders(np.array([1.0, 2.0, 3.0, 4.0 + 1e-9])) == [(0, 3, 1.0), (3, 4, 0.0)]
+    assert spectral._ladders(np.array([np.inf, 1.0, 2.0])) == [(0, 1, 0.0), (1, 3, 1.0)]
+    assert spectral._ladders(np.array([1.0, 2.0, np.nan, 4.0])) == [(0, 2, 1.0), (2, 3, 0.0), (3, 4, 0.0)]
+    assert spectral._ladders(np.array([5.0, 6.0])) == [(0, 2, 1.0)]
 
 
 def _ladders_loop(freqs):
