@@ -10,6 +10,8 @@ and a band of M channels misdecodes with probability 1 - (1 - p)**M.
 Both the closed form and a literal numeric quadrature of the underlying
 double Gaussian integral are provided; they agree to machine precision
 and the closed form is the reference for rates below Monte-Carlo reach.
+The quadrature imports scipy when called, so the module (and the package)
+needs only numpy at run time.
 
 Capacity counts distinct k-subsets of the channel grid with exact
 big-integer arithmetic, converts to bits per integration window, and
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .photon_channel import PhotonSequence
 from .spectral import LineStats
@@ -61,8 +62,11 @@ def misdecode_prob_quadrature(model: LineStats) -> float:
 
     Integrates P(floor > a) against the line-magnitude density over the
     standardized line variable.  Exists purely to cross-validate the
-    closed form; agreement is within 1e-10 absolute.
+    closed form; agreement is within 1e-10 absolute.  Imports scipy when
+    called (the ``dev`` extra).
     """
+    from scipy import integrate, special
+
     mu_s, sd_s = model.line_mean, model.line_std
     mu_b, sd_b = model.floor_mean, model.floor_std
 

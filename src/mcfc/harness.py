@@ -75,8 +75,16 @@ class SweepSpec:
             raise ValueError(
                 f"channels_per_band must be >= 2 to measure a floor, got {self.channels_per_band}"
             )
+        if not (math.isfinite(self.signal_rate) and self.signal_rate >= 0.0):  # 0: the pure-noise point
+            raise ValueError(f"'signal_rate' must be finite and >= 0, got {self.signal_rate!r}")
+        for name in ("window", "modulation_frequency", "spacing", "mean_count"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name!r} must be finite and > 0, got {value!r}")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "components", tuple(int(k) for k in self.components))
+        if not self.components or min(self.components) < 1:
+            raise ValueError(f"'components' must be tone counts >= 1, got {list(self.components)}")
 
 
 @dataclass(frozen=True)

@@ -110,10 +110,10 @@ class SourceConfig:
     tones: tuple[Tone, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mean_rate < 0.0:
-            raise ValueError("mean_rate must be >= 0")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be > 0")
+        if not (np.isfinite(self.mean_rate) and self.mean_rate >= 0.0):
+            raise ValueError(f"mean_rate must be finite and >= 0, got {self.mean_rate!r}")
+        if not (np.isfinite(self.duration) and self.duration > 0.0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
         object.__setattr__(self, "tones", tuple(self.tones))
 
     def rate(self, t: np.ndarray | float) -> np.ndarray | float:
@@ -237,8 +237,9 @@ class LinkBudget:
         if not 0.0 < self.transmittance <= 1.0:
             raise ValueError("transmittance must be in (0, 1]")
         for name in ("noise_rate", "dark_rate", "jitter_sigma", "dead_time"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         # the detector works in integer picoseconds, so a dead time or gate must round to >= 1 ps
         for name, value in (("dead_time", self.dead_time or None), ("rep_period", self.rep_period)):
             if value is not None and not (np.isfinite(value) and value * PS_PER_SECOND > 0.5):

@@ -66,7 +66,6 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-from scipy import fft
 
 from .photon_channel import EventBatch, LinkBudget, PhotonSequence, SourceConfig, sample_event_batch
 
@@ -402,6 +401,29 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
     return out
 
 
+def _fast_len(target: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c * 7**d * 11**e >= target``: the length
+    ``scipy.fft.next_fast_len`` gives a complex transform."""
+    below = target - 1
+    best = 1 << below.bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:  # p3 times the least power of two that reaches the target
+                    n = p3 << (below // p3).bit_length()
+                    if n < best:
+                        best = n
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phasor sums of one sequence along one arithmetic run by type-1 NUFFT.
 
@@ -440,7 +462,7 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     s_hi = s * split - (s * split - s)
     shift = ((diff - k * s_hi) - k * (s - s_hi)) + lost + _PI_ROUNDING * k * s
 
-    n = fft.next_fast_len(2 * max(m, _ES_WIDTH))
+    n = _fast_len(2 * max(m, _ES_WIDTH))
     grid = np.zeros((4, n + _ES_WIDTH))  # cells past n wrap around to the start
     offsets = np.arange(_ES_WIDTH)
     top_f = max(abs(freqs[0]), abs(freqs[-1]))
@@ -463,7 +485,7 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         walk_sq += np.dot(ulps, ulps)
         top_t = max(top_t, span.max())
     grid[:, :_ES_WIDTH] += grid[:, n:]
-    modes = fft.fft(grid[0::2, :n] + 1j * grid[1::2, :n])[:, k.astype(np.intp) % n]
+    modes = np.fft.fft(grid[0::2, :n] + 1j * grid[1::2, :n])[:, k.astype(np.intp) % n]
     transform = np.zeros(h + 1)
     for node, weight in zip(_ES_NODES, _ES_WEIGHTS):
         transform += weight * np.cos((np.pi * _ES_WIDTH / n * node) * np.arange(h + 1))
@@ -511,8 +533,8 @@ def periodogram(seq: PhotonSequence, band: Band, resolution: float) -> Spectrum:
     points, though ``0.6 / 0.1`` rounds to just below 6).  Every point lies
     inside the closed band.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not (np.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     slack = 4.0 * np.finfo(np.float64).eps * band.high / resolution
     n = int(np.floor(band.width / resolution + slack)) + 1
     if n > MAX_GRID_POINTS:

@@ -56,6 +56,17 @@ def test_generate_zero_rate_then_spectrum_all_zero(tmp_path):
     assert all(float(r.split(",")[3]) == 0.0 for r in rows[1:])
 
 
+@pytest.mark.parametrize("resolution", [0, -1e3, "inf", "nan"])
+def test_spectrum_refuses_a_bad_resolution(tmp_path, capsys, resolution):
+    src = tmp_path / "s.pts1"
+    assert run(["generate", "--rate", 1e5, "--duration", 1e-3, "--out", src]) == EXIT_OK
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--in", src, "--low", 40e3, "--high", 60e3,
+                "--resolution", resolution, "--out", out]) == EXIT_DATA
+    assert "resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_finds_tone(tmp_path, capsys):
     src = tmp_path / "s.pts1"
     run(["generate", "--rate", 200e3, "--duration", 1e-3, "--tone", "50e3",
@@ -184,6 +195,15 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"budget": [1e-8]}, "budget"),
     ({"grid": None}, "grid"),
     ({"grid": ...}, "grid"),  # ... drops the key
+    ({"spacing": 0}, "spacing"),
+    ({"spacing": -1e3}, "spacing"),
+    ({"window": float("nan")}, "window"),
+    ({"modulation_frequency": 0}, "modulation_frequency"),
+    ({"mean_count": float("inf")}, "mean_count"),
+    ({"signal_rate": -1.0}, "signal_rate"),
+    ({"signal_rate": float("nan")}, "signal_rate"),
+    ({"components": [0]}, "components"),
+    ({"components": [1, -2]}, "components"),
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
@@ -218,6 +238,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["generate", "--rate", 1e6, "--duration", 1e-3, "--rep-period", 2e-13,
                 "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
     assert "rep_period" in capsys.readouterr().err
+    # nan and inf are refused by name, not dropped or left to numpy's messages
+    for rate, duration, field in [("nan", 1e-3, "mean_rate"), ("inf", 1e-3, "mean_rate"),
+                                  (1e3, "nan", "duration"), (1e3, "inf", "duration")]:
+        assert run(["generate", "--rate", rate, "--duration", duration,
+                    "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+    for flag, field in [("--noise-rate", "noise_rate"), ("--dark-rate", "dark_rate"),
+                        ("--jitter", "jitter_sigma")]:
+        assert run(["generate", "--rate", 1e3, "--duration", 1e-3, flag, "nan",
+                    "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.pts1").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -228,8 +260,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 def test_bad_budget_flag_exits_1_on_every_subcommand(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     write_pixmap(tmp_path / "in.ppm", np.zeros((1, 1, 3), dtype=np.uint8))
-    assert run(command + ["--rep-period", 2e-13]) == EXIT_USAGE
-    assert "rep_period" in capsys.readouterr().err
+    for flag, value, field in [("--rep-period", 2e-13, "rep_period"), ("--noise-rate", "nan", "noise_rate"),
+                               ("--dark-rate", "nan", "dark_rate"), ("--jitter", "nan", "jitter_sigma"),
+                               ("--dead-time", "inf", "dead_time")]:
+        assert run(command + [flag, value]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
     assert not (tmp_path / "x.pts1").exists() and not (tmp_path / "out.ppm").exists()
 
 
@@ -295,6 +330,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is for the tests and the quadrature reference
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(mcfc.__file__)))
+    probe = ("import sys, mcfc, mcfc.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):

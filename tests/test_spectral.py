@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import fft, integrate
 
 from mcfc import spectral
 from mcfc.codec import Symbol
@@ -212,6 +212,12 @@ def _run_through_nufft(times, freqs):
         got = phasor_sums(times, freqs)[0]
     assert nufft.call_count == 1
     return got
+
+
+def test_fast_len_is_scipys_complex_fft_length():
+    # the NUFFT grid length, so numpy's FFT runs on the grid scipy's would
+    for target in [*range(1, 100_001), *range(3_999_990, 4_000_011)]:
+        assert spectral._fast_len(target) == fft.next_fast_len(target), target
 
 
 @pytest.mark.parametrize("times, freqs", [
