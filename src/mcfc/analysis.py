@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_channel import PhotonSequence
+from .photon_channel import PhotonSequence, _check_positive
 from .spectral import LineStats
 
 
@@ -132,15 +132,12 @@ def capacity(
     to land uniformly among the remaining alternatives (this is the source
     of the (m_max/(m_max - 1))/2 scaling).
     """
-    if window <= 0.0:
-        raise ValueError("window must be positive")
+    _check_positive(window=window)
     if not 0.0 <= symbol_error <= 1.0:
-        raise ValueError("symbol_error must be a probability")
+        raise ValueError(f"symbol_error must be a probability in [0, 1], got {symbol_error!r}")
     from .codec import effective_channels, optimal_channels  # local import avoids a cycle
 
     m_opt = optimal_channels(bandwidth, spacing)
-    if components > m_opt:
-        raise ValueError(f"cannot pick {components} tones from {m_opt} channels")
     m_max = effective_channels(m_opt, components)
     raw = math.log2(m_max) / window if m_max > 1 else 0.0
     if m_max > 1:
@@ -180,8 +177,9 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     homogeneous stream gives 1 at all lags; a depth-m tone at frequency f
     gives 1 + (m**2 / 2) * cos(2*pi*f*tau).
     """
-    if bin_width <= 0.0 or max_lag < bin_width:
-        raise ValueError("need bin_width > 0 and max_lag >= bin_width")
+    _check_positive(bin_width=bin_width, max_lag=max_lag)
+    if max_lag < bin_width:
+        raise ValueError(f"max_lag must be >= bin_width, got {max_lag!r} < {bin_width!r}")
     t = seq.seconds
     n = t.size
     n_bins = int(round(max_lag / bin_width))
@@ -216,8 +214,7 @@ def mandel_q(counts: np.ndarray | PhotonSequence, window: float | None = None) -
     least 100 windows are required.
     """
     if isinstance(counts, PhotonSequence):
-        if window is None or window <= 0.0:
-            raise ValueError("chopping a sequence requires a positive window")
+        _check_positive(window=window)
         n_windows = int(np.floor(counts.window / window))
         if n_windows < 100:
             raise InsufficientDataError(

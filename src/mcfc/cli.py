@@ -49,12 +49,15 @@ from .codec import (
 )
 from .harness import (
     SweepSpec,
+    decode_windows,
     run_amplitude_nonlinearity,
     run_error_vs_components,
     run_error_vs_integration_time,
     run_error_vs_noise,
     run_error_vs_spacing,
     run_image_transmission,
+    transmit_windows,
+    write_csv,
     write_manifest,
     write_sweep_csv,
 )
@@ -78,6 +81,15 @@ EXIT_INTERNAL = 3
 
 class _UsageError(Exception):
     """Flag values that argparse cannot reject on its own."""
+
+
+@contextlib.contextmanager
+def _built_from_flags():
+    """Inputs built from flags, before any file or directory is touched: a ValueError is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,24 +123,17 @@ def _budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transmittance", type=float, default=1.0)
     parser.add_argument("--noise-rate", type=float, default=0.0, help="background counts/s")
     parser.add_argument("--dark-rate", type=float, default=0.0, help="detector dark counts/s")
-    parser.add_argument("--jitter", type=float, default=0.0, help="timing jitter sigma, s")
+    parser.add_argument("--jitter", dest="jitter_sigma", type=float, default=0.0,
+                        help="timing jitter sigma, s")
     parser.add_argument("--dead-time", type=float, default=0.0, help="detector dead time, s")
     parser.add_argument("--rep-period", type=float, default=None,
                         help="gated-detector clock period, s (gating off when omitted)")
 
 
 def _budget_from(args: argparse.Namespace) -> LinkBudget:
-    try:
-        return LinkBudget(
-            transmittance=args.transmittance,
-            noise_rate=args.noise_rate,
-            dark_rate=args.dark_rate,
-            jitter_sigma=args.jitter,
-            dead_time=args.dead_time,
-            rep_period=args.rep_period,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    """The budget flags' link budget; a command without them gets a clean link."""
+    return LinkBudget(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(LinkBudget) if hasattr(args, f.name)})
 
 
 def _plan_from(name: str) -> FrequencyPlan:
@@ -143,14 +148,10 @@ def _plan_from(name: str) -> FrequencyPlan:
 
 def _parse_tone(text: str) -> Tone:
     """Parse FREQ[,DEPTH[,PHASE]]."""
-    parts = text.split(",")
-    try:
-        freq = float(parts[0])
-        depth = float(parts[1]) if len(parts) > 1 else 1.0
-        phase = float(parts[2]) if len(parts) > 2 else 0.0
-        return Tone(freq, phase, depth)
-    except (ValueError, IndexError) as exc:
-        raise _UsageError(f"bad --tone {text!r}: {exc}") from None
+    parts = [float(p) for p in text.split(",")]
+    depth = parts[1] if len(parts) > 1 else 1.0
+    phase = parts[2] if len(parts) > 2 else 0.0
+    return Tone(parts[0], phase, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +159,10 @@ def _parse_tone(text: str) -> Tone:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    tones = tuple(_parse_tone(t) for t in args.tone or [])
-    try:
-        config = SourceConfig(args.rate, args.duration, tones)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    seq = transmit(config, _budget_from(args), derive_rng(args.seed, "generate"))
+    with _built_from_flags():
+        config = SourceConfig(args.rate, args.duration, tuple(_parse_tone(t) for t in args.tone or []))
+        budget = _budget_from(args)
+    seq = transmit(config, budget, derive_rng(args.seed, "generate"))
     with _atomic(args.out) as tmp:
         write_pts1(tmp, seq)
     print(f"wrote {args.out}: {len(seq)} events over {seq.window:g} s")
@@ -174,30 +173,29 @@ def _cmd_spectrum(args) -> int:
     seq = read_pts1(args.input)
     spec = periodogram(seq, Band(args.low, args.high), args.resolution)
     with _atomic(args.out) as tmp:
-        spec.to_csv(tmp)
+        write_csv(tmp, ("frequency_hz", "re", "im", "abs"),
+                  ((f, v.real, v.imag, abs(v)) for f, v in zip(spec.frequencies, spec.values)))
     peak = int(np.argmax(spec.magnitude)) if len(seq) else 0
     print(f"wrote {args.out}: {spec.frequencies.size} points, "
           f"peak {spec.magnitude[peak]:.3f} at {spec.frequencies[peak]:g} Hz")
     return EXIT_OK
 
 
-def _transmit_text(args, budget: LinkBudget, label: str):
-    """The plan and a lazily transmitted window per symbol of ``args.text``.
+def _text_windows(args, label: str):
+    """The plan and the windows that send ``args.text``, one symbol each.
 
-    Each window draws from its own RNG substream.  The whole text is
-    encoded first, so an unknown symbol fails before anything is written.
+    The text is encoded first, so an unknown symbol fails (exit 2) before
+    anything is written; the link flags are then checked before any window.
     """
     plan = _plan_from(args.plan)
     tone_sets = encode_text(plan, args.text)
-    windows = (
-        transmit(SourceConfig(args.rate, args.window, tones), budget, derive_rng(args.seed, label, i))
-        for i, tones in enumerate(tone_sets)
-    )
+    with _built_from_flags():
+        windows = transmit_windows(tone_sets, args.rate, args.window, _budget_from(args), args.seed, label)
     return plan, windows
 
 
 def _cmd_encode(args) -> int:
-    _, windows = _transmit_text(args, LinkBudget(), "encode")
+    _, windows = _text_windows(args, "encode")
     os.makedirs(args.out_dir, exist_ok=True)
     paths = []
     for i, seq in enumerate(windows):
@@ -220,23 +218,18 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_transmit_text(args) -> int:
-    plan, windows = _transmit_text(args, _budget_from(args), "transmit-text")
-    decoded = []
-    for seq in windows:
-        try:
-            decoded.append(str(decode(seq, plan).value))
-        except DecodeError:
-            decoded.append("?")
-    print("".join(decoded))
+    plan, windows = _text_windows(args, "transmit-text")
+    print("".join("?" if sym is None else str(sym.value) for sym in decode_windows(windows, plan)))
     return EXIT_OK
 
 
 def _cmd_transmit_image(args) -> int:
+    with _built_from_flags():
+        budget = _budget_from(args)
+        SourceConfig(args.rate, args.window)  # the link's source, as run_image_transmission builds it
     pixels = read_pixmap(args.input)
     plan = _plan_from(args.plan)
-    received, report = run_image_transmission(
-        pixels, plan, args.rate, _budget_from(args), args.seed, args.window
-    )
+    received, report = run_image_transmission(pixels, plan, args.rate, budget, args.seed, args.window)
     with _atomic(args.out) as tmp:
         write_pixmap(tmp, received)
     print(f"wrote {args.out}: {report.pixel_errors}/{report.pixels} pixel errors "
@@ -318,13 +311,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    if args.k < 1:
-        raise _UsageError(f"--k must be >= 1, got {args.k}")
-    if args.bandwidth <= 0 or args.spacing <= 0 or args.window <= 0:
-        raise _UsageError("--bandwidth, --spacing, and --window must be positive")
-    if not 0.0 <= args.error <= 1.0:
-        raise _UsageError("--error must be a probability in [0, 1]")
-    report = capacity(args.bandwidth, args.spacing, args.window, args.k, args.error)
+    with _built_from_flags():
+        report = capacity(args.bandwidth, args.spacing, args.window, args.k, args.error)
     print(f"channels: {report.m_opt}")
     print(f"symbols: {report.m_max}")
     print(f"raw: {report.raw_bps:.6g} bps")
@@ -350,10 +338,8 @@ def _cmd_stats(args) -> int:
         print(f"g2: {curve.lags.size} bins, min {curve.values.min():.4f}, "
               f"max {curve.values.max():.4f}, mean {curve.values.mean():.4f}")
         if args.out:
-            with _atomic(args.out) as tmp, open(tmp, "w") as fh:
-                fh.write("lag_s,g2,pairs\n")
-                for lag, v, n in zip(curve.lags, curve.values, curve.pair_counts):
-                    fh.write(f"{float(lag)!r},{float(v)!r},{int(n)}\n")
+            with _atomic(args.out) as tmp:
+                write_csv(tmp, ("lag_s", "g2", "pairs"), zip(curve.lags, curve.values, curve.pair_counts))
             print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .photon_channel import PhotonSequence, Tone
+from .photon_channel import PhotonSequence, Tone, _check_positive
 from .spectral import band_argmax, point_dft_many
 
 #: Color written into a reconstructed image where decoding failed outright.
@@ -89,9 +89,11 @@ class Symbol:
 
 def optimal_channels(bandwidth: float, spacing: float) -> int:
     """Distinct channels a bandwidth supports at a given spacing (fencepost count)."""
-    if bandwidth <= 0.0 or spacing <= 0.0:
-        raise ValueError("bandwidth and spacing must be positive")
-    return int(math.floor(bandwidth / spacing)) + 1
+    _check_positive(bandwidth=bandwidth, spacing=spacing)
+    ratio = bandwidth / spacing
+    if not math.isfinite(ratio):
+        raise ValueError(f"bandwidth / spacing overflows: {bandwidth!r} / {spacing!r}")
+    return int(math.floor(ratio)) + 1
 
 
 def effective_channels(m_opt: int, k: int) -> int:

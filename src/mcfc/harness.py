@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment runner: error-rate sweeps and image transmission.
+"""Monte-Carlo experiment runner: error-rate sweeps, the per-window link, results files.
 
 Each sweep fixes an operating point, varies one parameter over a grid, and
 reports per grid point both the empirical decode error (with a Wilson 95%
@@ -14,6 +14,9 @@ in isolation reproduces it bit-exactly.  Trials inside a point are
 vectorized over one substream rather than individually seeded; this is a
 deliberate trade of per-trial addressing for an order-of-magnitude faster
 inner loop.
+
+Images, ``encode`` and ``transmit-text`` share one per-window link, and
+every CSV results file goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .analysis import InsufficientDataError, channel_error_rate, misdecode_prob
 from .codec import FrequencyPlan, Symbol, decode, image_to_symbols, symbols_to_image, DecodeError
 from .photon_channel import (
     LinkBudget,
+    PhotonSequence,
     SourceConfig,
     Tone,
     derive_rng,
@@ -303,8 +308,30 @@ def run_amplitude_nonlinearity(spec: SweepSpec) -> list[SweepPoint]:
 
 
 # ---------------------------------------------------------------------------
-# image pipeline
+# the per-window link
 # ---------------------------------------------------------------------------
+
+def transmit_windows(tone_sets: Iterable[tuple[Tone, ...]], signal_rate: float, window: float,
+                     budget: LinkBudget, seed: int, label: str) -> Iterator[PhotonSequence]:
+    """One window per tone set, window ``i`` drawn from ``derive_rng(seed, label, i)``.
+
+    The source (rate and window) is checked when this is called, before
+    the first window; windows are then transmitted one at a time as the
+    result is iterated.
+    """
+    source = SourceConfig(signal_rate, window)
+    return (transmit(replace(source, tones=tones), budget, derive_rng(seed, label, i))
+            for i, tones in enumerate(tone_sets))
+
+
+def decode_windows(windows: Iterable[PhotonSequence], plan: FrequencyPlan) -> Iterator[Symbol | None]:
+    """The symbol of each window, or None for a window that does not decode."""
+    for seq in windows:
+        try:
+            yield decode(seq, plan)
+        except DecodeError:
+            yield None
+
 
 def run_image_transmission(
     pixels: np.ndarray,
@@ -319,54 +346,44 @@ def run_image_transmission(
     Each pixel is one integration window carrying one tone per band.  The
     received image renders undecodable windows in the sentinel color.
     """
-    budget = budget or LinkBudget()
     sent = image_to_symbols(pixels)
-    h, w = pixels.shape[:2]
-    received: list[Symbol | None] = []
-    band_errors = {band.name: 0 for band in plan.bands}
-    for i, sym in enumerate(sent):
-        rng = derive_rng(seed, "image", i)
-        tones = tuple(Tone(f) for f in plan.frequencies_for(sym))
-        seq = transmit(SourceConfig(signal_rate, window, tones), budget, rng)
-        try:
-            got = decode(seq, plan)
-        except DecodeError:
-            got = None  # an undecodable window counts against every band
-        received.append(got)
-        got_levels = (None,) * len(plan.bands) if got is None else got.value
-        for band, a, b in zip(plan.bands, sym.value, got_levels):
-            band_errors[band.name] += int(a != b)
-    report = ImageReport(
-        pixels=len(sent),
-        pixel_errors=sum(r != s for s, r in zip(sent, received)),
-        failed_pixels=received.count(None),
-        band_errors=band_errors,
-    )
-    return symbols_to_image(received, (h, w)), report
+    tone_sets = (tuple(Tone(f) for f in plan.frequencies_for(sym)) for sym in sent)
+    windows = transmit_windows(tone_sets, signal_rate, window, budget or LinkBudget(), seed, "image")
+    received = list(decode_windows(windows, plan))
+    band_errors = {  # an undecodable window counts against every band
+        band.name: sum(got is None or got.value[b] != sym.value[b] for sym, got in zip(sent, received))
+        for b, band in enumerate(plan.bands)
+    }
+    report = ImageReport(len(sent), sum(r != s for s, r in zip(sent, received)),
+                         received.count(None), band_errors)
+    return symbols_to_image(received, pixels.shape[:2]), report
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
-_SWEEP_HEADER = [
-    "parameter", "value", "components", "trials", "errors", "empirical_rate",
-    "wilson_low", "wilson_high", "analytic_rate", "line_mean", "line_std",
-    "floor_mean", "floor_std", "analytic_only",
-]
+def _cell(value):
+    """A CSV cell: integers (numpy ones and bools too) as int, other numbers as repr(float)."""
+    if isinstance(value, (numbers.Integral, np.bool_)):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one results writer: a header line, then one line per row, with the csv module's CRLF ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_sweep_csv(path: str | os.PathLike, points: Sequence[SweepPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_HEADER)
-        for p in points:
-            writer.writerow([
-                p.parameter, repr(p.value), p.components, p.trials, p.errors,
-                repr(p.empirical_rate), repr(p.wilson_low), repr(p.wilson_high),
-                repr(p.analytic_rate), repr(p.line_mean), repr(p.line_std),
-                repr(p.floor_mean), repr(p.floor_std), int(p.analytic_only),
-            ])
+    """One line per point: the :class:`SweepPoint` fields, then ``analytic_only``."""
+    columns = [f.name for f in fields(SweepPoint)] + ["analytic_only"]
+    write_csv(path, columns, ([getattr(p, c) for c in columns] for p in points))
 
 
 def write_manifest(path: str | os.PathLike, config: dict, outputs: Sequence[str]) -> None:

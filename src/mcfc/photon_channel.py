@@ -50,6 +50,13 @@ class StreamFormatError(ValueError):
     """Raised when a serialized timestamp stream is malformed."""
 
 
+def _check_positive(**values: float | None) -> None:
+    """Refuse, by name, any value that is not finite and > 0."""
+    for name, value in values.items():
+        if value is None or not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # deterministic stream derivation
 # ---------------------------------------------------------------------------
@@ -112,8 +119,7 @@ class SourceConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mean_rate) and self.mean_rate >= 0.0):
             raise ValueError(f"mean_rate must be finite and >= 0, got {self.mean_rate!r}")
-        if not (np.isfinite(self.duration) and self.duration > 0.0):
-            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
+        _check_positive(duration=self.duration)
         object.__setattr__(self, "tones", tuple(self.tones))
 
     def rate(self, t: np.ndarray | float) -> np.ndarray | float:

@@ -57,9 +57,7 @@ fraction is about ``b**2 / N``: ~1.5% of a 1 s, 180k-event capture's scan.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -105,14 +103,6 @@ class Spectrum:
     @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
-
-    def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frequency_hz", "re", "im", "abs"])
-            for f, v in zip(self.frequencies, self.values):
-                writer.writerow([repr(float(f)), repr(float(v.real)),
-                                 repr(float(v.imag)), repr(float(abs(v)))])
 
 
 @dataclass(frozen=True)

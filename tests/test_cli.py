@@ -5,14 +5,25 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import mcfc
+from mcfc import cli
 from mcfc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from mcfc.codec import read_pixmap, write_pixmap
-from mcfc.photon_channel import read_pts1
+from mcfc.codec import encode_text, letter_plan, read_pixmap, write_pixmap
+from mcfc.photon_channel import (
+    LinkBudget,
+    PhotonSequence,
+    SourceConfig,
+    derive_rng,
+    read_pts1,
+    transmit,
+    write_pts1,
+)
+from mcfc.spectral import Spectrum
 
 
 def run(args, **kwargs):
@@ -67,6 +78,20 @@ def test_spectrum_refuses_a_bad_resolution(tmp_path, capsys, resolution):
     assert not out.exists()
 
 
+def test_spectrum_csv_exact_bytes(tmp_path, capsys):
+    # numpy scalars are written as plain floats, with the csv module's CRLF line ends
+    src = tmp_path / "s.pts1"
+    write_pts1(src, PhotonSequence.from_seconds([0.0], 1e-3))
+    spectrum = Spectrum(np.array([1000.0, 1500.5]), np.array([3 - 4j, -6 + 8j]), 1e-3, 1)
+    out = tmp_path / "spec.csv"
+    with mock.patch.object(cli, "periodogram", return_value=spectrum):
+        assert run(["spectrum", "--in", src, "--low", 1e3, "--high", 2e3,
+                    "--resolution", 500.5, "--out", out]) == EXIT_OK
+    assert out.read_bytes() == (b"frequency_hz,re,im,abs\r\n"
+                                b"1000.0,3.0,-4.0,5.0\r\n"
+                                b"1500.5,-6.0,8.0,10.0\r\n")
+
+
 def test_spectrum_finds_tone(tmp_path, capsys):
     src = tmp_path / "s.pts1"
     run(["generate", "--rate", 200e3, "--duration", 1e-3, "--tone", "50e3",
@@ -97,9 +122,31 @@ def test_stats_g2_csv(tmp_path):
     out = tmp_path / "g2.csv"
     assert run(["stats", "--in", src, "--g2-max-lag", 1e-4, "--g2-bin", 5e-6,
                 "--out", out]) == EXIT_OK
-    text = out.read_text()
+    text = out.read_bytes().decode()
     assert "np." not in text
-    assert len(text.splitlines()) == 21
+    lines = text.split("\r\n")
+    assert lines[0] == "lag_s,g2,pairs" and lines[-1] == ""
+    assert len(lines) == 22
+    lag, value, pairs = lines[1].split(",")
+    assert float(lag) == pytest.approx(2.5e-6) and int(pairs) > 0
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--g2-max-lag", "inf", "--g2-bin", 5e-6], "max_lag"),
+    (["--g2-max-lag", "nan", "--g2-bin", 5e-6], "max_lag"),
+    (["--g2-max-lag", 1e-4, "--g2-bin", "nan"], "bin_width"),
+    (["--g2-max-lag", 1e-4, "--g2-bin", "inf"], "bin_width"),
+    (["--mandel-window", "nan"], "window"),
+    (["--mandel-window", "inf"], "window"),
+])
+def test_stats_refuses_non_finite_parameters_by_name(tmp_path, capsys, flags, name):
+    src = tmp_path / "s.pts1"
+    run(["generate", "--rate", 100e3, "--duration", 0.2, "--seed", 8, "--out", src])
+    capsys.readouterr()
+    out = tmp_path / "g2.csv"
+    assert run(["stats", "--in", src, *flags, "--out", out]) == EXIT_DATA
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -----------------------------------------------------------------
@@ -115,6 +162,17 @@ def test_encode_decode_file_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert run(["decode", "--plan", "letters", *files]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "HI"
+
+
+def test_encode_draws_window_i_from_the_encode_substream(tmp_path, capsys):
+    outdir = tmp_path / "syms"
+    assert run(["encode", "QED", "--rate", 90e3, "--window", 2e-3, "--seed", 31,
+                "--out-dir", outdir]) == EXIT_OK
+    for i, tones in enumerate(encode_text(letter_plan(), "QED")):
+        expected = tmp_path / f"expected_{i}.pts1"
+        write_pts1(expected, transmit(SourceConfig(90e3, 2e-3, tones), LinkBudget(),
+                                      derive_rng(31, "encode", i)))
+        assert (outdir / f"symbol_{i:04d}.pts1").read_bytes() == expected.read_bytes()
 
 
 def test_transmit_text_round_trip(capsys):
@@ -231,6 +289,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["no-such-command"]) == EXIT_USAGE
     assert run(["capacity", "--bandwidth", 1e9, "--spacing", 1e3,
                 "--window", 1e-3, "--k", 0]) == EXIT_USAGE
+    # capacity flags go through the library's checks, which name the field
+    for bandwidth, spacing, window, k, error, field in [
+        (1e9, 1e3, "nan", 3, 0, "window"), (1e9, 1e3, "inf", 3, 0, "window"),
+        ("nan", 1e3, 1e-3, 3, 0, "bandwidth"), ("inf", 1e3, 1e-3, 3, 0, "bandwidth"),
+        (1e9, "nan", 1e-3, 3, 0, "spacing"), (1e9, "inf", 1e-3, 3, 0, "spacing"),
+        (1e300, 1e-300, 1e-3, 3, 0, "bandwidth / spacing"),
+        (1e9, 1e3, 1e-3, 3, "nan", "symbol_error"), (1e3, 1e3, 1e-3, 5, 0, "k=5"),
+    ]:
+        assert run(["capacity", "--bandwidth", bandwidth, "--spacing", spacing, "--window", window,
+                    "--k", k, "--error", error]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
     assert run(["generate", "--rate", -5, "--duration", 1e-3,
                 "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
     assert run(["generate", "--rate", 1e3, "--duration", 1e-3, "--tone", "bogus",
@@ -256,16 +325,28 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ["generate", "--rate", 1e6, "--duration", 1e-3, "--out", "x.pts1"],
     ["transmit-text", "A"],
     ["transmit-image", "--in", "in.ppm", "--out", "out.ppm"],
+    ["encode", "--out-dir", "e", "A"],  # takes no budget flags: a clean link
 ])
 def test_bad_budget_flag_exits_1_on_every_subcommand(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     write_pixmap(tmp_path / "in.ppm", np.zeros((1, 1, 3), dtype=np.uint8))
-    for flag, value, field in [("--rep-period", 2e-13, "rep_period"), ("--noise-rate", "nan", "noise_rate"),
-                               ("--dark-rate", "nan", "dark_rate"), ("--jitter", "nan", "jitter_sigma"),
-                               ("--dead-time", "inf", "dead_time")]:
+    window = "--duration" if command[0] == "generate" else "--window"
+    rows = [("--rate", -5, "mean_rate"), ("--rate", "nan", "mean_rate"), (window, 0, "duration")]
+    if command[0] != "encode":
+        rows += [("--rep-period", 2e-13, "rep_period"), ("--noise-rate", "nan", "noise_rate"),
+                 ("--dark-rate", "nan", "dark_rate"), ("--jitter", "nan", "jitter_sigma"),
+                 ("--dead-time", "inf", "dead_time")]
+    for flag, value, field in rows:
         assert run(command + [flag, value]) == EXIT_USAGE
         assert field in capsys.readouterr().err
-    assert not (tmp_path / "x.pts1").exists() and not (tmp_path / "out.ppm").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm"]
+
+
+def test_unknown_symbol_is_data_and_writes_nothing(tmp_path, capsys):
+    assert run(["encode", "--out-dir", tmp_path / "e", "AB1"]) == EXIT_DATA
+    assert "not in plan" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+    assert run(["transmit-text", "a"]) == EXIT_DATA
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

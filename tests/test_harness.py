@@ -12,17 +12,19 @@ from mcfc.analysis import InsufficientDataError, channel_error_rate, misdecode_p
 from mcfc.codec import FAILED_PIXEL
 from mcfc.harness import (
     ImageReport,
+    SweepPoint,
     SweepSpec,
     run_amplitude_nonlinearity,
     run_error_vs_components,
     run_error_vs_noise,
     run_error_vs_spacing,
     run_image_transmission,
+    transmit_windows,
     wilson_interval,
     write_manifest,
     write_sweep_csv,
 )
-from mcfc.photon_channel import LinkBudget
+from mcfc.photon_channel import LinkBudget, Tone
 from mcfc.spectral import LineStats
 
 
@@ -215,6 +217,23 @@ def test_components_sweep_samples_once_per_point():
     assert len(points) == sample.call_count == 4
 
 
+@pytest.mark.parametrize("rate, window, field", [
+    (-5.0, 1e-3, "mean_rate"), (float("nan"), 1e-3, "mean_rate"), (8e4, 0.0, "duration"),
+])
+def test_window_link_checks_the_source_before_the_first_window(rgb_plan, rate, window, field):
+    with mock.patch.object(harness, "transmit", wraps=harness.transmit) as transmit:
+        with pytest.raises(ValueError, match=field):
+            transmit_windows([(Tone(1e5),)], rate, window, LinkBudget(), 0, "test")
+        with pytest.raises(ValueError, match=field):
+            run_image_transmission(np.zeros((1, 1, 3), dtype=np.uint8), rgb_plan, rate, window=window)
+        assert transmit.call_count == 0
+        # a good source draws nothing until a window is asked for, then one per window
+        windows = transmit_windows([(Tone(1e5),)] * 3, 8e4, 1e-3, LinkBudget(), 0, "test")
+        assert transmit.call_count == 0
+        next(windows)
+        assert transmit.call_count == 1
+
+
 def test_image_report_rate_empty():
     assert ImageReport(0, 0, 0).pixel_error_rate == 0.0
 
@@ -237,6 +256,22 @@ def test_sweep_csv_round_trip(tmp_path):
     assert int(rows[0]["trials"]) == 300
     assert float(rows[0]["analytic_rate"]) == points[0].analytic_rate
     assert rows[0]["analytic_only"] in ("0", "1")
+
+
+def test_sweep_csv_exact_bytes(tmp_path):
+    # numpy scalars are written as plain ints and floats, never with an np. prefix
+    point = SweepPoint(
+        parameter="signal_rate_cps", value=np.float64(80e3), components=np.int64(3), trials=200,
+        errors=np.int64(0), empirical_rate=0.0, wilson_low=0.0, wilson_high=0.25,
+        analytic_rate=1e-20, line_mean=np.float64(13.5), line_std=2.0, floor_mean=0.1, floor_std=1.0,
+    )
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, [point])
+    assert path.read_bytes() == (
+        b"parameter,value,components,trials,errors,empirical_rate,wilson_low,wilson_high,"
+        b"analytic_rate,line_mean,line_std,floor_mean,floor_std,analytic_only\r\n"
+        b"signal_rate_cps,80000.0,3,200,0,0.0,0.0,0.25,1e-20,13.5,2.0,0.1,1.0,1\r\n"
+    )
 
 
 def test_moments_csv(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft, integrate
 
-from mcfc import spectral
+from mcfc import cli, spectral
 from mcfc.codec import Symbol
 from mcfc.photon_channel import (
     PhotonSequence,
@@ -21,6 +21,7 @@ from mcfc.photon_channel import (
     sample_event_batch,
     sample_homogeneous,
     sample_modulated,
+    write_pts1,
 )
 from mcfc.spectral import (
     MAX_GRID_POINTS,
@@ -635,11 +636,12 @@ def test_line_stats_against_theory():
 # CSV output
 # -----------------------------------------------------------------
 
-def test_spectrum_csv_format(tmp_path):
+def test_spectrum_csv_format(tmp_path, capsys):
     seq = sample_modulated(SourceConfig(5e4, 1e-3, (Tone(50e3),)), derive_rng(52))
-    spec = periodogram(seq, Band(45e3, 55e3), 1e3)
+    write_pts1(tmp_path / "s.pts1", seq)
     path = tmp_path / "spec.csv"
-    spec.to_csv(path)
+    assert cli.main(["spectrum", "--in", str(tmp_path / "s.pts1"), "--low", "45e3",
+                     "--high", "55e3", "--resolution", "1e3", "--out", str(path)]) == 0
     text = path.read_text()
     assert "np." not in text
     rows = list(csv.reader(text.splitlines()))
