@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_channel import PhotonSequence, _check_positive
-from .spectral import LineStats
+from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, UNIT, PhotonSequence, check_range, interval
+from .spectral import LineStats, grid_points
 
 
 class InsufficientDataError(ValueError):
@@ -82,8 +82,7 @@ def misdecode_prob_quadrature(model: LineStats) -> float:
 
 def channel_error_rate(p: float, channels: int) -> float:
     """Band misdecode probability 1 - (1-p)**M in a numerically stable form."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
+    check_range(UNIT, p=p)
     if channels < 1:
         raise ValueError("channels must be >= 1")
     if p == 1.0:
@@ -109,8 +108,7 @@ class CapacityReport:
 
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) in bits, with the 0*log(0) = 0 convention."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
+    check_range(UNIT, p=p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
@@ -132,18 +130,14 @@ def capacity(
     to land uniformly among the remaining alternatives (this is the source
     of the (m_max/(m_max - 1))/2 scaling).
     """
-    _check_positive(window=window)
-    if not 0.0 <= symbol_error <= 1.0:
-        raise ValueError(f"symbol_error must be a probability in [0, 1], got {symbol_error!r}")
+    check_range(POSITIVE, window=window)
+    check_range(UNIT, symbol_error=symbol_error)
     from .codec import effective_channels, optimal_channels  # local import avoids a cycle
 
     m_opt = optimal_channels(bandwidth, spacing)
     m_max = effective_channels(m_opt, components)
-    raw = math.log2(m_max) / window if m_max > 1 else 0.0
-    if m_max > 1:
-        p_e = symbol_error * (m_max / (m_max - 1)) / 2.0
-    else:
-        p_e = 0.0
+    raw = math.log2(m_max) / window
+    p_e = symbol_error * (m_max / (m_max - 1)) / 2.0 if m_max > 1 else 0.0
     entropy = binary_entropy(p_e)
     return CapacityReport(
         m_opt=m_opt,
@@ -177,12 +171,11 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     homogeneous stream gives 1 at all lags; a depth-m tone at frequency f
     gives 1 + (m**2 / 2) * cos(2*pi*f*tau).
     """
-    _check_positive(bin_width=bin_width, max_lag=max_lag)
-    if max_lag < bin_width:
-        raise ValueError(f"max_lag must be >= bin_width, got {max_lag!r} < {bin_width!r}")
+    check_range(POSITIVE, bin_width=bin_width)
+    check_range(interval(bin_width, math.inf, "[)"), max_lag=max_lag)
+    n_bins = grid_points(np.rint(max_lag / bin_width), "widen bin_width or shorten max_lag")
     t = seq.seconds
     n = t.size
-    n_bins = int(round(max_lag / bin_width))
     edges = bin_width * np.arange(n_bins + 1)
     hist = np.zeros(n_bins, dtype=np.int64)
 
@@ -197,8 +190,7 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
         hist += np.histogram(d[inside], bins=edges)[0]
         offset += 1
 
-    total_pairs = int(hist.sum())
-    if total_pairs == 0:
+    if not hist.any():
         raise InsufficientDataError("no photon pairs within max_lag; need more events")
     expected_per_bin = n * n * bin_width / seq.window
     centers = edges[:-1] + 0.5 * bin_width
@@ -214,20 +206,15 @@ def mandel_q(counts: np.ndarray | PhotonSequence, window: float | None = None) -
     least 100 windows are required.
     """
     if isinstance(counts, PhotonSequence):
-        _check_positive(window=window)
-        n_windows = int(np.floor(counts.window / window))
-        if n_windows < 100:
-            raise InsufficientDataError(
-                f"only {n_windows} complete windows fit; need at least 100"
-            )
-        t = counts.seconds
-        idx = np.floor(t / window).astype(np.int64)
-        idx = idx[idx < n_windows]
-        values = np.bincount(idx, minlength=n_windows).astype(np.float64)
+        check_range(POSITIVE, window=window)
+        n_windows = grid_points(np.floor(counts.window / window),
+                                "lengthen window or shorten the capture")
+        idx = np.floor(counts.seconds / window).astype(np.int64)
+        values = np.bincount(idx[idx < n_windows], minlength=n_windows).astype(np.float64)
     else:
         values = np.asarray(counts, dtype=np.float64)
-        if values.size < 100:
-            raise InsufficientDataError(f"{values.size} windows; need at least 100")
+    if values.size < 100:
+        raise InsufficientDataError(f"only {values.size} complete windows; need at least 100")
     mean = values.mean()
     if mean == 0.0:
         raise InsufficientDataError("all windows empty")
@@ -262,8 +249,8 @@ def modulator_transfer(theta: float, mean_photons: float) -> tuple[float, float]
     The constructive port passes mu*(1+cos(theta))/2 and the other port
     the complement; the two always sum to mu exactly.
     """
-    if mean_photons < 0.0:
-        raise ValueError("mean_photons must be >= 0")
+    check_range(REAL, theta=theta)
+    check_range(NON_NEGATIVE, mean_photons=mean_photons)
     bright = mean_photons * (1.0 + math.cos(theta)) / 2.0
     return bright, mean_photons - bright
 
@@ -276,10 +263,8 @@ def noise_floor_boundary(count: float, n_frequencies: int, miss_prob: float = 0.
     over n probe frequencies the maximum stays below
     sqrt(N * ln(n / miss_prob)) except with probability about miss_prob.
     """
-    if count <= 0.0:
-        raise ValueError("count must be positive")
+    check_range(POSITIVE, count=count)
     if n_frequencies < 1:
         raise ValueError("n_frequencies must be >= 1")
-    if not 0.0 < miss_prob < 1.0:
-        raise ValueError("miss_prob must be in (0, 1)")
+    check_range(interval(0.0, 1.0), miss_prob=miss_prob)
     return float(np.sqrt(count * np.log(n_frequencies / miss_prob)))

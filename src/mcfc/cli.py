@@ -115,8 +115,11 @@ def _atomic(path: str):
         raise
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MCFC_SEED", "0"))
+def _window_flags(parser: argparse.ArgumentParser, plan: str, rate: float) -> None:
+    parser.add_argument("--plan", default=plan)
+    parser.add_argument("--rate", type=float, default=rate)
+    parser.add_argument("--window", type=float, default=1e-3)
+    parser.add_argument("--seed", type=int, default=os.environ.get("MCFC_SEED", "0"))
 
 
 def _budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -148,10 +151,7 @@ def _plan_from(name: str) -> FrequencyPlan:
 
 def _parse_tone(text: str) -> Tone:
     """Parse FREQ[,DEPTH[,PHASE]]."""
-    parts = [float(p) for p in text.split(",")]
-    depth = parts[1] if len(parts) > 1 else 1.0
-    phase = parts[2] if len(parts) > 2 else 0.0
-    return Tone(parts[0], phase, depth)
+    return Tone(**dict(zip(("frequency", "depth", "phase"), map(float, text.split(",")))))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tone", action="append", metavar="FREQ[,DEPTH[,PHASE]]",
                    help="modulation tone; repeatable")
     p.add_argument("--duration", type=float, required=True, help="window length, s")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    # a string default goes through type=int: a bad MCFC_SEED is a usage error of --seed
+    p.add_argument("--seed", type=int, default=os.environ.get("MCFC_SEED", "0"))
     p.add_argument("--out", required=True)
     _budget_flags(p)
     p.set_defaults(func=_cmd_generate)
@@ -373,10 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("encode", help="write one clean PTS1 window per symbol")
-    p.add_argument("--plan", default="letters")
-    p.add_argument("--rate", type=float, default=160_000.0)
-    p.add_argument("--window", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    _window_flags(p, "letters", 160_000.0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("text")
     p.set_defaults(func=_cmd_encode)
@@ -387,10 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("transmit-text", help="end-to-end text transmission")
-    p.add_argument("--plan", default="letters")
-    p.add_argument("--rate", type=float, default=80_000.0)
-    p.add_argument("--window", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    _window_flags(p, "letters", 80_000.0)
     _budget_flags(p)
     p.add_argument("text")
     p.set_defaults(func=_cmd_transmit_text)
@@ -398,10 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transmit-image", help="end-to-end image transmission")
     p.add_argument("--in", dest="input", required=True, help="P6 pixmap")
     p.add_argument("--out", required=True, help="received P6 pixmap")
-    p.add_argument("--plan", default="rgb")
-    p.add_argument("--rate", type=float, default=80_000.0)
-    p.add_argument("--window", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    _window_flags(p, "rgb", 80_000.0)
     _budget_flags(p)
     p.set_defaults(func=_cmd_transmit_image)
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .photon_channel import PhotonSequence, Tone, _check_positive
+from .photon_channel import POSITIVE, PhotonSequence, Tone, check_range, interval
 from .spectral import band_argmax, point_dft_many
 
 #: Color written into a reconstructed image where decoding failed outright.
@@ -89,11 +89,9 @@ class Symbol:
 
 def optimal_channels(bandwidth: float, spacing: float) -> int:
     """Distinct channels a bandwidth supports at a given spacing (fencepost count)."""
-    _check_positive(bandwidth=bandwidth, spacing=spacing)
-    ratio = bandwidth / spacing
-    if not math.isfinite(ratio):
-        raise ValueError(f"bandwidth / spacing overflows: {bandwidth!r} / {spacing!r}")
-    return int(math.floor(ratio)) + 1
+    check_range(POSITIVE, bandwidth=bandwidth, spacing=spacing)
+    check_range(POSITIVE, **{"bandwidth / spacing": bandwidth / spacing})  # not inf
+    return math.floor(bandwidth / spacing) + 1
 
 
 def effective_channels(m_opt: int, k: int) -> int:
@@ -121,15 +119,13 @@ class NamedBand:
     channels: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.low < self.high:
-            raise ValueError(f"band {self.name!r}: need 0 < low < high")
+        check_range(POSITIVE, **{f"band {self.name!r} low": self.low})
+        check_range(interval(self.low, math.inf), **{f"band {self.name!r} high": self.high})
         if not self.channels:
             raise ValueError(f"band {self.name!r} has no channels")
+        edges = interval(self.low, self.high, "[]")
         for f in self.channels:
-            if not (self.low <= f <= self.high):
-                raise ValueError(
-                    f"band {self.name!r}: channel {f} Hz outside [{self.low}, {self.high}]"
-                )
+            check_range(edges, **{f"band {self.name!r} channel": f})
         object.__setattr__(self, "channels", tuple(float(f) for f in self.channels))
 
     def __len__(self) -> int:
@@ -155,8 +151,7 @@ class FrequencyPlan:
     def __post_init__(self) -> None:
         if not self.bands:
             raise ValueError("plan needs at least one band")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
+        check_range(POSITIVE, spacing=self.spacing)
         object.__setattr__(self, "bands", tuple(self.bands))
         object.__setattr__(self, "symbol_map", dict(self.symbol_map))
 

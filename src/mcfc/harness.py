@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .analysis import InsufficientDataError, channel_error_rate, misdecode_prob
-from .codec import FrequencyPlan, Symbol, decode, image_to_symbols, symbols_to_image, DecodeError
+from .codec import FrequencyPlan, Symbol, decode, encode, image_to_symbols, symbols_to_image, DecodeError
 from .photon_channel import (
     LinkBudget,
     PhotonSequence,
@@ -44,6 +44,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
+from .photon_channel import NON_NEGATIVE, POSITIVE, check_range
 from .spectral import LineStats, band_argmax, batch_amplitudes, floor_channels
 
 
@@ -80,12 +81,11 @@ class SweepSpec:
             raise ValueError(
                 f"channels_per_band must be >= 2 to measure a floor, got {self.channels_per_band}"
             )
-        if not (math.isfinite(self.signal_rate) and self.signal_rate >= 0.0):  # 0: the pure-noise point
-            raise ValueError(f"'signal_rate' must be finite and >= 0, got {self.signal_rate!r}")
-        for name in ("window", "modulation_frequency", "spacing", "mean_count"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name!r} must be finite and > 0, got {value!r}")
+        check_range(NON_NEGATIVE, **{"'signal_rate'": self.signal_rate})  # 0: the pure-noise point
+        check_range(POSITIVE, **{repr(n): getattr(self, n)
+                                 for n in ("window", "modulation_frequency", "spacing", "mean_count")})
+        for value in self.grid:  # a rate, a time or a spacing; a runner may ask more
+            check_range(NON_NEGATIVE, **{"'grid'": value})
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "components", tuple(int(k) for k in self.components))
         if not self.components or min(self.components) < 1:
@@ -240,6 +240,7 @@ def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
     the window's natural grid 1/window, strictly above the line so every
     probe stays positive even for very short windows.
     """
+    check_range(POSITIVE, **{"'grid'": min(spec.grid)})
     f_m = spec.modulation_frequency
     return [
         _measure_point("window_s", window, 1,
@@ -258,6 +259,7 @@ def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
     it.  Leakage from the active line into the competitor produces the
     characteristic damped oscillation as spacing grows.
     """
+    check_range(POSITIVE, **{"'grid'": min(spec.grid)})
     base = round(spec.modulation_frequency * spec.window) / spec.window
     config = SourceConfig(spec.signal_rate, spec.window, (Tone(base),))
     return [
@@ -347,8 +349,8 @@ def run_image_transmission(
     received image renders undecodable windows in the sentinel color.
     """
     sent = image_to_symbols(pixels)
-    tone_sets = (tuple(Tone(f) for f in plan.frequencies_for(sym)) for sym in sent)
-    windows = transmit_windows(tone_sets, signal_rate, window, budget or LinkBudget(), seed, "image")
+    budget = budget or LinkBudget()
+    windows = transmit_windows(encode(sent, plan), signal_rate, window, budget, seed, "image")
     received = list(decode_windows(windows, plan))
     band_errors = {  # an undecodable window counts against every band
         band.name: sum(got is None or got.value[b] != sym.value[b] for sym, got in zip(sent, received))

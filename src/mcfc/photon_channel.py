@@ -31,6 +31,7 @@ container is a small binary format, see :func:`write_pts1`.
 
 from __future__ import annotations
 
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -50,11 +51,30 @@ class StreamFormatError(ValueError):
     """Raised when a serialized timestamp stream is malformed."""
 
 
-def _check_positive(**values: float | None) -> None:
-    """Refuse, by name, any value that is not finite and > 0."""
+def interval(low: float, high: float, ends: str = "()") -> tuple[float, float, str]:
+    """The least and greatest floats from ``low`` to ``high``, each end closed (``[``, ``]``) or
+    open (``(``, ``)``), and the interval's text: the ``bounds`` of :func:`check_range`."""
+    return (low if ends[0] == "[" else math.nextafter(low, math.inf),
+            high if ends[1] == "]" else math.nextafter(high, -math.inf),
+            f"{ends[0]}{low:g}, {high:g}{ends[1]}")
+
+
+REAL = interval(-math.inf, math.inf)
+POSITIVE = interval(0.0, math.inf)
+NON_NEGATIVE = interval(0.0, math.inf, "[)")
+UNIT = interval(0.0, 1.0, "[]")
+
+
+def check_range(bounds: tuple[float, float, str], **values: float) -> None:
+    """The one range check: refuse, by name, any value that is not a finite number in ``bounds``."""
+    low, high, text = bounds
     for name, value in values.items():
-        if value is None or not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        try:
+            ok = math.isfinite(value) and low <= value <= high
+        except TypeError:  # None, a string: not a number
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be finite and in {text}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +116,9 @@ class Tone:
     depth: float = 1.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.frequency) or self.frequency <= 0.0:
-            raise ValueError(f"tone frequency must be positive, got {self.frequency}")
-        if not 0.0 <= self.depth <= 1.0:
-            raise ValueError(f"modulation depth must be in [0, 1], got {self.depth}")
+        check_range(POSITIVE, frequency=self.frequency)
+        check_range(UNIT, depth=self.depth)
+        check_range(REAL, phase=self.phase)
         object.__setattr__(self, "phase", float(self.phase) % (2.0 * np.pi))
 
 
@@ -117,9 +136,8 @@ class SourceConfig:
     tones: tuple[Tone, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mean_rate) and self.mean_rate >= 0.0):
-            raise ValueError(f"mean_rate must be finite and >= 0, got {self.mean_rate!r}")
-        _check_positive(duration=self.duration)
+        check_range(NON_NEGATIVE, mean_rate=self.mean_rate)
+        check_range(POSITIVE, duration=self.duration)
         object.__setattr__(self, "tones", tuple(self.tones))
 
     def rate(self, t: np.ndarray | float) -> np.ndarray | float:
@@ -214,6 +232,11 @@ class PhotonSequence:
 # receive-side budget
 # ---------------------------------------------------------------------------
 
+_TRANSMITTANCE = interval(0.0, 1.0, "(]")
+#: Seconds that round to at least one picosecond: above half of one.
+_WHOLE_PICOSECONDS = interval(0.5 / PS_PER_SECOND, math.inf)
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Impairments applied between source and decoder.
@@ -240,16 +263,14 @@ class LinkBudget:
     rep_period: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.transmittance <= 1.0:
-            raise ValueError("transmittance must be in (0, 1]")
-        for name in ("noise_rate", "dark_rate", "jitter_sigma", "dead_time"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        check_range(_TRANSMITTANCE, transmittance=self.transmittance)
+        check_range(NON_NEGATIVE, noise_rate=self.noise_rate, dark_rate=self.dark_rate,
+                    jitter_sigma=self.jitter_sigma, dead_time=self.dead_time)
         # the detector works in integer picoseconds, so a dead time or gate must round to >= 1 ps
-        for name, value in (("dead_time", self.dead_time or None), ("rep_period", self.rep_period)):
-            if value is not None and not (np.isfinite(value) and value * PS_PER_SECOND > 0.5):
-                raise ValueError(f"{name} must be finite and round to at least 1 ps, got {value!r} s")
+        if self.dead_time:
+            check_range(_WHOLE_PICOSECONDS, dead_time=self.dead_time)
+        if self.rep_period is not None:
+            check_range(_WHOLE_PICOSECONDS, rep_period=self.rep_period)
 
 
 # ---------------------------------------------------------------------------

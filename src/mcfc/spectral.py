@@ -66,10 +66,18 @@ from typing import Sequence
 import numpy as np
 
 from .photon_channel import EventBatch, LinkBudget, PhotonSequence, SourceConfig, sample_event_batch
+from .photon_channel import POSITIVE, check_range, interval
 
 #: Refuse to build evaluation grids larger than this (denser grids are a
 #: sign of a mistaken resolution argument, not a real need).
 MAX_GRID_POINTS = 2_000_000
+
+
+def grid_points(points: float, remedy: str) -> int:
+    """``points`` as an int, refused above :data:`MAX_GRID_POINTS` with the ``remedy`` in the message."""
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid of {points:.0f} points exceeds the {MAX_GRID_POINTS}-point cap; {remedy}")
+    return int(points)
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,8 @@ class Band:
     high: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.low < self.high:
-            raise ValueError(f"band must satisfy 0 < low < high, got [{self.low}, {self.high}]")
+        check_range(POSITIVE, low=self.low)
+        check_range(interval(self.low, math.inf), high=self.high)
 
     def contains(self, frequency: float) -> bool:
         return self.low <= frequency <= self.high
@@ -121,8 +129,7 @@ class LineStats:
     channels: int | None = None
 
     def __post_init__(self) -> None:
-        if self.line_std <= 0.0 or self.floor_std <= 0.0:
-            raise ValueError("standard deviations must be positive")
+        check_range(POSITIVE, line_std=self.line_std, floor_std=self.floor_std)
         if self.channels is not None and self.channels < 1:
             raise ValueError("channels must be >= 1")
 
@@ -523,15 +530,10 @@ def periodogram(seq: PhotonSequence, band: Band, resolution: float) -> Spectrum:
     points, though ``0.6 / 0.1`` rounds to just below 6).  Every point lies
     inside the closed band.
     """
-    if not (np.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
-    slack = 4.0 * np.finfo(np.float64).eps * band.high / resolution
-    n = int(np.floor(band.width / resolution + slack)) + 1
-    if n > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid of {n} points exceeds the {MAX_GRID_POINTS}-point cap; "
-            "coarsen the resolution or narrow the band"
-        )
+    check_range(POSITIVE, resolution=resolution)
+    slack = 4.0 * math.ulp(1.0) * band.high / resolution
+    n = grid_points(np.floor(band.width / resolution + slack) + 1,
+                    "coarsen the resolution or narrow the band")
     freqs = np.minimum(band.low + resolution * np.arange(n), band.high)
     return Spectrum(freqs, point_dft_many(seq, freqs), seq.window, len(seq))
 

@@ -138,6 +138,7 @@ def test_stats_g2_csv(tmp_path):
     (["--g2-max-lag", 1e-4, "--g2-bin", "inf"], "bin_width"),
     (["--mandel-window", "nan"], "window"),
     (["--mandel-window", "inf"], "window"),
+    (["--g2-max-lag", 1e-6, "--g2-bin", 5e-6], "max_lag"),  # below one bin
 ])
 def test_stats_refuses_non_finite_parameters_by_name(tmp_path, capsys, flags, name):
     src = tmp_path / "s.pts1"
@@ -147,6 +148,26 @@ def test_stats_refuses_non_finite_parameters_by_name(tmp_path, capsys, flags, na
     assert run(["stats", "--in", src, *flags, "--out", out]) == EXIT_DATA
     assert f"{name} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, names", [
+    (["spectrum", "--low", 1e3, "--high", "inf", "--resolution", 1], ["high must be finite"]),
+    (["spectrum", "--low", "nan", "--high", 2e3, "--resolution", 1], ["low must be finite"]),
+    (["spectrum", "--low", 2e3, "--high", 1e3, "--resolution", 1], ["high must be finite"]),
+    (["spectrum", "--low", 1, "--high", 1e308, "--resolution", 1e-300], ["cap", "resolution"]),
+    # 1e15 lag bins or Mandel windows: refused by the grid cap, not by a MemoryError
+    (["stats", "--g2-max-lag", 1, "--g2-bin", 1e-15], ["cap", "bin_width", "max_lag"]),
+    (["stats", "--mandel-window", 1e-15], ["cap", "window", "capture"]),
+])
+def test_spectrum_and_stats_refuse_bad_inputs_by_name(tmp_path, capsys, command, names):
+    src = tmp_path / "s.pts1"
+    run(["generate", "--rate", 1e4, "--duration", 1, "--seed", 8, "--out", src])
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert run(command + ["--in", src, "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.pts1"]
 
 
 # -----------------------------------------------------------------
@@ -262,6 +283,13 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"signal_rate": float("nan")}, "signal_rate"),
     ({"components": [0]}, "components"),
     ({"components": [1, -2]}, "components"),
+    ({"grid": [-1e3]}, "grid"),
+    ({"grid": [float("inf")]}, "grid"),
+    ({"sweep": "error-vs-spacing", "grid": [float("nan")]}, "grid"),
+    ({"sweep": "error-vs-spacing", "grid": [1e3, 0]}, "grid"),  # two identical channels
+    ({"sweep": "error-vs-integration-time", "grid": [0]}, "grid"),
+    ({"sweep": "error-vs-components", "grid": [float("nan")]}, "grid"),
+    ({"sweep": "amplitude", "grid": [-8e4]}, "grid"),
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
@@ -313,6 +341,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run(["generate", "--rate", rate, "--duration", duration,
                     "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
         assert field in capsys.readouterr().err
+    for tone, field in [("1e3,1,nan", "phase"), ("1e3,1,inf", "phase"), ("1e3,1.5", "depth"),
+                        ("1e3,-0.1", "depth"), ("0", "frequency"), ("nan", "frequency")]:
+        assert run(["generate", "--rate", 1e4, "--duration", 1e-2, "--tone", tone,
+                    "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
+        assert f"{field} must be finite" in capsys.readouterr().err
     for flag, field in [("--noise-rate", "noise_rate"), ("--dark-rate", "dark_rate"),
                         ("--jitter", "jitter_sigma")]:
         assert run(["generate", "--rate", 1e3, "--duration", 1e-3, flag, "nan",
@@ -379,7 +412,7 @@ def test_help_exits_zero(capsys):
     assert run(["generate", "--help"]) == EXIT_OK
 
 
-def test_seed_env_variable(tmp_path, monkeypatch):
+def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     a, b = tmp_path / "a.pts1", tmp_path / "b.pts1"
     args = ["generate", "--rate", 50e3, "--duration", 1e-3]
     monkeypatch.setenv("MCFC_SEED", "21")
@@ -391,6 +424,15 @@ def test_seed_env_variable(tmp_path, monkeypatch):
     c = tmp_path / "c.pts1"
     assert run(args + ["--seed", 21, "--out", c]) == EXIT_OK
     assert c.read_bytes() == a.read_bytes()
+    # a malformed value is a usage error of --seed, and only where --seed is taken
+    monkeypatch.setenv("MCFC_SEED", "abc")
+    d = tmp_path / "d.pts1"
+    for command in (args + ["--out", d], ["transmit-text", "A"], ["encode", "--out-dir", d, "A"]):
+        assert run(command) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+    assert not d.exists()
+    assert run(args + ["--seed", 21, "--out", d]) == EXIT_OK
+    assert run(["capacity", "--bandwidth", 1e6, "--spacing", 1e3, "--window", 1e-3, "--k", 2]) == EXIT_OK
 
 
 def test_no_stray_temp_files(tmp_path):
