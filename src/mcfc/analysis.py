@@ -167,13 +167,20 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
 
     Counts ordered pairs (i, j>i) with lag below ``max_lag`` into uniform
     bins and divides by the pair count a homogeneous stream of the same
-    mean rate would produce per bin (count**2 * bin / window).  A
-    homogeneous stream gives 1 at all lags; a depth-m tone at frequency f
+    event count would produce per bin.  Its ``count * (count - 1) / 2``
+    pairs have lags of density ``2 * (window - tau) / window**2``, so a bin
+    of width ``bin`` centred on ``tau`` expects
+    ``count * (count - 1) * bin / window * (1 - tau / window)`` of them: the
+    density is linear, so its value at the centre is exact over the bin.
+    The last bin expects only its part below ``max_lag``, the lags it
+    counts; ``max_lag`` may not exceed the window, past which no pair lies.
+    A homogeneous stream gives 1 at all lags; a depth-m tone at frequency f
     gives 1 + (m**2 / 2) * cos(2*pi*f*tau).
     """
     check_range(POSITIVE, bin_width=bin_width)
     check_range(interval(bin_width, math.inf, "[)"), max_lag=max_lag)
     n_bins = grid_points(np.rint(max_lag / bin_width), "widen bin_width or shorten max_lag")
+    check_range(interval(bin_width, seq.window, "[]"), max_lag=max_lag)  # after the cap and its remedy
     t = seq.seconds
     n = t.size
     edges = bin_width * np.arange(n_bins + 1)
@@ -192,9 +199,10 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
 
     if not hist.any():
         raise InsufficientDataError("no photon pairs within max_lag; need more events")
-    expected_per_bin = n * n * bin_width / seq.window
-    centers = edges[:-1] + 0.5 * bin_width
-    return G2Curve(lags=centers, values=hist / expected_per_bin, pair_counts=hist)
+    lows, tops = edges[:-1], np.minimum(edges[1:], max_lag)
+    window = seq.window
+    expected_per_bin = n * (n - 1) * (tops - lows) / window * (1.0 - 0.5 * (lows + tops) / window)
+    return G2Curve(lags=lows + 0.5 * bin_width, values=hist / expected_per_bin, pair_counts=hist)
 
 
 def mandel_q(counts: np.ndarray | PhotonSequence, window: float | None = None) -> float:
@@ -238,9 +246,11 @@ def expected_mandel_q(rate: float, depth: float, frequency: float, window: float
     a small rational; at f*w = 1/2, say, windows alternate between two
     fixed phases and the measured excess can reach twice this value.
     """
-    w = 2.0 * np.pi * frequency
-    swing = 2.0 * rate * depth * np.sin(0.5 * w * window) / w
-    return float(swing**2 / (2.0 * rate * window))
+    check_range(NON_NEGATIVE, rate=rate)
+    check_range(UNIT, depth=depth)
+    check_range(POSITIVE, frequency=frequency, window=window)
+    w = 2.0 * math.pi * frequency
+    return 2.0 * rate * (depth * math.sin(0.5 * w * window) / w) ** 2 / window
 
 
 def modulator_transfer(theta: float, mean_photons: float) -> tuple[float, float]:

@@ -20,20 +20,24 @@ is the one per-band decision, shared by decoding and the sweeps.
 
 Channel grids and scan grids are uniform ladders, so the kernel does not
 call ``exp`` per phasor.  It cuts the frequency list into maximal
-arithmetic runs (a lone frequency is a run of one), evaluates ``exp``
-exactly at an anchor every :data:`ANCHOR` rungs and once for the step
-phasor ``w = exp(-2j*pi*step*t)``, and rotates the anchor by powers of
-``w`` in between.  A bare rotation drifts from the direct formula's
-rounded phase ``fl(2*pi*fl(f*t))`` by a few ulps of the phase (~3e-11 rad
-at f*t ~ 5e4), enough to move a quiet point's sum by ~1e-10 relative, so
-each rotated phasor is multiplied by ``1 - i*r``, with ``r`` the
-difference between the direct phase and the rotated one.  A ladder of
-``n`` rungs then costs about ``n / ANCHOR + 1`` ``exp`` calls per event
-instead of ``n``, and its sums agree with the direct formula to ~1e-13
-relative.  The ladder's work arrays (phases, rotated phasors, ``k * theta``)
-persist between calls in a per-thread workspace of at most
-:data:`PHASOR_CHUNK` phasors a piece, 1.5 MiB in all, so a stream of short
-windows neither allocates nor page-faults them again on every call.
+arithmetic runs (a lone frequency is a run of one), evaluates ``exp`` once
+per event for the step phasor ``w = exp(-2j*pi*step*t)``, and rotates an
+anchor by powers of ``w``.  Every channel band in use lies on the lattice
+of whole multiples of its step (the RGB plan's 25-75 kHz bands and the
+sweeps' bands at 1 kHz, the acceptance sweeps' around 200 kHz), so a piece
+starting at rung ``K = f / step`` takes ``w**K`` from the same powers as its
+anchor; a piece off the lattice, or past its gate (:data:`LATTICE_BITS`),
+evaluates ``exp`` exactly at its first rung, every :data:`ANCHOR` rungs.  A
+bare rotation drifts from the direct formula's rounded phase
+``fl(2*pi*fl(f*t))`` by a few ulps of the phase (~3e-11 rad at f*t ~ 5e4),
+enough to move a quiet point's sum by ~1e-10 relative, so each rotated
+phasor is multiplied by ``1 - i*r``, with ``r`` the difference between the
+direct phase and the rotated one.  A call over a whole channel plan then
+costs one ``exp`` per event, and its sums agree with the direct formula to
+~1e-13 relative.  The ladder's work arrays (phases, rotated phasors,
+``(K + k) * theta``) persist between calls in a per-thread workspace of at
+most :data:`PHASOR_CHUNK` phasors a piece, 1.5 MiB in all, so a stream of
+short windows neither allocates nor page-faults them again on every call.
 
 A dense scan of one sequence (one trial, a run of more than
 :data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
@@ -166,11 +170,17 @@ class LineStats:
 #: direct ``exp`` as one 64k-phasor block than in 32k pieces.
 PHASOR_CHUNK = 1 << 15
 
-#: Rungs of a uniform ladder per exact ``exp``: each piece of at most this
-#: many rows starts at an anchor evaluated directly, and its other rows are
-#: the anchor rotated by powers of the step phasor, then corrected back to
-#: the direct formula's rounding.
+#: Rows of a ladder piece: each piece starts at an anchor, and its other rows
+#: are the anchor rotated by powers of the step phasor, then corrected back
+#: to the direct formula's rounding.  Off the step lattice, each anchor is
+#: one exact ``exp``.
 ANCHOR = 64
+
+#: A piece anchors on the lattice of its step, with no ``exp``, while its
+#: rungs ``K + k`` stay below ``2**LATTICE_BITS`` in size and its largest
+#: phase below ``2**(26 - LATTICE_BITS)`` rad; the bounds are derived in
+#: :func:`_ladder_sums`.
+LATTICE_BITS = 8
 
 #: Steps that differ from their run's first step by at most this many ulps of
 #: the larger frequency count as equal, so ``low + step * np.arange(n)`` is one run.
@@ -231,10 +241,10 @@ class _Workspace(threading.local):
     """Work arrays of :func:`_ladder_sums`, one set per thread, kept between calls.
 
     A call needs ``rows * events`` float64 phases, complex rotated phasors and
-    float64 ``k * theta``, at most ``max(PHASOR_CHUNK, ANCHOR)`` elements each,
-    plus a few event-long vectors: 1.2 MiB for 11-rung bands, 1.5 MiB at most.
-    Fresh arrays of that size went back to the operating system when freed
-    and were faulted in again by the next call, ~250 page faults per 1 ms
+    float64 ``(K + k) * theta``, at most ``max(PHASOR_CHUNK, ANCHOR)`` elements
+    each, plus a few event-long vectors: 1.2 MiB for 11-rung bands, 1.5 MiB at
+    most.  Fresh arrays of that size went back to the operating system when
+    freed and were faulted in again by the next call, ~250 page faults per 1 ms
     image window, so the arrays stay.  They grow on demand and never shrink; each
     call writes every element it reads, so no result depends on an earlier call.
     """
@@ -243,9 +253,10 @@ class _Workspace(threading.local):
         self.real = np.empty(0)
         self.cplx = np.empty(0, dtype=np.complex128)
 
-    def take(self, rows: int, events: int) -> SimpleNamespace:
-        """Views for pieces of up to ``rows`` x ``events`` phasors, grown if too small."""
-        span, count = rows * events, (rows - 1).bit_length()
+    def take(self, rows: int, events: int, count: int) -> SimpleNamespace:
+        """Views for pieces of up to ``rows`` x ``events`` phasors and ``count``
+        step phasor powers, grown if too small."""
+        span = rows * events
         if self.real.size < 2 * span + 2 * events:
             self.real = np.empty(2 * span + 2 * events)
         if self.cplx.size < span + count * events:
@@ -325,76 +336,125 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
     return out
 
 
+def _lattice_rung(freqs: np.ndarray, step: float, top_t: float) -> int:
+    """Rung ``K = freqs[0] / step`` of a piece anchored on its step's lattice, or 0
+    for a piece off the lattice or past the gate of :data:`LATTICE_BITS`."""
+    rung = freqs[0] / step if step else 0.0
+    on_lattice = rung.is_integer() and rung * step == freqs[0]
+    if not on_lattice or (abs(int(rung)) + freqs.size - 1).bit_length() > LATTICE_BITS:
+        return 0
+    top_phase = 2.0 * np.pi * max(abs(freqs[0]), abs(freqs[-1])) * top_t
+    return int(rung) if top_phase <= 2.0 ** (26 - LATTICE_BITS) else 0
+
+
 def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int) -> np.ndarray:
     """Phasor sums along ladders, events ``t`` grouped by their trial ids ``tid``.
 
     Each block of events is reduced per trial by ``reduceat``.  Each run of
-    :func:`_ladders` is cut into pieces of at most :data:`ANCHOR` rows.  A
-    piece's first row is ``exp(-i*phi)`` at the direct phase
-    ``phi = fl(2*pi*fl(f*t))``; row ``k`` is that anchor rotated by
-    ``w**k``, ``w = exp(-i*theta)`` for the run's step.  The rotated phasor
-    is then multiplied by ``1 - i*r``, where ``r = phi_k - phi_0 - k*theta``
-    comes from the direct phases, so each phasor keeps the direct formula's
-    rounding: ``r`` is a few ulps of ``phi``, and the dropped ``r**2`` terms
-    lie far below double precision.
+    :func:`_ladders` is cut into pieces of at most :data:`ANCHOR` rows, and
+    row ``k`` of a piece is its anchor ``exp(-i*phi_b) * w**K`` rotated by
+    ``w**k``, ``w = exp(-i*theta)`` for the run's step, then multiplied by
+    ``1 - i*r`` with ``r = phi_k - phi_b - (K + k)*theta`` from the direct
+    phases ``phi = fl(2*pi*fl(f*t))``.  So each phasor keeps the direct
+    formula's rounding up to the dropped ``r**2 / 2`` and the rounding of
+    the powers of ``w``.
+
+    On the lattice, the piece's first rung is ``K`` whole steps: ``phi_b = 0``
+    and no ``exp`` runs; ``w**K`` is the product of the powers
+    ``w, w**2, w**4, ...`` at the bits of ``|K|``, conjugated for ``K < 0``.
+    Off it, ``phi_b`` is the first rung's phase and ``K = 0``.  A call over
+    bands sharing one step thus costs one ``exp`` per event in all.  Theta
+    keeps ``53 - s`` bits (a Veltkamp split), ``s`` the bits of the largest
+    ``|K| + rows - 1`` of its step's pieces, so ``(K + k)*theta`` is exact
+    and so is its difference from ``phi_k``.  Two bounds gate the lattice,
+    with ``u = 2**-53``:
+
+    * The powers: each squaring doubles the relative error it is given, so
+      ``w**(K + k)`` carries about ``(|K| + k) * u`` that no ``r`` sees
+      (measured up to 4 times that, 231 ``u`` at worst over 4000 single
+      events); ``|K| + rows - 1 < 2**LATTICE_BITS`` keeps that scale below
+      ``256*u`` (2.8e-14), four times the ``64*u`` of a direct anchor's
+      rotation.
+    * The dropped term: the split moves ``(K + k)*theta`` by up to
+      ``2**(s - 53)`` of it and the roundings of ``phi`` and ``theta`` by a
+      few ``u``, so ``|r| <= 2**(s - 52) * Phi`` for the piece's largest
+      phase ``Phi = 2*pi*max|f*t|`` (``t`` over the whole call).
+      ``Phi <= 2**(26 - LATTICE_BITS)`` keeps ``|r| <= 2**-26`` and
+      ``r**2 / 2 <= u / 2``, below the direct formula's own rounding: at 8
+      bits, ``max|f*t| <= 41.7e3``, e.g. 41 kHz over 1 s.
     """
     out = np.zeros((trials, freqs.size), dtype=np.complex128)
     carry = np.zeros_like(out)  # Kahan compensation: a long trial adds up hundreds of blocks
     runs = _ladders(freqs)
     rows = min(ANCHOR, max((stop - start for start, stop, _ in runs), default=1))
     offsets = np.arange(rows, dtype=np.float64)
-    # Veltkamp split: theta keeps 53 - bits(rows - 1) bits, so k * theta is exact
-    split = float(1 << (rows - 1).bit_length()) + 1.0
+    top_t = float(max(-t.min(), t.max())) if t.size else 0.0  # max |t| without a copy of t
+    pieces, bits = [], {}  # pieces (first, stop, step, K); bits split off theta per step
+    for start, stop, step in runs:
+        for first in range(start, stop, rows):
+            end = min(first + rows, stop)
+            rung = _lattice_rung(freqs[first: end], step, top_t)
+            pieces.append((first, end, step, rung))
+            bits[step] = max(bits.get(step, 0), max(rows - 1, abs(rung) + end - first - 1).bit_length())
     events = max(1, PHASOR_CHUNK // rows)
-    work = _WORKSPACE.take(rows, min(events, t.size))
+    work = _WORKSPACE.take(rows, min(events, t.size), max(bits.values(), default=0))
     for lo in range(0, t.size, events):
         block, owner = t[lo: lo + events], tid[lo: lo + events]
         starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
         n = block.size
-        theta, spare, k_theta = work.theta[:n], work.spare[:n], work.k_theta[:rows * n].reshape(rows, n)
+        theta, spare = work.theta[:n], work.spare[:n]
         powers = [w[:n] for w in work.powers]  # w, w**2, w**4, ... for this block's step
         rotor, ready = None, 0
-        for start, stop, step in runs:
-            if step != rotor:  # theta and k * theta for a new step
+        for first, stop, step, rung in pieces:
+            r = stop - first
+            if step != rotor:  # theta for a new step, split so that (K + k) * theta is exact
+                split = float(1 << bits[step]) + 1.0
                 np.multiply(2.0 * np.pi * step, block, out=theta)
                 # theta = theta * split - (theta * split - theta)
                 np.multiply(theta, split, out=spare)
                 np.subtract(spare, theta, out=theta)
                 np.subtract(spare, theta, out=theta)
-                np.multiply.outer(offsets, theta, out=k_theta)
                 rotor, ready = step, 0
-            while ready < (min(stop - start, rows) - 1).bit_length():
+            while ready < max((r - 1).bit_length(), abs(rung).bit_length()):
                 w = powers[ready]
                 if ready:
                     np.multiply(powers[ready - 1], powers[ready - 1], out=w)
                 else:
                     np.exp(np.multiply(-1j, theta, out=w), out=w)
                 ready += 1
-            for first in range(start, stop, rows):
-                r = min(first + rows, stop) - first
-                phase = work.phase[:r * n].reshape(r, n)
-                rot = work.rot[:r * n].reshape(r, n)
-                np.multiply.outer(freqs[first: first + r], block, out=phase)
-                phase *= 2.0 * np.pi
+            phase = work.phase[:r * n].reshape(r, n)
+            k_theta = work.k_theta[:r * n].reshape(r, n)
+            rot = work.rot[:r * n].reshape(r, n)
+            np.multiply.outer(freqs[first: stop], block, out=phase)
+            phase *= 2.0 * np.pi
+            np.multiply.outer(offsets[:r] + rung, theta, out=k_theta)
+            if rung:  # w**K from the powers at the bits of |K|
+                factors = [w for i, w in enumerate(powers) if abs(rung) >> i & 1]
+                np.copyto(rot[0], factors[0])
+                for w in factors[1:]:
+                    rot[0] *= w
+                if rung < 0:
+                    np.conjugate(rot[0], out=rot[0])
+            else:
                 np.exp(np.multiply(-1j, phase[0], out=rot[0]), out=rot[0])
-                filled = 1
-                for w in powers[:(r - 1).bit_length()]:  # w**filled
-                    m = min(filled, r - filled)  # rows [filled, filled + m) from rows [0, m)
-                    np.multiply(rot[:m], w, out=rot[filled: filled + m])
-                    filled += m
                 # phi_k - phi_0, exact (Sterbenz) while they lie within a factor of 2;
                 # row 0 last, so the other rows read it unchanged
                 np.subtract(phase[1:], phase[0], out=phase[1:])
                 np.subtract(phase[0], phase[0], out=phase[0])
-                phase -= k_theta[:r]
-                sums = np.add.reduceat(rot, starts, axis=1)
-                rot *= phase
-                sums -= 1j * np.add.reduceat(rot, starts, axis=1)
-                cell = owner[starts], slice(first, first + r)
-                addend = sums.T - carry[cell]
-                total = out[cell] + addend
-                carry[cell] = (total - out[cell]) - addend
-                out[cell] = total
+            # rows [2**b, 2**(b + 1)) are rows [0, 2**b) times w**(2**b), one row a
+            # call: broadcasting w over the rows ran ~1.5x slower on 3k-event blocks
+            for k in range(1, r):
+                b = k.bit_length() - 1
+                np.multiply(rot[k - (1 << b)], powers[b], out=rot[k])
+            phase -= k_theta
+            sums = np.add.reduceat(rot, starts, axis=1)
+            rot *= phase
+            sums -= 1j * np.add.reduceat(rot, starts, axis=1)
+            cell = owner[starts], slice(first, stop)
+            addend = sums.T - carry[cell]
+            total = out[cell] + addend
+            carry[cell] = (total - out[cell]) - addend
+            out[cell] = total
     return out
 
 

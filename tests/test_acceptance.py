@@ -7,7 +7,9 @@ tones split the detected rate, so a three-tone symbol needs roughly three
 times the budget of a lone tone before its per-band lines clear the noise
 floor.  Those tests are marked xfail rather than silently retuned, and
 each is paired with a companion at an operating point the model supports.
-Run with ``pytest tests/test_acceptance.py -v`` for one line per check.
+Run with ``pytest tests/test_acceptance.py -v`` for one line per check;
+every test here carries the ``acceptance`` marker, so ``pytest -m "not
+acceptance"`` runs the rest of the suite without them.
 """
 
 import math
@@ -44,6 +46,8 @@ from mcfc.photon_channel import (
     transmit,
 )
 from mcfc.spectral import LineStats, band_argmax, batch_amplitudes, floor_channels, line_stats, point_dft
+
+pytestmark = pytest.mark.acceptance
 
 SEED = 20260819
 

@@ -21,6 +21,7 @@ from mcfc.analysis import (
 )
 from mcfc.photon_channel import (
     LinkBudget,
+    PhotonSequence,
     SourceConfig,
     Tone,
     derive_rng,
@@ -192,6 +193,17 @@ def test_g2_flat_stream_is_one(flat_stream):
     assert curve.pair_counts.sum() > 0
 
 
+def test_g2_of_a_finite_capture_is_one_at_long_lags():
+    # on a 1 s window, a pair fits at lag tau with odds (1 - tau), so a count
+    # normalised as on an endless line would read 1 - tau: 0.75 to 0.875 here
+    seq = PhotonSequence.from_seconds(np.sort(derive_rng(75).uniform(0.0, 1.0, 10_000)), 1.0)
+    curve = g2(seq, 0.25, 2e-4)
+    long = curve.lags > 0.125
+    expected = curve.pair_counts[long] / curve.values[long]
+    assert expected.min() > 1e4
+    # each bin within 8 binomial spreads: ~6 of its own noise, ~2 for a swing all bins share
+    assert np.all(np.abs(curve.values[long] - 1.0) <= 8.0 / np.sqrt(expected))
+
 def test_g2_modulated_stream_cosine(tone_stream):
     curve = g2(tone_stream, 1e-4, 2e-6)
     theory = 1.0 + 0.5 * np.cos(2 * np.pi * 50e3 * curve.lags)
@@ -212,7 +224,6 @@ def test_g2_validation():
     seq = transmit(SourceConfig(1e4, 1e-3, ()), LinkBudget(), derive_rng(72))
     with pytest.raises(ValueError):
         g2(seq, 1e-6, 1e-5)  # max_lag below bin width
-    from mcfc.photon_channel import PhotonSequence
     sparse = PhotonSequence.from_seconds([0.1, 0.9], 1.0)
     with pytest.raises(InsufficientDataError):
         g2(sparse, 1e-4, 2e-6)

@@ -16,6 +16,7 @@ from mcfc.analysis import (
     binary_entropy,
     capacity,
     channel_error_rate,
+    expected_mandel_q,
     g2,
     mandel_q,
     modulator_transfer,
@@ -76,12 +77,16 @@ ROWS = [
     (lambda v: capacity(1e6, 1e3, v, 2), "window", 0.0, INF, "()"),
     (lambda v: capacity(1e6, 1e3, 1e-3, 2, v), "symbol_error", 0.0, 1.0, "[]"),
     (lambda v: g2(SEQ, 1e-4, v), "bin_width", 0.0, INF, "()"),
-    (lambda v: g2(SEQ, v, 5e-6), "max_lag", 5e-6, INF, "[)"),
+    (lambda v: g2(SEQ, v, 5e-6), "max_lag", 5e-6, 1e-2, "[]"),  # no pair lies past the window
     (lambda v: mandel_q(SEQ, v), "window", 0.0, INF, "()"),
     (lambda v: modulator_transfer(v, 1.0), "theta", -INF, INF, "()"),
     (lambda v: modulator_transfer(0.0, v), "mean_photons", 0.0, INF, "[)"),
     (lambda v: noise_floor_boundary(v, 10), "count", 0.0, INF, "()"),
     (lambda v: noise_floor_boundary(100.0, 10, v), "miss_prob", 0.0, 1.0, "()"),
+    (lambda v: expected_mandel_q(v, 1.0, 1e3, 1e-3), "rate", 0.0, INF, "[)"),
+    (lambda v: expected_mandel_q(1e4, v, 1e3, 1e-3), "depth", 0.0, 1.0, "[]"),
+    (lambda v: expected_mandel_q(1e4, 1.0, v, 1e-3), "frequency", 0.0, INF, "()"),
+    (lambda v: expected_mandel_q(1e4, 1.0, 1e3, v), "window", 0.0, INF, "()"),
 ]
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import fft, integrate
 
 from mcfc import cli, spectral
-from mcfc.codec import Symbol
+from mcfc.codec import Symbol, decode
+from mcfc.harness import SweepSpec, run_error_vs_components
 from mcfc.photon_channel import (
     PhotonSequence,
     SourceConfig,
@@ -292,6 +293,116 @@ def test_many_event_blocks_add_up_like_one_sum():
         values = phasor_sums(seq.seconds, ladder)[0]
     for f, value in zip(ladder, values):
         assert abs(value - _direct_sum(seq.seconds, f)) <= 1e-12
+
+
+# -----------------------------------------------------------------
+# lattice anchors: w**K in place of an exp per band
+# -----------------------------------------------------------------
+
+class _ExpCounter:
+    """numpy as ``spectral`` sees it, counting the complex elements passed through ``exp``."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            self.elements += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+def _exp_per_call(run):
+    """Run ``run()``; return its result and, per ``phasor_sums`` call in it, the
+    events and the complex ``exp`` elements of that call."""
+    counter, calls, kernel = _ExpCounter(), [], spectral.phasor_sums
+
+    def counted(times, *args, **kwargs):
+        before = counter.elements
+        values = kernel(times, *args, **kwargs)
+        calls.append((np.size(times), counter.elements - before))
+        return values
+
+    with mock.patch.object(spectral, "np", counter), mock.patch.object(spectral, "phasor_sums", counted):
+        result = run()
+    return result, calls
+
+
+def test_one_exp_per_event_for_a_whole_channel_plan(rgb_plan):
+    tones = tuple(Tone(f) for f in rgb_plan.frequencies_for(Symbol.gray(4, 5, 10)))
+    window = sample_modulated(SourceConfig(1.44e6, 1e-3, tones), derive_rng(80))
+    symbol, calls = _exp_per_call(lambda: decode(window, rgb_plan))
+    assert symbol == Symbol.gray(4, 5, 10)
+    assert calls == [(len(window), len(window))]
+    # mc-sweep's bands, k = 1 and k = 3 (one and three 11-channel bands at 1 kHz)
+    spec = SweepSpec(grid=(1.44e6,), trials=40, seed=81, components=(1, 3))
+    points, calls = _exp_per_call(lambda: run_error_vs_components(spec))
+    assert [p.components for p in points] == [1, 3] and len(calls) == 2
+    assert all(events > 40_000 and exps == events for events, exps in calls)
+
+
+#: Worst gap from the direct sum per event that a lattice piece may leave:
+#: ``4 * 2**-53`` for each of the ``2**LATTICE_BITS`` rungs the gate admits
+#: (1.1e-13; single events measured up to 231 * 2**-53).
+_LATTICE_TOL = 4 * 2.0 ** spectral.LATTICE_BITS * np.finfo(np.float64).eps / 2
+
+
+@st.composite
+def _lattice_bands(draw):
+    """Bands of 2-64 rungs on the lattice of one step, ascending or descending,
+    disjoint and apart, every rung and ``|K| + rows - 1`` below ``2**LATTICE_BITS``;
+    the largest event time keeps the phases inside the gate."""
+    step = 0.25 * draw(st.integers(1, 4000))  # K * step is exact
+    cursor, bands = draw(st.integers(1, 40)), []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(2, spectral.ANCHOR))
+        if cursor + 2 * rows - 2 >= 2 ** spectral.LATTICE_BITS:
+            break
+        rungs = cursor + np.arange(rows)
+        bands.append(rungs[::-1] if draw(st.booleans()) else rungs)
+        cursor += rows + draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        bands.reverse()
+    freqs = step * np.concatenate(bands)
+    top_t = draw(st.floats(1e-4, 1.0)) * min(1.0, 4.1e4 / np.abs(freqs).max())
+    flips = sum((a[1] - a[0]) != (b[1] - b[0]) for a, b in zip(bands, bands[1:]))
+    return freqs, top_t, 1 + flips
+
+
+@settings(deadline=None, max_examples=60)
+@given(_lattice_bands(), st.integers(1, 3), st.integers(1, 200), st.data())
+def test_lattice_pieces_match_direct_fsum(bands, trials, n, data):
+    freqs, top_t, steps = bands
+    times = np.array(data.draw(st.lists(st.floats(0.0, top_t), min_size=n, max_size=n)))
+    ids = np.array(data.draw(st.lists(st.integers(0, trials - 1), min_size=n, max_size=n)))
+    got, calls = _exp_per_call(lambda: spectral.phasor_sums(times, freqs, ids, trials))
+    assert calls == [(n, n * steps)]  # one exp per event for each step, none per band
+    for k in range(trials):
+        t = times[ids == k]
+        for j, f in enumerate(freqs):
+            assert abs(got[k, j] - _direct_sum(t, f)) <= _LATTICE_TOL * max(t.size, 1)
+
+
+def test_pieces_off_the_lattice_or_past_its_gate_keep_the_direct_anchor():
+    rng = derive_rng(82)
+    window = np.sort(rng.uniform(0.0, 1e-3, 2000))
+    long_capture = np.sort(rng.uniform(0.0, 2.0, 2000))
+    first = rng.uniform(0.0, 0.9, 1000)  # the planted quiet point of the NUFFT test
+    quiet = np.sort(np.concatenate([first, first + 5001 / 1e5, np.arange(1, 3) / 5e4]))
+    rungs = np.arange(11)
+    cases = [
+        (window, 200e3 + 0.5 + 1e3 * rungs),  # off the lattice
+        (window, 300e3 + 1e3 * rungs),  # |K| + rows - 1 past 2**LATTICE_BITS
+        (long_capture, 30e3 + 1e3 * rungs),  # max |f * t| ~ 8e4, past the phase gate
+        (quiet, 49_850.0 + 1.0 * np.arange(201)),  # points too quiet for the NUFFT, K ~ 5e4
+    ]
+    got = [phasor_sums(t, freqs) for t, freqs in cases]
+    on_lattice = phasor_sums(window, 25e3 + 1e3 * rungs)
+    with mock.patch.object(spectral, "LATTICE_BITS", 0):  # no piece passes the gate
+        assert all(np.array_equal(v, phasor_sums(t, freqs)) for v, (t, freqs) in zip(got, cases))
+        assert not np.array_equal(on_lattice, phasor_sums(window, 25e3 + 1e3 * rungs))
 
 
 def test_ladder_runs_follow_the_channel_grids(rgb_plan):
