@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import effective_channels, optimal_channels
 from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, UNIT, PhotonSequence, check_range, interval
 from .spectral import LineStats, grid_points
 
@@ -132,8 +133,6 @@ def capacity(
     """
     check_range(POSITIVE, window=window)
     check_range(UNIT, symbol_error=symbol_error)
-    from .codec import effective_channels, optimal_channels  # local import avoids a cycle
-
     m_opt = optimal_channels(bandwidth, spacing)
     m_max = effective_channels(m_opt, components)
     raw = math.log2(m_max) / window
@@ -152,6 +151,11 @@ def capacity(
 # ---------------------------------------------------------------------------
 # photon-statistics diagnostics
 # ---------------------------------------------------------------------------
+
+#: Most pairs :func:`g2` counts, at the homogeneous stream's expectation:
+#: ~15 ns a pair on a 2-vCPU Xeon, so a refused call would have taken ~15 s.
+_G2_MAX_PAIRS = 1e9
+
 
 @dataclass(frozen=True)
 class G2Curve:
@@ -174,6 +178,10 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     density is linear, so its value at the centre is exact over the bin.
     The last bin expects only its part below ``max_lag``, the lags it
     counts; ``max_lag`` may not exceed the window, past which no pair lies.
+    Counting takes one pass over the events per offset, about one step per
+    pair counted, so a ``max_lag`` below which a homogeneous stream would
+    hold more than 1e9 pairs, ``count * (count - 1) / 2 * (2*L/T - (L/T)**2)``
+    for ``L = max_lag`` and ``T`` the window, is refused before counting.
     A homogeneous stream gives 1 at all lags; a depth-m tone at frequency f
     gives 1 + (m**2 / 2) * cos(2*pi*f*tau).
     """
@@ -183,6 +191,11 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     check_range(interval(bin_width, seq.window, "[]"), max_lag=max_lag)  # after the cap and its remedy
     t = seq.seconds
     n = t.size
+    window = seq.window
+    pairs = n * (n - 1) / 2 * (max_lag / window) * (2.0 - max_lag / window)
+    if pairs > _G2_MAX_PAIRS:
+        raise ValueError(f"max_lag {max_lag:g} s would count ~{pairs:.2g} pairs of {n} events, "
+                         f"past the {_G2_MAX_PAIRS:.0e}-pair bound; shorten max_lag")
     edges = bin_width * np.arange(n_bins + 1)
     hist = np.zeros(n_bins, dtype=np.int64)
 
@@ -200,7 +213,6 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     if not hist.any():
         raise InsufficientDataError("no photon pairs within max_lag; need more events")
     lows, tops = edges[:-1], np.minimum(edges[1:], max_lag)
-    window = seq.window
     expected_per_bin = n * (n - 1) * (tops - lows) / window * (1.0 - 0.5 * (lows + tops) / window)
     return G2Curve(lags=lows + 0.5 * bin_width, values=hist / expected_per_bin, pair_counts=hist)
 

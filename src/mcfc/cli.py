@@ -34,11 +34,9 @@ import typing
 import numpy as np
 
 from . import __version__
-from .analysis import InsufficientDataError, capacity, g2, mandel_q
+from .analysis import capacity, g2, mandel_q
 from .codec import (
-    DecodeError,
     FrequencyPlan,
-    UnknownSymbolError,
     decode,
     encode_text,
     letter_plan,
@@ -64,7 +62,6 @@ from .harness import (
 from .photon_channel import (
     LinkBudget,
     SourceConfig,
-    StreamFormatError,
     Tone,
     derive_rng,
     read_pts1,
@@ -334,7 +331,11 @@ def _cmd_stats(args) -> int:
     if args.g2_max_lag is not None:
         if args.g2_bin is None:
             raise _UsageError("--g2-max-lag requires --g2-bin")
-        curve = g2(seq, args.g2_max_lag, args.g2_bin)
+        try:
+            curve = g2(seq, args.g2_max_lag, args.g2_bin)
+        except ValueError as exc:  # g2 names max_lag and bin_width; say which flags they are
+            flags = f"--g2-max-lag {args.g2_max_lag:g}, --g2-bin {args.g2_bin:g}"
+            raise ValueError(f"{flags}: {exc}") from None
         print(f"g2: {curve.lags.size} bins, min {curve.values.min():.4f}, "
               f"max {curve.values.max():.4f}, mean {curve.values.mean():.4f}")
         if args.out:
@@ -433,9 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StreamFormatError, DecodeError, UnknownSymbolError, InsufficientDataError,
-            FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

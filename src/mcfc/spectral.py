@@ -43,9 +43,10 @@ A dense scan of one sequence (one trial, a run of more than
 :data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
 FFT (Dutt & Rokhlin 1993; the exponential-of-semicircle kernel of
 Barnett, Magland & af Klinteberg 2019): one ``exp`` per event to rotate it
-by the run's centre frequency, a spread of each event onto a periodic grid,
-one FFT, and a division by the kernel's transform.  Its cost per event does
-not grow with the run's length.  The NUFFT approximates the exact sum to
+by the run's centre frequency, a spread of each event onto a periodic grid
+(the least power of two at least twice the run's length), one FFT, and a
+division by the kernel's transform.  Its cost per event does not grow with
+the run's length.  The NUFFT approximates the exact sum to
 ``eps * N`` for ``N`` events, but the direct formula rounds each event's
 phase by up to an ulp, so the two differ by a random walk of those ulps,
 ``W = sqrt(sum(u_i**2)) <= u*sqrt(N)`` (``u`` the ulp of the largest
@@ -121,8 +122,7 @@ class Spectrum:
 class LineStats:
     """Amplitude moments at a line and its local noise floor, the error model's input.
 
-    ``trials`` counts the Monte Carlo trials the moments came from and
-    ``channels`` the band's size; either may be left out.
+    ``trials`` counts the Monte Carlo trials the moments came from; it may be left out.
     """
 
     line_mean: float
@@ -130,12 +130,9 @@ class LineStats:
     floor_mean: float
     floor_std: float
     trials: int | None = None
-    channels: int | None = None
 
     def __post_init__(self) -> None:
         check_range(POSITIVE, line_std=self.line_std, floor_std=self.floor_std)
-        if self.channels is not None and self.channels < 1:
-            raise ValueError("channels must be >= 1")
 
     @classmethod
     def from_amplitudes(cls, line: np.ndarray, floor: np.ndarray) -> "LineStats":
@@ -200,8 +197,9 @@ NUFFT_MIN_RUNGS = 64
 NUFFT_RTOL = 1e-9
 
 #: Exponential-of-semicircle kernel ``exp(beta*(sqrt(1 - z*z) - 1))`` on
-#: ``|z| <= 1``, spanning this many cells of a grid oversampled twice, with
-#: ``beta = 2.3 * width`` (Barnett, Magland & af Klinteberg 2019).
+#: ``|z| <= 1``, spanning this many cells of a grid oversampled 2 to 4 times,
+#: with ``beta = 2.3 * width`` (Barnett, Magland & af Klinteberg 2019), tuned
+#: for 2; more oversampling only makes it more accurate.
 _ES_WIDTH = 16
 _ES_BETA = 2.3 * _ES_WIDTH
 
@@ -458,29 +456,6 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
     return out
 
 
-def _fast_len(target: int) -> int:
-    """Smallest ``2**a * 3**b * 5**c * 7**d * 11**e >= target``: the length
-    ``scipy.fft.next_fast_len`` gives a complex transform."""
-    below = target - 1
-    best = 1 << below.bit_length()
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:  # p3 times the least power of two that reaches the target
-                    n = p3 << (below // p3).bit_length()
-                    if n < best:
-                        best = n
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
-
-
 def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phasor sums of one sequence along one arithmetic run by type-1 NUFFT.
 
@@ -492,11 +467,12 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``k = j - h``, centre ``fc = freqs[h]`` and the step ``s`` fitted to the
     run's ends.  Each event is rotated by ``fc`` at the direct phase (one
     ``exp`` per event), so the sum at point ``j`` is mode ``k`` of the
-    rotated phasors ``c`` at ``x = (s*t) mod 1``: spread onto a periodic grid
-    of twice the run's length by the ES kernel, one FFT, and divided by the
-    kernel's transform.  The same transform of ``t*c`` is the derivative in
-    frequency, which moves each mode by ``d_k`` onto its point and by
-    ``_PI_ROUNDING * k * s`` onto the direct formula's ``fl(2*pi)``.
+    rotated phasors ``c`` at ``x = (s*t) mod 1``: spread by the ES kernel onto
+    a periodic grid, the least power of two at least twice the run's length,
+    one FFT, and divided by the kernel's transform.  The same transform of
+    ``t*c`` is the derivative in frequency, which moves each mode by ``d_k``
+    onto its point and by ``_PI_ROUNDING * k * s`` onto the direct formula's
+    ``fl(2*pi)``.
 
     The bound is ``b = (N*(eps + (2*pi*D*T)**2 / 2) + 3*W) / NUFFT_RTOL`` for
     ``N`` events, the NUFFT error ``eps`` (:data:`_NUFFT_EPS`), the largest
@@ -519,7 +495,7 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     s_hi = s * split - (s * split - s)
     shift = ((diff - k * s_hi) - k * (s - s_hi)) + lost + _PI_ROUNDING * k * s
 
-    n = _fast_len(2 * max(m, _ES_WIDTH))
+    n = 1 << (2 * max(m, _ES_WIDTH) - 1).bit_length()  # the least power of two >= 2*max(m, W)
     grid = np.zeros((4, n + _ES_WIDTH))  # cells past n wrap around to the start
     offsets = np.arange(_ES_WIDTH)
     top_f = max(abs(freqs[0]), abs(freqs[-1]))

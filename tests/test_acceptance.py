@@ -350,7 +350,6 @@ def test_criterion_11_invariant_spot_checks(rgb_plan, letters):
             line_std=rng.uniform(2, 8),
             floor_mean=rng.uniform(5, 15),
             floor_std=rng.uniform(2, 6),
-            channels=11,
         )
         assert abs(misdecode_prob(model) - misdecode_prob_quadrature(model)) <= 1e-10
 

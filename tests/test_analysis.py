@@ -1,10 +1,12 @@
 """Error model, capacity accounting, and photon-statistics diagnostics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mcfc import analysis
 from mcfc.analysis import (
     CapacityReport,
     InsufficientDataError,
@@ -37,14 +39,12 @@ from mcfc.spectral import LineStats, batch_amplitudes
 
 def test_error_model_input_validation():
     with pytest.raises(ValueError):
-        LineStats(10.0, 0.0, 5.0, 1.0, channels=11)
+        LineStats(10.0, 0.0, 5.0, 1.0)
     with pytest.raises(ValueError):
-        LineStats(10.0, 1.0, 5.0, -1.0, channels=11)
-    with pytest.raises(ValueError):
-        LineStats(10.0, 1.0, 5.0, 1.0, channels=0)
+        LineStats(10.0, 1.0, 5.0, -1.0)
     stats = LineStats(40.0, 6.3, 7.9, 4.1, 500)
-    assert (stats.line_mean, stats.floor_std, stats.trials, stats.channels) == (40.0, 4.1, 500, None)
-    model = LineStats(40.0, 6.3, 7.9, 4.1, channels=11)
+    assert (stats.line_mean, stats.floor_std, stats.trials) == (40.0, 4.1, 500)
+    model = LineStats(40.0, 6.3, 7.9, 4.1)
     assert misdecode_prob(model) == misdecode_prob(stats)
 
 
@@ -57,23 +57,22 @@ def test_closed_form_agrees_with_quadrature():
             line_std=rng.uniform(0.5, 10.0),
             floor_mean=rng.uniform(1.0, 60.0),
             floor_std=rng.uniform(0.5, 10.0),
-            channels=int(rng.integers(1, 30)),
         )
         worst = max(worst, abs(misdecode_prob(model) - misdecode_prob_quadrature(model)))
     assert worst < 1e-10
 
 
 def test_misdecode_limits_and_monotonicity():
-    equal = LineStats(10.0, 2.0, 10.0, 2.0, channels=2)
+    equal = LineStats(10.0, 2.0, 10.0, 2.0)
     assert misdecode_prob(equal) == pytest.approx(0.5, abs=1e-12)
 
-    far = LineStats(100.0, 3.0, 10.0, 3.0, channels=2)
+    far = LineStats(100.0, 3.0, 10.0, 3.0)
     assert misdecode_prob(far) < 1e-23
 
-    base = LineStats(40.0, 6.0, 8.0, 4.0, channels=11)
-    higher_floor = LineStats(40.0, 6.0, 12.0, 4.0, channels=11)
-    stronger_line = LineStats(50.0, 6.0, 8.0, 4.0, channels=11)
-    noisier = LineStats(40.0, 9.0, 8.0, 4.0, channels=11)
+    base = LineStats(40.0, 6.0, 8.0, 4.0)
+    higher_floor = LineStats(40.0, 6.0, 12.0, 4.0)
+    stronger_line = LineStats(50.0, 6.0, 8.0, 4.0)
+    noisier = LineStats(40.0, 9.0, 8.0, 4.0)
     assert misdecode_prob(higher_floor) > misdecode_prob(base)
     assert misdecode_prob(stronger_line) < misdecode_prob(base)
     assert misdecode_prob(noisier) > misdecode_prob(base)
@@ -227,6 +226,14 @@ def test_g2_validation():
     sparse = PhotonSequence.from_seconds([0.1, 0.9], 1.0)
     with pytest.raises(InsufficientDataError):
         g2(sparse, 1e-4, 2e-6)
+    # 10k events on 1 s hold ~5e7 pairs; under a bound of 1e6, lags up to
+    # 1 - sqrt(1 - 0.02) = 0.01005 s pass
+    dense = PhotonSequence.from_seconds(np.sort(derive_rng(76).uniform(0.0, 1.0, 10_000)), 1.0)
+    with mock.patch.object(analysis, "_G2_MAX_PAIRS", 1e6):
+        assert g2(dense, 0.01, 1e-3).pair_counts.sum() == pytest.approx(1e6, rel=0.01)
+        with pytest.raises(ValueError, match=r"^max_lag 0.0101 s would count ~1e\+06 pairs of 10000 "
+                                             r"events, past the 1e\+06-pair bound; shorten max_lag$"):
+            g2(dense, 0.0101, 1e-3)
 
 
 def test_mandel_q_flat_stream(flat_stream):

@@ -116,6 +116,18 @@ def test_stats_reports_diagnostics(tmp_path, capsys):
     assert "events:" in text and "mandel_q" in text and "g2:" in text
 
 
+def test_stats_refuses_a_g2_lag_past_the_pair_bound(tmp_path, capsys):
+    # ~60k events over 1 s hold ~1.8e9 pairs within a 1 s lag: ~30 s of counting
+    src = tmp_path / "s.pts1"
+    run(["generate", "--rate", 60e3, "--duration", 1, "--seed", 8, "--out", src])
+    capsys.readouterr()
+    out = tmp_path / "g2.csv"
+    assert run(["stats", "--in", src, "--g2-max-lag", 1, "--g2-bin", 1e-3, "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "--g2-max-lag 1" in err and "pair bound; shorten max_lag" in err, err
+    assert not out.exists()
+
+
 def test_stats_g2_csv(tmp_path):
     src = tmp_path / "s.pts1"
     run(["generate", "--rate", 100e3, "--duration", 0.5, "--seed", 8, "--out", src])
@@ -389,6 +401,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert run(["decode", "--plan", "letters", bad]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "offset 0" in err
+    empty = tmp_path / "empty.pts1"
+    write_pts1(empty, PhotonSequence.from_seconds([], 1e-3))
+    assert run(["decode", "--plan", "letters", empty]) == EXIT_DATA
+    assert "no events to decode" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sweep": "error-vs-noise",')
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "out"]) == EXIT_DATA
+    assert "line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_insufficient_data_exits_2(tmp_path, capsys):

@@ -127,8 +127,7 @@ def test_analytic_rate_keeps_its_tail_below_double_epsilon():
     # at 640 kcps a lone tone's band rate is ~1e-42; 1 - (1 - r) would give 0
     spec = SweepSpec(grid=(640e3,), trials=400, seed=13)
     (point,) = run_error_vs_components(spec)
-    model = LineStats(point.line_mean, point.line_std, point.floor_mean,
-                      point.floor_std, channels=spec.channels_per_band)
+    model = LineStats(point.line_mean, point.line_std, point.floor_mean, point.floor_std)
     band_rate = channel_error_rate(misdecode_prob(model), spec.channels_per_band)
     assert 0.0 < point.analytic_rate < 1e-16
     assert point.analytic_rate == pytest.approx(band_rate, rel=1e-12)

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import fft, integrate
+from scipy import integrate
 
 from mcfc import cli, spectral
 from mcfc.codec import Symbol, decode
@@ -216,12 +216,6 @@ def _run_through_nufft(times, freqs):
     return got
 
 
-def test_fast_len_is_scipys_complex_fft_length():
-    # the NUFFT grid length, so numpy's FFT runs on the grid scipy's would
-    for target in [*range(1, 100_001), *range(3_999_990, 4_000_011)]:
-        assert spectral._fast_len(target) == fft.next_fast_len(target), target
-
-
 @pytest.mark.parametrize("times, freqs", [
     pytest.param(np.empty(0), 49_900.0 + 1.0 * np.arange(201), id="empty"),
     pytest.param(np.array([0.3]), 49_900.0 + 1.0 * np.arange(201), id="one-event"),
@@ -245,13 +239,18 @@ def test_nufft_runs_match_direct_fsum(times, freqs):
 def test_nufft_moves_each_mode_onto_its_exact_frequency():
     # 0.0037 Hz steps round, so the points sit ~1 ulp (7e-12 Hz) off the run's
     # line; over a 100 s capture that drifts the line's phasors by ~4e-9 rad,
-    # which the derivative transform must take out to keep 1e-9 relative
-    grid = 49_999.8 + 0.0037 * np.arange(121)
-    seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[100]),)), derive_rng(67))
-    values = _run_through_nufft(seq.seconds, grid)
-    for f, value in zip(grid, values):
-        ref = _direct_sum(seq.seconds, f)
-        assert abs(value - ref) <= 1e-9 * abs(ref)
+    # which the derivative transform must take out to keep 1e-9 relative.  All
+    # three runs take a 256-cell grid: 121 rungs, 65 (the shortest run on the
+    # NUFFT, oversampled 3.9 times) and 128 (oversampled exactly twice)
+    for rungs, line in [(121, 100), (65, 50), (128, 100)]:
+        grid = 49_999.8 + 0.0037 * np.arange(rungs)
+        seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[line]),)), derive_rng(67))
+        with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+            values = _run_through_nufft(seq.seconds, grid)
+        assert fft.call_args.args[0].shape == (2, 256)
+        for f, value in zip(grid, values):
+            ref = _direct_sum(seq.seconds, f)
+            assert abs(value - ref) <= 1e-9 * abs(ref), (rungs, f)
 
 
 def test_nufft_recomputes_a_planted_quiet_point():
