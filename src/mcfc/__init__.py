@@ -34,7 +34,6 @@ from .spectral import (
     batch_amplitudes,
     expected_line,
     floor_channels,
-    line_stats,
     periodogram,
     phasor_sums,
     point_dft,
@@ -78,6 +77,7 @@ from .harness import (
     ImageReport,
     SweepPoint,
     SweepSpec,
+    band_model,
     run_amplitude_nonlinearity,
     run_error_vs_components,
     run_error_vs_integration_time,

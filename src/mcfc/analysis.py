@@ -6,7 +6,8 @@ probability that one floor channel beats the line then has the closed form
 
     p = Phi(-(line_mean - floor_mean) / sqrt(line_std**2 + floor_std**2))
 
-and a band of M channels misdecodes with probability 1 - (1 - p)**M.
+and a band misdecodes with probability 1 - (1 - p)**M, where M counts the
+line's competitors: the band's width - 1 other channels.
 Both the closed form and a literal numeric quadrature of the underlying
 double Gaussian integral are provided; they agree to machine precision
 and the closed form is the reference for rates below Monte-Carlo reach.
@@ -82,12 +83,16 @@ def misdecode_prob_quadrature(model: LineStats) -> float:
 
 
 def channel_error_rate(p: float, channels: int) -> float:
-    """Band misdecode probability 1 - (1-p)**M in a numerically stable form."""
+    """Band misdecode probability 1 - (1-p)**M in a numerically stable form.
+
+    ``channels`` is M, the count of the line's competitors: the band's
+    width - 1.  One competitor gives ``p`` itself.
+    """
     check_range(UNIT, p=p)
     if channels < 1:
         raise ValueError("channels must be >= 1")
-    if p == 1.0:
-        return 1.0
+    if p == 1.0 or channels == 1:
+        return p
     return -math.expm1(channels * math.log1p(-p))
 
 
@@ -152,9 +157,10 @@ def capacity(
 # photon-statistics diagnostics
 # ---------------------------------------------------------------------------
 
-#: Most pairs :func:`g2` counts, at the homogeneous stream's expectation:
-#: ~15 ns a pair on a 2-vCPU Xeon, so a refused call would have taken ~15 s.
-_G2_MAX_PAIRS = 1e9
+#: Most steps :func:`g2` takes, events times its bound on passes over them:
+#: 3-6 ns a step on a 2-vCPU Xeon (the more pairs, the dearer), so a refused
+#: call would have taken 3 s or more.
+_G2_MAX_STEPS = 1e9
 
 
 @dataclass(frozen=True)
@@ -178,10 +184,12 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     density is linear, so its value at the centre is exact over the bin.
     The last bin expects only its part below ``max_lag``, the lags it
     counts; ``max_lag`` may not exceed the window, past which no pair lies.
-    Counting takes one pass over the events per offset, about one step per
-    pair counted, so a ``max_lag`` below which a homogeneous stream would
-    hold more than 1e9 pairs, ``count * (count - 1) / 2 * (2*L/T - (L/T)**2)``
-    for ``L = max_lag`` and ``T`` the window, is refused before counting.
+    Counting takes one pass over the events per offset, until no pair at
+    that offset lies within ``max_lag``.  Events within ``max_lag`` of each
+    other share two adjacent ``max_lag``-wide cells, so the passes are at
+    most the events in the fullest two such cells; a ``max_lag`` under which
+    the events times that bound exceed 1e9 is refused before counting,
+    however the events bunch.
     A homogeneous stream gives 1 at all lags; a depth-m tone at frequency f
     gives 1 + (m**2 / 2) * cos(2*pi*f*tau).
     """
@@ -192,10 +200,12 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     t = seq.seconds
     n = t.size
     window = seq.window
-    pairs = n * (n - 1) / 2 * (max_lag / window) * (2.0 - max_lag / window)
-    if pairs > _G2_MAX_PAIRS:
-        raise ValueError(f"max_lag {max_lag:g} s would count ~{pairs:.2g} pairs of {n} events, "
-                         f"past the {_G2_MAX_PAIRS:.0e}-pair bound; shorten max_lag")
+    cells, counts = np.unique(np.floor(t / max_lag), return_counts=True)
+    adjacent = counts[:-1] + counts[1:] * (np.diff(cells) == 1)
+    passes = int(max(counts.max(initial=0), adjacent.max(initial=0)))
+    if n * passes > _G2_MAX_STEPS:
+        raise ValueError(f"max_lag {max_lag:g} s would take up to {passes} passes over {n} events, "
+                         f"past the {_G2_MAX_STEPS:.0e}-step bound; shorten max_lag")
     edges = bin_width * np.arange(n_bins + 1)
     hist = np.zeros(n_bins, dtype=np.int64)
 

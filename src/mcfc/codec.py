@@ -38,6 +38,9 @@ FAILED_PIXEL = (255, 0, 255)
 #: Number of quantization levels per color component in the image plan.
 IMAGE_LEVELS = 11
 
+#: Channel spacing of the stock plans, in Hz.
+STOCK_SPACING = 1000.0
+
 _KINDS = ("gray-level", "character", "raw-index")
 
 
@@ -210,7 +213,7 @@ class FrequencyPlan:
 # stock plans
 # ---------------------------------------------------------------------------
 
-def rgb_image_plan(spacing: float = 1000.0) -> FrequencyPlan:
+def rgb_image_plan() -> FrequencyPlan:
     """Three 11-channel bands for image pixels, one band per color component.
 
     Level 0 of each component sits near the top of its band and deeper
@@ -218,7 +221,7 @@ def rgb_image_plan(spacing: float = 1000.0) -> FrequencyPlan:
     (red, green, blue) level triple.
     """
     def ladder(top: float) -> tuple[float, ...]:
-        return tuple(top - i * spacing for i in range(IMAGE_LEVELS))
+        return tuple(top - i * STOCK_SPACING for i in range(IMAGE_LEVELS))
 
     bands = (
         NamedBand("red", 60_000.0, 80_000.0, ladder(75_000.0)),
@@ -229,34 +232,31 @@ def rgb_image_plan(spacing: float = 1000.0) -> FrequencyPlan:
         Symbol.gray(r, g, b): (bands[0].channels[r], bands[1].channels[g], bands[2].channels[b])
         for r, g, b in itertools.product(range(IMAGE_LEVELS), repeat=3)
     }
-    return FrequencyPlan("rgb-image", spacing, bands, symbol_map)
+    return FrequencyPlan("rgb-image", STOCK_SPACING, bands, symbol_map)
 
 
-def letter_plan(spacing: float = 1000.0) -> FrequencyPlan:
+def letter_plan() -> FrequencyPlan:
     """One 26-channel band mapping A..Z onto an ascending frequency ladder."""
-    channels = tuple(50_000.0 + i * spacing for i in range(26))
+    channels = tuple(50_000.0 + i * STOCK_SPACING for i in range(26))
     band = NamedBand("letters", 50_000.0, 75_000.0, channels)
     symbol_map = {
         Symbol.character(chr(ord("A") + i)): (channels[i],) for i in range(26)
     }
-    return FrequencyPlan("letters", spacing, (band,), symbol_map)
+    return FrequencyPlan("letters", STOCK_SPACING, (band,), symbol_map)
 
 
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
 
-def encode(symbols: Iterable[Symbol], plan: FrequencyPlan, depth: float = 1.0) -> list[tuple[Tone, ...]]:
+def encode(symbols: Iterable[Symbol], plan: FrequencyPlan) -> list[tuple[Tone, ...]]:
     """Map symbols to tone sets (full depth, zero phase), one set per window."""
-    return [
-        tuple(Tone(f, 0.0, depth) for f in plan.frequencies_for(sym))
-        for sym in symbols
-    ]
+    return [tuple(Tone(f) for f in plan.frequencies_for(sym)) for sym in symbols]
 
 
-def encode_text(plan: FrequencyPlan, text: str, depth: float = 1.0) -> list[tuple[Tone, ...]]:
+def encode_text(plan: FrequencyPlan, text: str) -> list[tuple[Tone, ...]]:
     """Shortcut for character alphabets."""
-    return encode((Symbol.character(ch) for ch in text), plan, depth)
+    return encode((Symbol.character(ch) for ch in text), plan)
 
 
 def decode(seq: PhotonSequence, plan: FrequencyPlan) -> Symbol:
@@ -300,9 +300,9 @@ def image_to_symbols(pixels: np.ndarray) -> list[Symbol]:
     return [Symbol.gray(*row) for row in levels.tolist()]
 
 
-def encode_image(pixels: np.ndarray, plan: FrequencyPlan, depth: float = 1.0) -> list[tuple[Tone, ...]]:
+def encode_image(pixels: np.ndarray, plan: FrequencyPlan) -> list[tuple[Tone, ...]]:
     """Quantize and encode an image, one three-tone set per pixel."""
-    return encode(image_to_symbols(pixels), plan, depth)
+    return encode(image_to_symbols(pixels), plan)
 
 
 def symbols_to_image(symbols: Sequence[Symbol | None], shape: tuple[int, int]) -> np.ndarray:

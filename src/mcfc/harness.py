@@ -3,9 +3,10 @@
 Each sweep fixes an operating point, varies one parameter over a grid, and
 reports per grid point both the empirical decode error (with a Wilson 95%
 interval) and the analytic prediction obtained by feeding measured
-line/floor moments through the Gaussian error model.  Points whose
-empirical error count is zero are flagged analytic-only: the harness never
-turns an absence of observed errors into a rate claim.
+line/floor moments through the Gaussian error model; :func:`band_model`
+is the one line/floor measurement, a band's moments and its error rate.
+Points whose empirical error count is zero are flagged analytic-only: the
+harness never turns an absence of observed errors into a rate claim.
 
 Reproducibility: every grid point draws from an independent substream
 derived from (seed, sweep label, point index[, component count]), so
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -147,6 +147,25 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
 # shared measurement core
 # ---------------------------------------------------------------------------
 
+def band_model(amplitudes: np.ndarray, line: int) -> tuple[LineStats, float]:
+    """The one line/floor measurement: one band's moments and its Gaussian-model error rate.
+
+    ``amplitudes`` holds one row of the band's channel magnitudes per trial
+    and ``line`` is the line's column.  The floor pools the columns that
+    :func:`floor_channels` keeps.  Spreads are sample standard deviations,
+    so at least two trials are needed.  The rate is that of the line
+    losing to any of the band's ``width - 1`` competitors.
+    """
+    trials, width = amplitudes.shape
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 to estimate a spread, got {trials}")
+    line_amps = amplitudes[:, line]
+    floor = amplitudes[:, floor_channels(width, line)].ravel()
+    stats = LineStats(float(line_amps.mean()), float(line_amps.std(ddof=1)),
+                      float(floor.mean()), float(floor.std(ddof=1)))
+    return stats, channel_error_rate(misdecode_prob(stats), width - 1)
+
+
 def _measure_point(
     parameter: str,
     value: float,
@@ -162,8 +181,8 @@ def _measure_point(
 
     ``bands`` holds the channel grid of each band, ``line_indices`` the
     true channel index per band.  A trial errs when any band's argmax
-    misses its line; the analytic rate combines the per-band Gaussian
-    model, and the reported moments are those of the first band.
+    misses its line; the analytic rate combines the bands' rates from
+    :func:`band_model`, and the reported moments are those of the first band.
     """
     widths = [len(b) for b in bands]
     all_freqs = np.concatenate([np.asarray(b, dtype=np.float64) for b in bands])
@@ -175,17 +194,12 @@ def _measure_point(
     amps = batch_amplitudes(batch, all_freqs)
     errors = int((band_argmax(amps, widths) != np.asarray(line_indices)).any(axis=1).sum())
 
-    # 1 - prod(1 - r_b) cancels to 0 below ~1e-16; summing log-survivals keeps the tail
-    log_survival = 0.0
-    moments = []
-    for segment, line_idx in zip(np.split(amps, np.cumsum(widths)[:-1], axis=1), line_indices):
-        width = segment.shape[1]
-        floor_cols = floor_channels(np.arange(width), line_idx)
-        stats = LineStats.from_amplitudes(segment[:, line_idx], segment[:, floor_cols])
-        rate = channel_error_rate(misdecode_prob(stats), width)
-        log_survival += math.log1p(-rate) if rate < 1.0 else -math.inf
-        moments.append(stats)
-    first = moments[0]
+    models = [band_model(segment, line)
+              for segment, line in zip(np.split(amps, np.cumsum(widths)[:-1], axis=1), line_indices)]
+    analytic = 0.0
+    for _, rate in models:  # 1 - prod(1 - r_b) with no cancellation in the tail; one band's r exactly
+        analytic += rate * (1.0 - analytic)
+    first = models[0][0]
     low, high = wilson_interval(errors, trials)
     return SweepPoint(
         parameter=parameter,
@@ -196,7 +210,7 @@ def _measure_point(
         empirical_rate=errors / trials,
         wilson_low=low,
         wilson_high=high,
-        analytic_rate=-math.expm1(log_survival),
+        analytic_rate=analytic,
         line_mean=first.line_mean,
         line_std=first.line_std,
         floor_mean=first.floor_mean,

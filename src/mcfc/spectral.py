@@ -70,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .photon_channel import EventBatch, LinkBudget, PhotonSequence, SourceConfig, sample_event_batch
+from .photon_channel import EventBatch, PhotonSequence, SourceConfig
 from .photon_channel import POSITIVE, check_range, interval
 
 #: Refuse to build evaluation grids larger than this (denser grids are a
@@ -120,39 +120,15 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LineStats:
-    """Amplitude moments at a line and its local noise floor, the error model's input.
-
-    ``trials`` counts the Monte Carlo trials the moments came from; it may be left out.
-    """
+    """Amplitude moments at a line and its local noise floor, the error model's input."""
 
     line_mean: float
     line_std: float
     floor_mean: float
     floor_std: float
-    trials: int | None = None
 
     def __post_init__(self) -> None:
         check_range(POSITIVE, line_std=self.line_std, floor_std=self.floor_std)
-
-    @classmethod
-    def from_amplitudes(cls, line: np.ndarray, floor: np.ndarray) -> "LineStats":
-        """Moments of the line magnitudes and of the floor magnitudes pooled.
-
-        ``line`` holds one magnitude per trial; ``floor`` holds one row of
-        floor-channel magnitudes per trial.  Spreads are sample standard
-        deviations, so at least two trials are needed.
-        """
-        trials = len(line)
-        if trials < 2:
-            raise ValueError(f"trials must be >= 2 to estimate a spread, got {trials}")
-        floor = floor.ravel()
-        return cls(
-            line_mean=float(line.mean()),
-            line_std=float(line.std(ddof=1)),
-            floor_mean=float(floor.mean()),
-            floor_std=float(floor.std(ddof=1)),
-            trials=trials,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -623,39 +599,23 @@ def expected_line(config: SourceConfig, frequency: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# channel housekeeping and Monte-Carlo moments
+# channel housekeeping
 # ---------------------------------------------------------------------------
 
-def floor_channels(channel_frequencies: np.ndarray, line_frequency: float) -> np.ndarray:
-    """Channels usable as noise-floor probes around an active line.
+def floor_channels(channels: int, line: int) -> np.ndarray:
+    """Indices of a band's channels usable as noise-floor probes around its line.
 
     Drops the line channel and its nearest neighbor on each side, since
     those carry leakage from the line itself; everything else in the band
     measures the white floor.  A band too narrow to keep any channel that
-    way falls back to every channel but the line.  Passing the index
-    ladder ``np.arange(M)`` and a line index returns floor column indices.
+    way falls back to every channel but the line.
     """
-    freqs = np.asarray(channel_frequencies)
-    if freqs.size < 2:
+    if channels < 2:
         raise ValueError("a band needs at least two channels to measure a floor")
-    idx = int(np.argmin(np.abs(freqs - line_frequency)))
-    mask = np.ones(freqs.size, dtype=bool)
-    mask[max(idx - 1, 0): idx + 2] = False
+    if not 0 <= line < channels:
+        raise ValueError(f"line must be a channel index in [0, {channels}), got {line}")
+    mask = np.ones(channels, dtype=bool)
+    mask[max(line - 1, 0): line + 2] = False
     if not mask.any():
-        mask = np.arange(freqs.size) != idx
-    return freqs[mask]
-
-
-def line_stats(
-    config: SourceConfig,
-    line_frequency: float,
-    floor_frequencies: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-    budget: LinkBudget | None = None,
-) -> LineStats:
-    """Estimate amplitude moments at the line and pooled over floor channels."""
-    floors = np.asarray(floor_frequencies, dtype=np.float64)
-    batch = sample_event_batch(config, trials, rng, budget)
-    amps = batch_amplitudes(batch, np.concatenate([[line_frequency], floors]))
-    return LineStats.from_amplitudes(amps[:, 0], amps[:, 1:])
+        mask = np.arange(channels) != line
+    return np.flatnonzero(mask)

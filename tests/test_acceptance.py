@@ -20,7 +20,6 @@ import pytest
 
 from mcfc.analysis import (
     capacity,
-    channel_error_rate,
     g2,
     mandel_q,
     misdecode_prob,
@@ -30,6 +29,7 @@ from mcfc.analysis import (
 from mcfc.codec import Symbol, decode, effective_channels, letter_plan
 from mcfc.harness import (
     SweepSpec,
+    band_model,
     run_amplitude_nonlinearity,
     run_error_vs_components,
     run_error_vs_integration_time,
@@ -45,7 +45,7 @@ from mcfc.photon_channel import (
     sample_event_batch,
     transmit,
 )
-from mcfc.spectral import LineStats, band_argmax, batch_amplitudes, floor_channels, line_stats, point_dft
+from mcfc.spectral import LineStats, band_argmax, batch_amplitudes, point_dft
 
 pytestmark = pytest.mark.acceptance
 
@@ -131,27 +131,18 @@ def test_criterion_03_error_at_80_kcps_monte_carlo_and_analytic():
     empirical = float(np.mean(np.argmax(amps, axis=1) != 5))
     assert empirical <= 1e-3, f"empirical error {empirical:.2e}"
 
-    floors = floor_channels(band, 200e3)
     rng = derive_rng(SEED, "c3-moments")
-    stats = line_stats(
-        SourceConfig(80e3, 1e-3, (Tone(200e3),)), 200e3, floors, 10_000, rng
-    )
-    analytic = channel_error_rate(
-        misdecode_prob(stats), 10
-    )
+    batch = sample_event_batch(SourceConfig(80e3, 1e-3, (Tone(200e3),)), 10_000, rng)
+    _, analytic = band_model(batch_amplitudes(batch, band), 5)
     assert 1e-7 <= analytic <= 1e-3, f"analytic error {analytic:.2e}"
 
 
 def _analytic_error_with_noise(rate, noise_rate, label):
     band = 200e3 + 1e3 * (np.arange(11) - 5)
-    floors = floor_channels(band, 200e3)
     cfg = SourceConfig(rate, 1e-3, (Tone(200e3),))
     rng = derive_rng(SEED, label)
     budget = LinkBudget(noise_rate=noise_rate) if noise_rate else LinkBudget()
-    stats = line_stats(cfg, 200e3, floors, 20_000, rng, budget)
-    return channel_error_rate(
-        misdecode_prob(stats), 10
-    )
+    return band_model(batch_amplitudes(sample_event_batch(cfg, 20_000, rng, budget), band), 5)[1]
 
 
 @pytest.mark.xfail(

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcfc import analysis
 from mcfc.analysis import (
@@ -42,10 +43,8 @@ def test_error_model_input_validation():
         LineStats(10.0, 0.0, 5.0, 1.0)
     with pytest.raises(ValueError):
         LineStats(10.0, 1.0, 5.0, -1.0)
-    stats = LineStats(40.0, 6.3, 7.9, 4.1, 500)
-    assert (stats.line_mean, stats.floor_std, stats.trials) == (40.0, 4.1, 500)
-    model = LineStats(40.0, 6.3, 7.9, 4.1)
-    assert misdecode_prob(model) == misdecode_prob(stats)
+    stats = LineStats(40.0, 6.3, 7.9, 4.1)
+    assert (stats.line_mean, stats.line_std, stats.floor_mean, stats.floor_std) == (40.0, 6.3, 7.9, 4.1)
 
 
 def test_closed_form_agrees_with_quadrature():
@@ -82,6 +81,9 @@ def test_channel_error_rate_forms():
     assert channel_error_rate(1e-6, 10) == pytest.approx(9.99995500012e-6, rel=1e-9)
     assert channel_error_rate(0.0, 10) == 0.0
     assert channel_error_rate(1.0, 3) == 1.0
+    # one competitor: the pairwise probability itself, to the bit
+    for p in (0.3, 0.1508, 1e-5, 1e-49):
+        assert channel_error_rate(p, 1) == p
     # union bound
     for p, m in ((1e-4, 10), (0.05, 32), (0.3, 4)):
         assert channel_error_rate(p, m) <= m * p
@@ -226,14 +228,40 @@ def test_g2_validation():
     sparse = PhotonSequence.from_seconds([0.1, 0.9], 1.0)
     with pytest.raises(InsufficientDataError):
         g2(sparse, 1e-4, 2e-6)
-    # 10k events on 1 s hold ~5e7 pairs; under a bound of 1e6, lags up to
-    # 1 - sqrt(1 - 0.02) = 0.01005 s pass
+    # the passes are bounded by the events in the fullest two adjacent
+    # max_lag-wide cells: 10k events on 1 s pass at exactly that many steps
     dense = PhotonSequence.from_seconds(np.sort(derive_rng(76).uniform(0.0, 1.0, 10_000)), 1.0)
-    with mock.patch.object(analysis, "_G2_MAX_PAIRS", 1e6):
-        assert g2(dense, 0.01, 1e-3).pair_counts.sum() == pytest.approx(1e6, rel=0.01)
-        with pytest.raises(ValueError, match=r"^max_lag 0.0101 s would count ~1e\+06 pairs of 10000 "
-                                             r"events, past the 1e\+06-pair bound; shorten max_lag$"):
-            g2(dense, 0.0101, 1e-3)
+    counts = np.bincount(np.floor(dense.seconds / 0.01).astype(np.int64))
+    passes = int((counts[:-1] + counts[1:]).max())
+    with mock.patch.object(analysis, "_G2_MAX_STEPS", 10_000 * passes):
+        assert g2(dense, 0.01, 1e-3).pair_counts.sum() > 0
+    with mock.patch.object(analysis, "_G2_MAX_STEPS", 10_000 * passes - 1):
+        with pytest.raises(ValueError, match=rf"^max_lag 0.01 s would take up to {passes} passes over "
+                                             r"10000 events, past the 2e\+06-step bound; shorten max_lag$"):
+            g2(dense, 0.01, 1e-3)
+
+
+def test_g2_refuses_a_burst_the_homogeneous_estimate_misses():
+    # 10k events within 1 us of a 180k-event second: ~3.6e6 pairs expected
+    # of a homogeneous stream, but 10k passes over 190k events to count them
+    rng = derive_rng(77)
+    times = np.concatenate([rng.uniform(0.0, 1.0, 180_000), 0.5 + rng.uniform(0.0, 1e-6, 10_000)])
+    burst = PhotonSequence.from_seconds(times, 1.0)
+    with pytest.raises(ValueError, match=r"^max_lag 0.0001 s would take up to \d+ passes over 190000 events"):
+        g2(burst, 1e-4, 2e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 0.999), min_size=2, max_size=300), st.floats(1e-3, 1.0))
+def test_g2_pass_bound_covers_the_passes(times, max_lag):
+    seq = PhotonSequence.from_seconds(times, 1.0)
+    t = seq.seconds
+    # g2 passes over the events once per offset up to the first with no pair
+    # inside max_lag: 1 + the largest offset that still has one
+    passes = 1 + max((o for o in range(1, t.size) if (t[o:] - t[:-o] < max_lag).any()), default=0)
+    with mock.patch.object(analysis, "_G2_MAX_STEPS", t.size * passes - 1):
+        with pytest.raises(ValueError, match="passes over"):
+            g2(seq, max_lag, max_lag)
 
 
 def test_mandel_q_flat_stream(flat_stream):

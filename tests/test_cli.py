@@ -117,14 +117,14 @@ def test_stats_reports_diagnostics(tmp_path, capsys):
 
 
 def test_stats_refuses_a_g2_lag_past_the_pair_bound(tmp_path, capsys):
-    # ~60k events over 1 s hold ~1.8e9 pairs within a 1 s lag: ~30 s of counting
+    # ~60k events over 1 s, all within a 1 s lag: ~60k passes over them, ~30 s of counting
     src = tmp_path / "s.pts1"
     run(["generate", "--rate", 60e3, "--duration", 1, "--seed", 8, "--out", src])
     capsys.readouterr()
     out = tmp_path / "g2.csv"
     assert run(["stats", "--in", src, "--g2-max-lag", 1, "--g2-bin", 1e-3, "--out", out]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "--g2-max-lag 1" in err and "pair bound; shorten max_lag" in err, err
+    assert "--g2-max-lag 1" in err and "step bound; shorten max_lag" in err, err
     assert not out.exists()
 
 

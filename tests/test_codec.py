@@ -189,10 +189,10 @@ def test_image_to_symbols_shape_check():
 # -----------------------------------------------------------------
 
 def test_encode_tone_sets(rgb_plan):
-    sets = encode([Symbol.gray(4, 5, 10)], rgb_plan, depth=0.8)
+    sets = encode([Symbol.gray(4, 5, 10)], rgb_plan)
     assert len(sets) == 1 and len(sets[0]) == 3
     assert [t.frequency for t in sets[0]] == [71e3, 50e3, 25e3]
-    assert all(t.depth == 0.8 and t.phase == 0.0 for t in sets[0])
+    assert all(t.depth == 1.0 and t.phase == 0.0 for t in sets[0])
 
 
 def test_decode_round_trip_every_letter(letters):

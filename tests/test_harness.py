@@ -16,6 +16,7 @@ from mcfc.harness import (
     SweepSpec,
     run_amplitude_nonlinearity,
     run_error_vs_components,
+    run_error_vs_integration_time,
     run_error_vs_noise,
     run_error_vs_spacing,
     run_image_transmission,
@@ -128,9 +129,27 @@ def test_analytic_rate_keeps_its_tail_below_double_epsilon():
     spec = SweepSpec(grid=(640e3,), trials=400, seed=13)
     (point,) = run_error_vs_components(spec)
     model = LineStats(point.line_mean, point.line_std, point.floor_mean, point.floor_std)
-    band_rate = channel_error_rate(misdecode_prob(model), spec.channels_per_band)
+    band_rate = channel_error_rate(misdecode_prob(model), spec.channels_per_band - 1)
     assert 0.0 < point.analytic_rate < 1e-16
-    assert point.analytic_rate == pytest.approx(band_rate, rel=1e-12)
+    assert point.analytic_rate == pytest.approx(band_rate, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("runner, spec, competitors", [
+    (run_error_vs_spacing, SweepSpec(grid=(250.0, 1000.0), trials=400, seed=92), 1),
+    (run_error_vs_noise, SweepSpec(grid=(0.0, 80e3), trials=400, seed=92), 10),
+    (run_error_vs_noise, SweepSpec(grid=(80e3,), trials=400, seed=92, channels_per_band=3), 2),
+    (run_error_vs_integration_time, SweepSpec(grid=(1e-3,), trials=400, seed=92, channels_per_band=5), 4),
+    (run_error_vs_components, SweepSpec(grid=(80e3,), trials=400, seed=92), 10),
+    (run_amplitude_nonlinearity, SweepSpec(grid=(80e3,), trials=400, seed=92, components=(1, 3)), 10),
+])
+def test_analytic_rate_is_the_model_of_its_moments(runner, spec, competitors):
+    # one decided band: the rate is the Gaussian model of the reported moments,
+    # the line facing the band's width - 1 other channels
+    for point in runner(spec):
+        p = misdecode_prob(LineStats(point.line_mean, point.line_std, point.floor_mean, point.floor_std))
+        assert point.analytic_rate == channel_error_rate(p, competitors)
+        if competitors == 1:
+            assert point.analytic_rate == p
 
 
 @pytest.mark.parametrize("runner, spec, named", [

@@ -13,7 +13,7 @@ from scipy import integrate
 
 from mcfc import cli, spectral
 from mcfc.codec import Symbol, decode
-from mcfc.harness import SweepSpec, run_error_vs_components
+from mcfc.harness import SweepSpec, band_model, run_error_vs_components
 from mcfc.photon_channel import (
     PhotonSequence,
     SourceConfig,
@@ -32,7 +32,6 @@ from mcfc.spectral import (
     batch_amplitudes,
     expected_line,
     floor_channels,
-    line_stats,
     periodogram,
     phasor_sums,
     point_dft,
@@ -711,19 +710,20 @@ def test_band_peak_tie_resolves_to_lowest_frequency():
 
 
 def test_floor_channels_mask():
-    band = 200e3 + 1e3 * (np.arange(11) - 5)
-    floors = floor_channels(band, 200e3)
-    assert floors.size == 8
-    assert 200e3 not in floors and 199e3 not in floors and 201e3 not in floors
+    # the line and its nearest neighbours carry leakage; the rest is floor
+    assert floor_channels(11, 5).tolist() == [0, 1, 2, 3, 7, 8, 9, 10]
     # line at the band edge only has one neighbor to drop
-    assert floor_channels(band, float(band[0])).size == 9
+    assert floor_channels(11, 0).tolist() == list(range(2, 11))
+    assert floor_channels(11, 10).tolist() == list(range(9))
     # too narrow to drop the neighbors: every channel but the line is floor
-    assert floor_channels(band[4:7], 200e3).tolist() == [199e3, 201e3]
-    assert floor_channels(band[5:7], 200e3).tolist() == [201e3]
+    assert floor_channels(3, 1).tolist() == [0, 2]
+    assert floor_channels(2, 0).tolist() == [1]
+    assert floor_channels(2, 1).tolist() == [0]
     with pytest.raises(ValueError):
-        floor_channels(band[5:6], 200e3)
-    # on the index ladder the same rule gives floor column indices
-    assert floor_channels(np.arange(11), 5).tolist() == [0, 1, 2, 3, 7, 8, 9, 10]
+        floor_channels(1, 0)
+    for line in (-1, 11):  # numpy would take -1 as the last column
+        with pytest.raises(ValueError, match="line"):
+            floor_channels(11, line)
 
 
 def test_line_stats_against_theory():
@@ -731,15 +731,14 @@ def test_line_stats_against_theory():
     n = 80.0
     config = SourceConfig(80e3, 1e-3, (Tone(200e3),))
     band = 200e3 + 1e3 * (np.arange(11) - 5)
-    stats = line_stats(config, 200e3, floor_channels(band, 200e3), 10_000, derive_rng(51))
+    stats, _ = band_model(batch_amplitudes(sample_event_batch(config, 10_000, derive_rng(51)), band), 5)
     assert stats.line_mean == pytest.approx(n / 2, rel=0.03)
     assert stats.line_std == pytest.approx(np.sqrt(n / 2), rel=0.10)
     # Rayleigh floor: mean sqrt(pi N / 4), std sqrt((4 - pi) N / 4)
     assert stats.floor_mean == pytest.approx(np.sqrt(np.pi * n / 4), rel=0.05)
     assert stats.floor_std == pytest.approx(np.sqrt((4 - np.pi) * n / 4), rel=0.10)
-    assert stats.trials == 10_000
     with pytest.raises(ValueError, match="trials"):
-        line_stats(config, 200e3, floor_channels(band, 200e3), 1, derive_rng(51))
+        band_model(batch_amplitudes(sample_event_batch(config, 1, derive_rng(51)), band), 5)
 
 
 # -----------------------------------------------------------------
