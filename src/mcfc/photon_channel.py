@@ -384,9 +384,11 @@ def _jitter(t: np.ndarray, sigma: float, high: float, rng: np.random.Generator) 
 def _arrivals(config: SourceConfig, trials: int, rng: np.random.Generator, budget: LinkBudget):
     """Source thinning with loss folded in, background and dark counts, jitter: seconds, trial ids."""
     t, counts = _poisson_times(config.rate_ceiling, config.duration, trials, rng)
-    # trial ids of the survivors only: a candidate-sized id array would raise the peak
+    # trial ids of the survivors only, from their count per trial (the survivors
+    # before each trial's end): a candidate-sized id array would raise the peak
     keep = np.flatnonzero(_survivors(t, rng, budget.transmittance, config))
-    t, tid = t[keep], np.searchsorted(np.cumsum(counts), keep, side="right")
+    per_trial = np.diff(np.searchsorted(keep, np.cumsum(counts)), prepend=0)
+    t, tid = t[keep], np.repeat(np.arange(trials), per_trial)
     extra_rate = budget.noise_rate + budget.dark_rate
     if extra_rate > 0.0:
         te, extra = _poisson_times(extra_rate, config.duration, trials, rng)
@@ -556,35 +558,42 @@ def write_pts1(path: str | os.PathLike, seq: PhotonSequence) -> None:
 
 
 def read_pts1(path: str | os.PathLike) -> PhotonSequence:
-    """Parse a PTS1 container, validating structure with byte-offset diagnostics."""
+    """Parse a PTS1 container, validating structure with byte-offset diagnostics.
+
+    The file's size is checked against its header before the payload is read
+    straight into the times array, so the file is held in memory once.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        header = fh.read(_HEADER_BYTES)
+        if len(header) < _HEADER_BYTES:
+            raise StreamFormatError(
+                f"offset 0: truncated header, need {_HEADER_BYTES} bytes, got {len(header)}"
+            )
+        if header[:8] != PTS1_MAGIC:
+            raise StreamFormatError(f"offset 0: bad magic {header[:8]!r}, expected {PTS1_MAGIC!r}")
 
-    if len(blob) < _HEADER_BYTES:
-        raise StreamFormatError(
-            f"offset 0: truncated header, need {_HEADER_BYTES} bytes, got {len(blob)}"
-        )
-    if blob[:8] != PTS1_MAGIC:
-        raise StreamFormatError(f"offset 0: bad magic {blob[:8]!r}, expected {PTS1_MAGIC!r}")
+        window_ps = int.from_bytes(header[8:16], "little")
+        count = int.from_bytes(header[16:24], "little")
+        if window_ps == 0:
+            raise StreamFormatError("offset 8: observation window must be nonzero")
 
-    window_ps = int.from_bytes(blob[8:16], "little")
-    count = int.from_bytes(blob[16:24], "little")
-    if window_ps == 0:
-        raise StreamFormatError("offset 8: observation window must be nonzero")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER_BYTES + 8 * count
+        if size < expected:
+            raise StreamFormatError(
+                f"offset {size}: truncated payload, header promises {count} events "
+                f"({expected} bytes total), file has {size} bytes"
+            )
+        if size > expected:
+            raise StreamFormatError(
+                f"offset {expected}: {size - expected} trailing bytes after the {count} "
+                f"events the header promises"
+            )
+        times = np.empty(count, dtype="<u8")
+        got = _HEADER_BYTES + fh.readinto(times)
+        if got < expected:  # the file shrank after its size was read
+            raise StreamFormatError(f"offset {got}: truncated payload, header promises {count} events")
 
-    expected = _HEADER_BYTES + 8 * count
-    if len(blob) < expected:
-        raise StreamFormatError(
-            f"offset {len(blob)}: truncated payload, header promises {count} events "
-            f"({expected} bytes total), file has {len(blob)} bytes"
-        )
-    if len(blob) > expected:
-        raise StreamFormatError(
-            f"offset {expected}: {len(blob) - expected} trailing bytes after the {count} "
-            f"events the header promises"
-        )
-
-    times = np.frombuffer(blob, dtype="<u8", count=count, offset=_HEADER_BYTES).copy()
     bad_order = np.nonzero(times[1:] < times[:-1])[0]
     if bad_order.size:
         i = int(bad_order[0]) + 1

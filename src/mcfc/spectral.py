@@ -28,16 +28,11 @@ sweeps' bands at 1 kHz, the acceptance sweeps' around 200 kHz), so a piece
 starting at rung ``K = f / step`` takes ``w**K`` from the same powers as its
 anchor; a piece off the lattice, or past its gate (:data:`LATTICE_BITS`),
 evaluates ``exp`` exactly at its first rung, every :data:`ANCHOR` rungs.  A
-bare rotation drifts from the direct formula's rounded phase
-``fl(2*pi*fl(f*t))`` by a few ulps of the phase (~3e-11 rad at f*t ~ 5e4),
-enough to move a quiet point's sum by ~1e-10 relative, so each rotated
-phasor is multiplied by ``1 - i*r``, with ``r`` the difference between the
-direct phase and the rotated one.  A call over a whole channel plan then
-costs one ``exp`` per event, and its sums agree with the direct formula to
-~1e-13 relative.  The ladder's work arrays (phases, rotated phasors,
-``(K + k) * theta``) persist between calls in a per-thread workspace of at
-most :data:`PHASOR_CHUNK` phasors a piece, 1.5 MiB in all, so a stream of
-short windows neither allocates nor page-faults them again on every call.
+call over a whole channel plan then costs one ``exp`` per event.  The
+ladder's rotated phasors and step powers persist between calls in a
+per-thread workspace of at most :data:`PHASOR_CHUNK` phasors a piece, so a
+stream of short windows neither allocates nor page-faults them again on
+every call.
 
 A dense scan of one sequence (one trial, a run of more than
 :data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
@@ -46,18 +41,23 @@ Barnett, Magland & af Klinteberg 2019): one ``exp`` per event to rotate it
 by the run's centre frequency, a spread of each event onto a periodic grid
 (the least power of two at least twice the run's length), one FFT, and a
 division by the kernel's transform.  Its cost per event does not grow with
-the run's length.  The NUFFT approximates the exact sum to
-``eps * N`` for ``N`` events, but the direct formula rounds each event's
-phase by up to an ulp, so the two differ by a random walk of those ulps,
-``W = sqrt(sum(u_i**2)) <= u*sqrt(N)`` (``u`` the ulp of the largest
-phase, plus the rounding of the mode phase).  Near a line that is far below
-1e-9 of ``|X|``; at a quiet point, where ``|X|`` is of the order of ``W``,
-it is not.  So every point with ``|X| < b = (eps*N + 3*W) / NUFFT_RTOL``
-(:data:`NUFFT_RTOL` = 1e-9) is recomputed on the ladder path, and every
-value keeps the direct formula's rounding to 1e-9 relative unless the walk
-strays beyond 6 of its scales.  At a floor
-point ``|X|**2`` is about exponential with mean ``N``, so the recomputed
-fraction is about ``b**2 / N``: ~1.5% of a 1 s, 180k-event capture's scan.
+the run's length.
+
+Both paths hold one contract, a bound against the exact sum ``X`` of the
+float64 times at the float64 frequencies, with ``P = fl(2*pi)`` and no
+rounding of the phase ``P*f*t``:
+
+    |Y - X| <= a*u*sum(phi_i) + b*N*u    (+ N*eps on a NUFFT run)
+
+for ``N`` events, ``u = 2**-53`` and event ``i``'s largest phase
+``phi_i = P*max|f|*|t_i|``; ``a`` and ``b`` are derived in
+:func:`_ladder_sums`, ``eps`` is :data:`_NUFFT_EPS` (for a run within a
+few ulps of its line, :func:`_nufft_run`).  The bound is the worst
+case, every rounding in one direction; the roundings are independent
+across events, so a typical error is a walk of about
+``u*sqrt(sum(phi_i**2))``, as small as that of the float64 direct formula
+``exp(-i*fl(P*fl(f*t)))``, and as close to the exact sum at a quiet point
+as next to a line.
 """
 
 from __future__ import annotations
@@ -135,24 +135,22 @@ class LineStats:
 # phasor sums
 # ---------------------------------------------------------------------------
 
-#: Most phasors (frequencies x events) in one piece's temporaries (its
-#: phases, its rotated phasors), so they stay in a 2 MiB L2 cache: events
-#: go in blocks of ``PHASOR_CHUNK // rows``, ``rows`` being the longest
-#: ladder piece of the call (at most :data:`ANCHOR`).  On a Xeon with that
-#: cache, a 2k-event window at 33 channels ran ~1.4x slower through the
-#: direct ``exp`` as one 64k-phasor block than in 32k pieces.
+#: Most phasors (frequencies x events) in one piece's rotated phasors, so
+#: they stay in a 2 MiB L2 cache: events go in blocks of
+#: ``PHASOR_CHUNK // rows``, ``rows`` being the longest ladder piece of the
+#: call (at most :data:`ANCHOR`).  On a Xeon with that cache, a 2k-event
+#: window at 33 channels ran ~1.4x slower through the direct ``exp`` as one
+#: 64k-phasor block than in 32k pieces.
 PHASOR_CHUNK = 1 << 15
 
 #: Rows of a ladder piece: each piece starts at an anchor, and its other rows
-#: are the anchor rotated by powers of the step phasor, then corrected back
-#: to the direct formula's rounding.  Off the step lattice, each anchor is
-#: one exact ``exp``.
+#: are the anchor rotated by powers of the step phasor.  Off the step lattice,
+#: each anchor is one ``exp``.
 ANCHOR = 64
 
 #: A piece anchors on the lattice of its step, with no ``exp``, while its
-#: rungs ``K + k`` stay below ``2**LATTICE_BITS`` in size and its largest
-#: phase below ``2**(26 - LATTICE_BITS)`` rad; the bounds are derived in
-#: :func:`_ladder_sums`.
+#: rungs ``K + k`` stay below ``2**LATTICE_BITS`` in size: the error of a
+#: step phasor's power grows with its exponent (:func:`_ladder_sums`).
 LATTICE_BITS = 8
 
 #: Steps that differ from their run's first step by at most this many ulps of
@@ -162,15 +160,10 @@ _SLACK = _LADDER_ULPS * np.finfo(np.float64).eps
 
 #: One-trial runs of more than this many rungs go through the type-1 NUFFT
 #: (:func:`_nufft_run`) instead of the ladder rotation.  On a 2-vCPU Xeon the
-#: NUFFT overtook the ladder at ~24 rungs for 1k events and at ~40 for 90k
-#: events, and was 1.7-4x faster at 64; the channel bands (11-33 rungs) stay
-#: on the ladder, whose sums keep the direct rounding more closely.
+#: ladder took 0.58 and 0.85 times the NUFFT's time at 64 rungs for 1k and 90k
+#: events, and the NUFFT overtook it at ~96 and ~75 rungs; the channel bands
+#: (11-33 rungs) stay on the ladder.
 NUFFT_MIN_RUNGS = 64
-
-#: A NUFFT value stands only where the bound on its distance from the direct
-#: formula's rounding is at most this fraction of ``|X|``; quieter points are
-#: recomputed on the ladder path.
-NUFFT_RTOL = 1e-9
 
 #: Exponential-of-semicircle kernel ``exp(beta*(sqrt(1 - z*z) - 1))`` on
 #: ``|z| <= 1``, spanning this many cells of a grid oversampled 2 to 4 times,
@@ -199,49 +192,38 @@ _ES_WEIGHTS *= _es_kernel(_ES_NODES)
 #: stayed below 5e-15.
 _NUFFT_EPS = 3e-14
 
-#: The direct formula rounds each event's phase by about one of its ulps
-#: ``u_i``, and the NUFFT's rotation and mode phase round it again.  Summed at
-#: random, the two drift apart by ``W = sqrt(sum(u_i**2))`` times a Rayleigh
-#: variable whose scale measured 0.29 to 0.52 (capture scans, late and offset
-#: windows, a 20 001-point grid); the bound allows this many ``W``, 6 to 10 scales.
-_WALK_SCALE = 3.0
-
-#: ``(fl(pi) - pi) / pi``: the direct phase ``fl(2*pi)*f*t`` runs at
-#: ``(1 + _PI_ROUNDING)`` times the frequency, while an FFT's modes use the exact 2*pi.
+#: ``(fl(pi) - pi) / pi``: the phase ``P*f*t`` of the ladder and of the
+#: reference sum, with ``P = fl(2*pi)``, runs at ``(1 + _PI_ROUNDING)`` times
+#: the frequency, while an FFT's modes use the exact 2*pi.
 _PI_ROUNDING = -math.sin(math.pi) / math.pi
 
 
 class _Workspace(threading.local):
     """Work arrays of :func:`_ladder_sums`, one set per thread, kept between calls.
 
-    A call needs ``rows * events`` float64 phases, complex rotated phasors and
-    float64 ``(K + k) * theta``, at most ``max(PHASOR_CHUNK, ANCHOR)`` elements
-    each, plus a few event-long vectors: 1.2 MiB for 11-rung bands, 1.5 MiB at
-    most.  Fresh arrays of that size went back to the operating system when
-    freed and were faulted in again by the next call, ~250 page faults per 1 ms
-    image window, so the arrays stay.  They grow on demand and never shrink; each
-    call writes every element it reads, so no result depends on an earlier call.
+    A call needs ``rows * events`` rotated phasors, at most
+    ``max(PHASOR_CHUNK, ANCHOR)``, and up to :data:`LATTICE_BITS` event-long
+    powers of the step phasor: 0.8 MiB for the RGB plan's 11-rung bands,
+    2.5 MiB at most (2-rung pieces far up the lattice).
+    Fresh arrays of that size went back to the operating system when freed
+    and were faulted in again by the next call, ~250 page faults per 1 ms
+    image window, so the arrays stay.  They grow on demand and never shrink;
+    each call writes every element it reads, so no result depends on an
+    earlier call.
     """
 
     def __init__(self) -> None:
-        self.real = np.empty(0)
         self.cplx = np.empty(0, dtype=np.complex128)
 
     def take(self, rows: int, events: int, count: int) -> SimpleNamespace:
         """Views for pieces of up to ``rows`` x ``events`` phasors and ``count``
         step phasor powers, grown if too small."""
         span = rows * events
-        if self.real.size < 2 * span + 2 * events:
-            self.real = np.empty(2 * span + 2 * events)
         if self.cplx.size < span + count * events:
             self.cplx = np.empty(span + count * events, dtype=np.complex128)
-        real, cplx = self.real, self.cplx
-        vectors = 2 * span + events * np.arange(3)
-        return SimpleNamespace(
-            phase=real[:span], k_theta=real[span: 2 * span],
-            theta=real[vectors[0]: vectors[1]], spare=real[vectors[1]: vectors[2]],
-            rot=cplx[:span], powers=[cplx[span + i * events:][:events] for i in range(count)],
-        )
+        cplx = self.cplx
+        powers = [cplx[span + i * events:][:events] for i in range(count)]
+        return SimpleNamespace(rot=cplx[:span], powers=powers)
 
 
 _WORKSPACE = _Workspace()
@@ -285,9 +267,10 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
 
     The frequencies are cut into arithmetic runs (:func:`_ladders`).  With
     one trial, a run of more than :data:`NUFFT_MIN_RUNGS` rungs and a nonzero
-    step is evaluated by :func:`_nufft_run`; every other run, and every point
-    of a NUFFT run too quiet for its NUFFT value to hold the direct formula's
-    rounding, goes through :func:`_ladder_sums`.
+    step is evaluated by :func:`_nufft_run`; every other run goes through
+    :func:`_ladder_sums`.  Each value lies within the module's bound of the
+    exact sum, ``a*u*sum(phi_i) + b*N*u`` with ``a = 1014`` and ``b = 1115``
+    over the trial's ``N`` events, plus ``N * _NUFFT_EPS`` on the NUFFT.
     """
     t = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64).reshape(-1)
@@ -303,105 +286,106 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
     ladder = np.ones(freqs.size, dtype=bool)
     for start, stop, step in _ladders(freqs):
         if stop - start > NUFFT_MIN_RUNGS and step != 0.0:
-            out[0, start:stop], ladder[start:stop] = _nufft_run(t, freqs[start:stop])
+            out[0, start:stop] = _nufft_run(t, freqs[start:stop])
+            ladder[start:stop] = False
     cols = np.flatnonzero(ladder)
     if cols.size:
         out[:, cols] = _ladder_sums(t, tid, freqs[cols], 1)
     return out
 
 
-def _lattice_rung(freqs: np.ndarray, step: float, top_t: float) -> int:
+def _lattice_rung(freqs: np.ndarray, step: float) -> int:
     """Rung ``K = freqs[0] / step`` of a piece anchored on its step's lattice, or 0
     for a piece off the lattice or past the gate of :data:`LATTICE_BITS`."""
     rung = freqs[0] / step if step else 0.0
     on_lattice = rung.is_integer() and rung * step == freqs[0]
-    if not on_lattice or (abs(int(rung)) + freqs.size - 1).bit_length() > LATTICE_BITS:
-        return 0
-    top_phase = 2.0 * np.pi * max(abs(freqs[0]), abs(freqs[-1])) * top_t
-    return int(rung) if top_phase <= 2.0 ** (26 - LATTICE_BITS) else 0
+    return int(rung) if on_lattice and (abs(int(rung)) + freqs.size - 1).bit_length() <= LATTICE_BITS else 0
 
 
 def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int) -> np.ndarray:
     """Phasor sums along ladders, events ``t`` grouped by their trial ids ``tid``.
 
-    Each block of events is reduced per trial by ``reduceat``.  Each run of
-    :func:`_ladders` is cut into pieces of at most :data:`ANCHOR` rows, and
-    row ``k`` of a piece is its anchor ``exp(-i*phi_b) * w**K`` rotated by
-    ``w**k``, ``w = exp(-i*theta)`` for the run's step, then multiplied by
-    ``1 - i*r`` with ``r = phi_k - phi_b - (K + k)*theta`` from the direct
-    phases ``phi = fl(2*pi*fl(f*t))``.  So each phasor keeps the direct
-    formula's rounding up to the dropped ``r**2 / 2`` and the rounding of
-    the powers of ``w``.
+    Each run of :func:`_ladders` is cut into pieces of at most :data:`ANCHOR`
+    rows, and row ``k`` of a piece is its anchor rotated by ``w**k``, with
+    ``w = exp(-i*theta)`` and ``theta = fl(P*fl(s*t))`` for the run's step
+    ``s`` and ``P = fl(2*pi)``.  On the lattice, the piece's first rung is
+    ``K`` whole steps, and its anchor ``w**K`` is the product of the powers
+    ``w, w**2, w**4, ...`` at the bits of ``|K|``, conjugated for ``K < 0``:
+    no ``exp`` runs.  Off it, ``K = 0`` and the anchor is
+    ``exp(-i*fl(P*fl(f0*t)))`` at the first rung ``f0``.  A call over bands
+    sharing one step thus costs one ``exp`` per event in all.  Each block of
+    events is reduced per trial by one ``reduceat`` a piece, and the blocks
+    add up under a Kahan carry.
 
-    On the lattice, the piece's first rung is ``K`` whole steps: ``phi_b = 0``
-    and no ``exp`` runs; ``w**K`` is the product of the powers
-    ``w, w**2, w**4, ...`` at the bits of ``|K|``, conjugated for ``K < 0``.
-    Off it, ``phi_b`` is the first rung's phase and ``K = 0``.  A call over
-    bands sharing one step thus costs one ``exp`` per event in all.  Theta
-    keeps ``53 - s`` bits (a Veltkamp split), ``s`` the bits of the largest
-    ``|K| + rows - 1`` of its step's pieces, so ``(K + k)*theta`` is exact
-    and so is its difference from ``phi_k``.  Two bounds gate the lattice,
-    with ``u = 2**-53``:
+    The bound of :func:`phasor_sums` sums, per event ``i``, the errors below,
+    with ``u = 2**-53``, ``phi_i = P*max|f|*|t_i|`` and ``J = |K| + k``, the
+    exponent of ``w`` in row ``k``:
 
-    * The powers: each squaring doubles the relative error it is given, so
-      ``w**(K + k)`` carries about ``(|K| + k) * u`` that no ``r`` sees
-      (measured up to 4 times that, 231 ``u`` at worst over 4000 single
-      events); ``|K| + rows - 1 < 2**LATTICE_BITS`` keeps that scale below
-      ``256*u`` (2.8e-14), four times the ``64*u`` of a direct anchor's
-      rotation.
-    * The dropped term: the split moves ``(K + k)*theta`` by up to
-      ``2**(s - 53)`` of it and the roundings of ``phi`` and ``theta`` by a
-      few ``u``, so ``|r| <= 2**(s - 52) * Phi`` for the piece's largest
-      phase ``Phi = 2*pi*max|f*t|`` (``t`` over the whole call).
-      ``Phi <= 2**(26 - LATTICE_BITS)`` keeps ``|r| <= 2**-26`` and
-      ``r**2 / 2 <= u / 2``, below the direct formula's own rounding: at 8
-      bits, ``max|f*t| <= 41.7e3``, e.g. 41 kHz over 1 s.
+    * Phase roundings, ``a = 1014``.  ``theta`` is within ``2u`` of
+      ``P*s*t_i`` relative, and ``w**J`` carries ``J`` times that: at most
+      ``2u*phi_i`` on the lattice, where ``J*|s|`` is the row's frequency.
+      Off it, the anchor's phase is within ``2u`` of ``P*f0*t_i`` and
+      ``|f0| + k*|s| <= 3*max|f|``: ``6u*phi_i``.  A row may also lie off its
+      piece's line ``f0 + k*s``, as the ladder cut lets each step stray from
+      the first by :data:`_LADDER_ULPS` ulps (``16u``) of the larger
+      frequency: row ``k < ANCHOR`` by ``16*k*u*max|f|``, its phase by
+      ``16*k*u*phi_i``.  So ``a = 6 + 16*(ANCHOR - 1)``.  (``P*s`` is not
+      rounded on its own: that one rounding would scale every event's phase
+      alike, an error that adds up coherently next to a line, to 24 times
+      ``u*sqrt(sum(phi_i**2))`` on a 50k-event capture.)
+    * The ``exp`` error: each complex ``exp`` is within ``2u`` of the unit
+      phasor at its phase (an ulp in each part), and ``w**J`` carries ``J``
+      times ``w``'s: ``2*J*u``.
+    * The error of the step powers: a complex product rounds by at most
+      ``sqrt(5)*u`` (Brent, Percival & Zimmermann 2007) and a squaring
+      doubles the error it is given, so ``w**J``, built by any chain of
+      squarings and products, carries ``(J - 1)*sqrt(5)*u`` of them.  The gate
+      ``|K| + rows - 1 < 2**LATTICE_BITS`` keeps ``J <= 255``, so these two
+      terms stay below ``1078u``; off the lattice ``J <= 63`` and the anchor's
+      ``exp`` adds ``2u``.
+    * The sums: numpy's ``reduceat`` adds pairwise (leaves of 128 values in
+      8 interleaved sums, then halvings), so each phasor of a block of at
+      most 2**15 events passes at most 35 roundings, and the Kahan carry adds
+      ``2u`` of the total: ``37u``.  So ``b = 1078 + 37 = 1115``.
+
+    That is the worst case, every rounding of every event in one direction.
+    The phase roundings dominate where ``phi_i`` is large, and being
+    independent across events they typically add up to a walk of about
+    ``u*sqrt(sum(phi_i**2))``.
     """
     out = np.zeros((trials, freqs.size), dtype=np.complex128)
     carry = np.zeros_like(out)  # Kahan compensation: a long trial adds up hundreds of blocks
     runs = _ladders(freqs)
     rows = min(ANCHOR, max((stop - start for start, stop, _ in runs), default=1))
-    offsets = np.arange(rows, dtype=np.float64)
-    top_t = float(max(-t.min(), t.max())) if t.size else 0.0  # max |t| without a copy of t
-    pieces, bits = [], {}  # pieces (first, stop, step, K); bits split off theta per step
+    pieces = []  # (first, stop, step, K, powers of w it needs)
     for start, stop, step in runs:
         for first in range(start, stop, rows):
             end = min(first + rows, stop)
-            rung = _lattice_rung(freqs[first: end], step, top_t)
-            pieces.append((first, end, step, rung))
-            bits[step] = max(bits.get(step, 0), max(rows - 1, abs(rung) + end - first - 1).bit_length())
+            rung = _lattice_rung(freqs[first: end], step)
+            need = max((end - first - 1).bit_length(), abs(rung).bit_length())
+            pieces.append((first, end, step, rung, need))
     events = max(1, PHASOR_CHUNK // rows)
-    work = _WORKSPACE.take(rows, min(events, t.size), max(bits.values(), default=0))
+    work = _WORKSPACE.take(rows, min(events, t.size), max((p[-1] for p in pieces), default=0))
     for lo in range(0, t.size, events):
         block, owner = t[lo: lo + events], tid[lo: lo + events]
         starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
         n = block.size
-        theta, spare = work.theta[:n], work.spare[:n]
         powers = [w[:n] for w in work.powers]  # w, w**2, w**4, ... for this block's step
         rotor, ready = None, 0
-        for first, stop, step, rung in pieces:
+        for first, stop, step, rung, need in pieces:
             r = stop - first
-            if step != rotor:  # theta for a new step, split so that (K + k) * theta is exact
-                split = float(1 << bits[step]) + 1.0
-                np.multiply(2.0 * np.pi * step, block, out=theta)
-                # theta = theta * split - (theta * split - theta)
-                np.multiply(theta, split, out=spare)
-                np.subtract(spare, theta, out=theta)
-                np.subtract(spare, theta, out=theta)
+            if step != rotor:
                 rotor, ready = step, 0
-            while ready < max((r - 1).bit_length(), abs(rung).bit_length()):
+            while ready < need:
                 w = powers[ready]
                 if ready:
                     np.multiply(powers[ready - 1], powers[ready - 1], out=w)
-                else:
-                    np.exp(np.multiply(-1j, theta, out=w), out=w)
+                else:  # w = exp(-i*theta), theta = fl(P*fl(s*t))
+                    np.multiply(block, step, out=w)
+                    w *= -2j * np.pi
+                    np.exp(w, out=w)
                 ready += 1
-            phase = work.phase[:r * n].reshape(r, n)
-            k_theta = work.k_theta[:r * n].reshape(r, n)
             rot = work.rot[:r * n].reshape(r, n)
-            np.multiply.outer(freqs[first: stop], block, out=phase)
-            phase *= 2.0 * np.pi
-            np.multiply.outer(offsets[:r] + rung, theta, out=k_theta)
             if rung:  # w**K from the powers at the bits of |K|
                 factors = [w for i, w in enumerate(powers) if abs(rung) >> i & 1]
                 np.copyto(rot[0], factors[0])
@@ -409,21 +393,16 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
                     rot[0] *= w
                 if rung < 0:
                     np.conjugate(rot[0], out=rot[0])
-            else:
-                np.exp(np.multiply(-1j, phase[0], out=rot[0]), out=rot[0])
-                # phi_k - phi_0, exact (Sterbenz) while they lie within a factor of 2;
-                # row 0 last, so the other rows read it unchanged
-                np.subtract(phase[1:], phase[0], out=phase[1:])
-                np.subtract(phase[0], phase[0], out=phase[0])
+            else:  # exp(-i*fl(P*fl(f0*t)))
+                np.multiply(block, freqs[first], out=rot[0])
+                rot[0] *= -2j * np.pi
+                np.exp(rot[0], out=rot[0])
             # rows [2**b, 2**(b + 1)) are rows [0, 2**b) times w**(2**b), one row a
             # call: broadcasting w over the rows ran ~1.5x slower on 3k-event blocks
             for k in range(1, r):
                 b = k.bit_length() - 1
                 np.multiply(rot[k - (1 << b)], powers[b], out=rot[k])
-            phase -= k_theta
             sums = np.add.reduceat(rot, starts, axis=1)
-            rot *= phase
-            sums -= 1j * np.add.reduceat(rot, starts, axis=1)
             cell = owner[starts], slice(first, stop)
             addend = sums.T - carry[cell]
             total = out[cell] + addend
@@ -432,30 +411,29 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
     return out
 
 
-def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Phasor sums of one sequence along one arithmetic run by type-1 NUFFT.
-
-    Returns the sums and a mask of the quiet points, those whose ``|X|`` lies
-    below the bound ``b`` on the NUFFT's distance from the direct formula's
-    rounding divided by :data:`NUFFT_RTOL`; their values are to be recomputed.
 
     With ``h = len(freqs) // 2``, point ``j`` is ``fc + k*s + d_k`` for
     ``k = j - h``, centre ``fc = freqs[h]`` and the step ``s`` fitted to the
-    run's ends.  Each event is rotated by ``fc`` at the direct phase (one
-    ``exp`` per event), so the sum at point ``j`` is mode ``k`` of the
-    rotated phasors ``c`` at ``x = (s*t) mod 1``: spread by the ES kernel onto
-    a periodic grid, the least power of two at least twice the run's length,
-    one FFT, and divided by the kernel's transform.  The same transform of
-    ``t*c`` is the derivative in frequency, which moves each mode by ``d_k``
-    onto its point and by ``_PI_ROUNDING * k * s`` onto the direct formula's
-    ``fl(2*pi)``.
+    run's ends.  Each event is rotated by ``fc`` (one ``exp`` per event), so
+    the sum at point ``j`` is mode ``k`` of the rotated phasors ``c`` at
+    ``x = (s*t) mod 1``: spread by the ES kernel onto a periodic grid, the
+    least power of two at least twice the run's length, one FFT, and divided
+    by the kernel's transform.  The same transform of ``t*c`` is the
+    derivative in frequency, which moves each mode by ``d_k`` onto its point
+    and by ``_PI_ROUNDING * k * s`` onto the reference phase's ``fl(2*pi)``.
 
-    The bound is ``b = (N*(eps + (2*pi*D*T)**2 / 2) + 3*W) / NUFFT_RTOL`` for
-    ``N`` events, the NUFFT error ``eps`` (:data:`_NUFFT_EPS`), the largest
-    ``|t|`` ``T``, the largest frequency shift ``D`` (its second-order term is
-    what the correction drops) and the rounding walk ``W = sqrt(sum(u_i**2))``
-    (:data:`_WALK_SCALE`), where event ``i``'s ``u_i`` is the ulp of its
-    largest phase plus the mode phase's rounding, ``h*2*pi*ulp(s*t_i)``.
+    Against the bound of :func:`phasor_sums`: the rotation's phase
+    ``fl(P*fl(fc*t))`` is within ``2u*phi_i`` of ``P*fc*t``, and the modes'
+    ``x`` rounds by ``u*|s*t|``, which mode ``k`` turns into ``2u*phi_i``
+    (``|k*s| <= 2*max|f|``); with the ``exp``, both lie inside the ladder's
+    ``a`` and ``b``.  Spreading, FFT and division stay within ``N *
+    _NUFFT_EPS``.  The derivative drops ``(P*D*t_i)**2 / 2`` per event for the
+    largest shift ``D``, below ``u/2`` while ``P*D*|t_i| <= 2**-26``.  A
+    periodogram's grid strays from its line by a few ulps of ``max|f|``, so
+    ``P*D*|t_i|`` is a few ``u*phi_i`` and that holds up to ``phi_i`` ~ 1e7;
+    a run drifting farther within the ladder cut's slack adds the term.
     """
     m = freqs.size
     h = m // 2
@@ -474,8 +452,6 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n = 1 << (2 * max(m, _ES_WIDTH) - 1).bit_length()  # the least power of two >= 2*max(m, W)
     grid = np.zeros((4, n + _ES_WIDTH))  # cells past n wrap around to the start
     offsets = np.arange(_ES_WIDTH)
-    top_f = max(abs(freqs[0]), abs(freqs[-1]))
-    walk_sq, top_t = 0.0, 0.0
     events = max(1, PHASOR_CHUNK // _ES_WIDTH)
     for lo in range(0, t.size, events):
         block = t[lo: lo + events]
@@ -489,21 +465,13 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         weighted = c * block
         for row, weight in enumerate((c.real, c.imag, weighted.real, weighted.imag)):
             grid[row] += np.bincount(cells, (kernel * weight[:, None]).ravel(), minlength=grid.shape[1])
-        span = np.abs(block)
-        ulps = np.spacing(2.0 * np.pi * top_f * span) + h * 2.0 * np.pi * np.spacing(abs(s) * span)
-        walk_sq += np.dot(ulps, ulps)
-        top_t = max(top_t, span.max())
     grid[:, :_ES_WIDTH] += grid[:, n:]
     modes = np.fft.fft(grid[0::2, :n] + 1j * grid[1::2, :n])[:, k.astype(np.intp) % n]
     transform = np.zeros(h + 1)
     for node, weight in zip(_ES_NODES, _ES_WEIGHTS):
         transform += weight * np.cos((np.pi * _ES_WIDTH / n * node) * np.arange(h + 1))
     modes /= (_ES_WIDTH / 2) * transform[np.abs(k).astype(np.intp)]
-    values = modes[0] - 2j * np.pi * shift * modes[1]
-
-    taylor = 0.5 * (2.0 * np.pi * np.abs(shift).max() * top_t) ** 2
-    bound = (t.size * (_NUFFT_EPS + taylor) + _WALK_SCALE * math.sqrt(walk_sq)) / NUFFT_RTOL
-    return values, np.abs(values) < bound
+    return modes[0] - 2j * np.pi * shift * modes[1]
 
 
 def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from conftest import P, U, exact_sums, kernel_bound, rounding_walk
 from mcfc import cli, spectral
 from mcfc.codec import Symbol, decode
 from mcfc.harness import SweepSpec, band_model, run_error_vs_components
 from mcfc.photon_channel import (
+    PS_PER_SECOND,
+    LinkBudget,
     PhotonSequence,
     SourceConfig,
     Tone,
@@ -117,7 +120,7 @@ def test_batch_amplitudes_match_per_trial_dft():
 
 
 # -----------------------------------------------------------------
-# the kernel against the direct sum (property tests)
+# the kernel against the exact sum (conftest.exact_sums) at its bound
 # -----------------------------------------------------------------
 
 @st.composite
@@ -130,10 +133,11 @@ def _events(draw):
     return np.array(times, dtype=np.float64), np.array(ids, dtype=np.int64), trials
 
 
-def _direct_sum(t, f):
-    """The direct formula, exp(-i*fl(2*pi*fl(f*t))) per event, summed exactly."""
-    phase = 2.0 * np.pi * (f * np.asarray(t, dtype=np.float64))
-    return complex(math.fsum(np.cos(phase)), -math.fsum(np.sin(phase)))
+def _assert_within_bound(values, t, freqs, nufft=False):
+    """Every value of one trial lies within the kernel's bound of the exact sum."""
+    errors = np.abs(np.asarray(values) - exact_sums(t, freqs))
+    assert (errors <= kernel_bound(t, freqs, nufft)).all(), errors.max()
+    return errors
 
 
 def _assert_match_direct_fsum(times, ids, trials, freqs, chunk):
@@ -142,10 +146,7 @@ def _assert_match_direct_fsum(times, ids, trials, freqs, chunk):
         got = phasor_sums(times, freqs, ids, trials)
     assert got.shape == (trials, len(freqs))
     for k in range(trials):
-        t = times[ids == k]
-        for j, f in enumerate(freqs):
-            # relative to the sum of the phasor magnitudes, i.e. the count
-            assert abs(got[k, j] - _direct_sum(t, f)) <= 1e-9 * max(t.size, 1)
+        _assert_within_bound(got[k], times[ids == k], freqs)
 
 
 @settings(deadline=None)
@@ -176,16 +177,17 @@ def test_phasor_sums_on_ladders_match_direct_fsum(events, freqs, chunk):
     _assert_match_direct_fsum(*events, freqs, chunk)
 
 
-def test_rotation_keeps_the_direct_rounding_at_the_quietest_point():
-    # at f*t ~ 5e4 the phase is ~3e5 rad, whose ulp is ~6e-11 rad; an uncorrected
-    # rotation misses each direct (rounded) phase by up to half of that, which
-    # shows at the ladder's smallest |X| (~0.1 sqrt(N)) as a relative error ~1e-10
-    t = np.sort(derive_rng(54).uniform(0.0, 1.0, 50_000))
-    ladder = 49_950.0 + 1.0 * np.arange(101)
-    values = phasor_sums(t, ladder)[0]
-    quiet = int(np.argmin(np.abs(values)))
-    ref = _direct_sum(t, ladder[quiet])
-    assert abs(values[quiet] - ref) <= 1e-12 * abs(ref)
+def test_rotation_holds_the_bound_at_the_quietest_point():
+    # at f*t ~ 5e4 each phase (~3e5 rad) rounds by up to ~3e-11 rad; the rotated
+    # phasors keep those roundings independent, so they add up to a walk of about
+    # u*sqrt(sum(phi**2)) (~5e-9 here) at the line and at the quietest point alike
+    t = sample_modulated(SourceConfig(5e4, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(54)).seconds
+    # 61 rungs through the line: on the lattice of 250 Hz (K = 170), and off it
+    for ladder in (250.0 * np.arange(170, 231), 49_970.0 + 1.0 * np.arange(61)):
+        values = phasor_sums(t, ladder)[0]
+        errors = _assert_within_bound(values, t, ladder)
+        assert np.abs(values).min() < 0.25 * math.sqrt(t.size) < np.abs(values).max() / 100
+        assert errors.max() <= 10 * rounding_walk(t, ladder)
 
 
 def test_ladder_callers_stay_off_the_nufft(rgb_plan):
@@ -231,66 +233,79 @@ def test_nufft_runs_match_direct_fsum(times, freqs):
     got = _run_through_nufft(times, freqs)
     if times.size == 0:
         assert np.array_equal(got, np.zeros(freqs.size))
-    for f, value in zip(freqs, got):
-        assert abs(value - _direct_sum(times, f)) <= 1e-9 * max(times.size, 1)
+    _assert_within_bound(got, times, freqs, nufft=True)
+
+
+def _nufft_tight(t, freqs):
+    """Ten walks of the phase roundings plus the NUFFT's own error: a fixed-seed
+    check on the largest error of a run, which a coherent error (one that grows
+    with ``N``, not ``sqrt(N)``) would fail long before the worst-case bound."""
+    return 10 * rounding_walk(t, freqs) + t.size * spectral._NUFFT_EPS
 
 
 def test_nufft_moves_each_mode_onto_its_exact_frequency():
     # 0.0037 Hz steps round, so the points sit ~1 ulp (7e-12 Hz) off the run's
-    # line; over a 100 s capture that drifts the line's phasors by ~4e-9 rad,
-    # which the derivative transform must take out to keep 1e-9 relative.  All
-    # three runs take a 256-cell grid: 121 rungs, 65 (the shortest run on the
-    # NUFFT, oversampled 3.9 times) and 128 (oversampled exactly twice)
+    # line; over a 100 s capture that drifts the line's ~1000 phasors alike by
+    # up to ~4e-9 rad, a few 1e-6 in all, which the derivative transform must take
+    # out to stay within ten walks (~1e-6).  All three runs take a 256-cell
+    # grid: 121 rungs, 65 (the shortest run on the NUFFT, oversampled 3.9
+    # times) and 128 (oversampled exactly twice)
     for rungs, line in [(121, 100), (65, 50), (128, 100)]:
         grid = 49_999.8 + 0.0037 * np.arange(rungs)
         seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[line]),)), derive_rng(67))
         with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
             values = _run_through_nufft(seq.seconds, grid)
         assert fft.call_args.args[0].shape == (2, 256)
-        for f, value in zip(grid, values):
-            ref = _direct_sum(seq.seconds, f)
-            assert abs(value - ref) <= 1e-9 * abs(ref), (rungs, f)
+        errors = _assert_within_bound(values, seq.seconds, grid, nufft=True)
+        assert errors.max() <= _nufft_tight(seq.seconds, grid), rungs
 
 
-def test_nufft_recomputes_a_planted_quiet_point():
+def test_nufft_holds_a_planted_quiet_point_to_the_bound():
     # pairs an odd number of half periods apart cancel at 50 kHz, and two events
-    # on whole periods leave |X| ~ 2 there: below the bound (~3.8 for these 2002
-    # events), so the NUFFT value, ~1e-10 relative off the direct rounding, must
-    # be replaced by the ladder's
+    # on whole periods leave |X| ~ 2 there; the NUFFT value stands, no ladder
+    # runs, and it is as close to the exact sum as the line's neighbours are
     f0 = 50_000.0
     first = derive_rng(62).uniform(0.0, 0.9, 1000)
     t = np.sort(np.concatenate([first, first + 5001 / (2 * f0), np.arange(1, 3) / f0]))
-    grid = 49_850.0 + 1.0 * np.arange(201)  # off the centre, whose phase is the direct one
-    ref = _direct_sum(t, f0)
-    assert abs(ref) < 2.5
-    assert abs(_run_through_nufft(t, grid)[150] - ref) <= 1e-12 * abs(ref)
-    with mock.patch.object(spectral, "NUFFT_RTOL", np.inf):  # nothing counts as quiet
-        assert abs(_run_through_nufft(t, grid)[150] - ref) > 1e-12 * abs(ref)
-
-
-def test_nufft_recomputes_few_points_of_a_capture_scan():
-    seq = sample_modulated(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(63))
-    assert len(seq) > 170_000
-    scan = 49_750.0 + 1.0 * np.arange(501)
+    grid = 49_850.0 + 1.0 * np.arange(201)  # 50 kHz at mode 50, off the centre
     with mock.patch.object(spectral, "_ladder_sums", wraps=spectral._ladder_sums) as ladder:
-        values = _run_through_nufft(seq.seconds, scan)
-    (call,) = ladder.call_args_list
-    recomputed = call.args[2]
-    assert 0 < recomputed.size < 0.05 * scan.size
-    for f in recomputed[:3]:
-        ref = _direct_sum(seq.seconds, f)
-        assert abs(values[np.searchsorted(scan, f)] - ref) <= 1e-12 * abs(ref)
+        values = _run_through_nufft(t, grid)
+    assert not ladder.called
+    errors = _assert_within_bound(values, t, grid, nufft=True)
+    assert abs(exact_sums(t, [f0])[0]) < 2.5 and grid[150] == f0
+    assert errors[150] <= _nufft_tight(t, grid)
+
+
+def test_scan_error_stays_within_ten_rounding_walks():
+    # a 1 s capture at f*t up to 5e4, scanned across its line; at floor points
+    # |X|**2 is about exponential with mean N, so some points are quiet
+    seq = sample_modulated(SourceConfig(2e4, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(63))
+    scan = 49_875.0 + 1.0 * np.arange(251)
+    values = _run_through_nufft(seq.seconds, scan)
+    errors = _assert_within_bound(values, seq.seconds, scan, nufft=True)
+    assert np.abs(values).min() < 0.1 * math.sqrt(len(seq))
+    assert errors.max() <= _nufft_tight(seq.seconds, scan)
+
+
+def test_nufft_modes_turn_at_the_reference_two_pi():
+    # one event whose phases round nowhere: f*t is a power of two at the centre
+    # (2048 Hz at 0.5 s) and s*t = 1/2, so only the NUFFT's own error is left;
+    # modes at the exact 2*pi would miss P*f*t by (2*pi - P)*k/2, 1.2e-13 at |k| = 1000
+    t = np.array([0.5])
+    grid = 1048.0 + 1.0 * np.arange(2001)
+    errors = np.abs(_run_through_nufft(t, grid) - exact_sums(t, grid))
+    assert errors.max() <= t.size * spectral._NUFFT_EPS
 
 
 def test_many_event_blocks_add_up_like_one_sum():
     # one event per block: next to a strong line the running sum swings by ~1e3
-    # over the capture, and adding 20k block sums in turn would drift by ~1e-11
+    # over the capture, and adding 20k block sums in turn would drift by ~1e-11;
+    # the Kahan carry keeps them within 1e-12 of the sum in a few large blocks
     seq = sample_modulated(SourceConfig(20e3, 1.0, (Tone(50e3),)), derive_rng(61))
     ladder = np.array([49_998.0, 49_999.0, 50_000.0, 50_001.0, 50_002.0])
     with mock.patch.object(spectral, "PHASOR_CHUNK", ladder.size):
         values = phasor_sums(seq.seconds, ladder)[0]
-    for f, value in zip(ladder, values):
-        assert abs(value - _direct_sum(seq.seconds, f)) <= 1e-12
+    assert np.abs(values - phasor_sums(seq.seconds, ladder)[0]).max() <= 1e-12
 
 
 # -----------------------------------------------------------------
@@ -341,17 +356,11 @@ def test_one_exp_per_event_for_a_whole_channel_plan(rgb_plan):
     assert all(events > 40_000 and exps == events for events, exps in calls)
 
 
-#: Worst gap from the direct sum per event that a lattice piece may leave:
-#: ``4 * 2**-53`` for each of the ``2**LATTICE_BITS`` rungs the gate admits
-#: (1.1e-13; single events measured up to 231 * 2**-53).
-_LATTICE_TOL = 4 * 2.0 ** spectral.LATTICE_BITS * np.finfo(np.float64).eps / 2
-
-
 @st.composite
 def _lattice_bands(draw):
     """Bands of 2-64 rungs on the lattice of one step, ascending or descending,
     disjoint and apart, every rung and ``|K| + rows - 1`` below ``2**LATTICE_BITS``;
-    the largest event time keeps the phases inside the gate."""
+    the largest event time keeps ``max|f*t|`` at most 5e4."""
     step = 0.25 * draw(st.integers(1, 4000))  # K * step is exact
     cursor, bands = draw(st.integers(1, 40)), []
     for _ in range(draw(st.integers(1, 3))):
@@ -364,7 +373,7 @@ def _lattice_bands(draw):
     if draw(st.booleans()):
         bands.reverse()
     freqs = step * np.concatenate(bands)
-    top_t = draw(st.floats(1e-4, 1.0)) * min(1.0, 4.1e4 / np.abs(freqs).max())
+    top_t = draw(st.floats(1e-4, 1.0)) * min(1.0, 5e4 / np.abs(freqs).max())
     flips = sum((a[1] - a[0]) != (b[1] - b[0]) for a, b in zip(bands, bands[1:]))
     return freqs, top_t, 1 + flips
 
@@ -378,29 +387,26 @@ def test_lattice_pieces_match_direct_fsum(bands, trials, n, data):
     got, calls = _exp_per_call(lambda: spectral.phasor_sums(times, freqs, ids, trials))
     assert calls == [(n, n * steps)]  # one exp per event for each step, none per band
     for k in range(trials):
-        t = times[ids == k]
-        for j, f in enumerate(freqs):
-            assert abs(got[k, j] - _direct_sum(t, f)) <= _LATTICE_TOL * max(t.size, 1)
+        _assert_within_bound(got[k], times[ids == k], freqs)
 
 
 def test_pieces_off_the_lattice_or_past_its_gate_keep_the_direct_anchor():
     rng = derive_rng(82)
     window = np.sort(rng.uniform(0.0, 1e-3, 2000))
     long_capture = np.sort(rng.uniform(0.0, 2.0, 2000))
-    first = rng.uniform(0.0, 0.9, 1000)  # the planted quiet point of the NUFFT test
-    quiet = np.sort(np.concatenate([first, first + 5001 / 1e5, np.arange(1, 3) / 5e4]))
     rungs = np.arange(11)
     cases = [
         (window, 200e3 + 0.5 + 1e3 * rungs),  # off the lattice
         (window, 300e3 + 1e3 * rungs),  # |K| + rows - 1 past 2**LATTICE_BITS
-        (long_capture, 30e3 + 1e3 * rungs),  # max |f * t| ~ 8e4, past the phase gate
-        (quiet, 49_850.0 + 1.0 * np.arange(201)),  # points too quiet for the NUFFT, K ~ 5e4
+        (window, 25e3 + 1e3 * rungs),  # on the lattice
+        (long_capture, 30e3 + 1e3 * rungs),  # on it too: no phase gates it, max |f * t| ~ 8e4
     ]
     got = [phasor_sums(t, freqs) for t, freqs in cases]
-    on_lattice = phasor_sums(window, 25e3 + 1e3 * rungs)
     with mock.patch.object(spectral, "LATTICE_BITS", 0):  # no piece passes the gate
-        assert all(np.array_equal(v, phasor_sums(t, freqs)) for v, (t, freqs) in zip(got, cases))
-        assert not np.array_equal(on_lattice, phasor_sums(window, 25e3 + 1e3 * rungs))
+        direct = [phasor_sums(t, freqs) for t, freqs in cases]
+    assert [np.array_equal(a, b) for a, b in zip(got, direct)] == [True, True, False, False]
+    for (t, freqs), values in zip(cases, got):
+        _assert_within_bound(values[0], t, freqs)
 
 
 def test_ladder_runs_follow_the_channel_grids(rgb_plan):
@@ -537,15 +543,15 @@ def test_workspace_follows_a_patched_chunk_cap():
 
     def workspace_size(chunk):
         with mock.patch.object(spectral, "PHASOR_CHUNK", chunk):
-            (values,) = _in_threads(lambda: (phasor_sums(t, ladder), spectral._WORKSPACE.real.size))
+            (values,) = _in_threads(lambda: (phasor_sums(t, ladder), spectral._WORKSPACE.cplx.size))
         return values
 
     (capped, capped_size), (free, free_size) = workspace_size(97), workspace_size(spectral.PHASOR_CHUNK)
-    assert capped_size <= 4 * 97  # two pieces of at most 97 phasors, two event vectors
+    # one 11-row piece of 97 // 11 events and the powers w ... w**128 of its step
+    assert capped_size <= (ladder.size + spectral.LATTICE_BITS) * (97 // ladder.size)
     assert capped_size < free_size
-    for j, f in enumerate(ladder):
-        assert abs(capped[0, j] - _direct_sum(t, f)) <= 1e-9 * t.size
-    assert np.allclose(capped, free, rtol=0.0, atol=1e-9 * t.size)
+    _assert_within_bound(capped[0], t, ladder)
+    assert np.allclose(capped, free, rtol=0.0, atol=1e-12)
 
 
 @settings(deadline=None)
@@ -666,6 +672,38 @@ def test_expected_line_matches_the_monte_carlo_mean(tones, probe, on_tone):
 def test_expected_line_at_dc_is_expected_count():
     config = SourceConfig(8e4, 1e-3, (Tone(50e3, phase=0.7, depth=0.9),))
     assert expected_line(config, 0.0) == pytest.approx(config.expected_count, rel=1e-12)
+
+
+# -----------------------------------------------------------------
+# aliasing: a gated detector registers on its clock, a free-running one at random
+# -----------------------------------------------------------------
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(2_000, 50_000), st.floats(5e3, 90e3), st.integers(1, 3), st.integers(0, 2**16))
+def test_gated_detector_aliases_every_multiple_of_its_rate(period_ps, tone, m, seed):
+    # every registered time is a whole number of gate periods T, so the phasors
+    # at f + m/T are those at f: the line reappears there, |X(f)| = |X(f + m/T)|
+    period = period_ps / PS_PER_SECOND
+    config = SourceConfig(1e5, 1e-3, (Tone(tone),))
+    batch = sample_event_batch(config, 4, derive_rng(83, seed), LinkBudget(rep_period=period))
+    alias = tone + m / period
+    values = np.abs(phasor_sums(batch.times, [tone, alias], batch.trial_ids, batch.trials))
+    for k in range(batch.trials):
+        t = batch.times[batch.trial_ids == k]
+        # the bound at each frequency; the times, T, m/T and the alias round off
+        # whole periods by u each, and P is not 2*pi: 5*u*phi_i in all
+        slack = 2 * kernel_bound(t, [alias]) + 5 * U * P * alias * np.abs(t).sum()
+        assert abs(values[k, 0] - values[k, 1]) <= slack
+
+
+def test_free_running_detector_does_not_alias():
+    # without a gate the times fall anywhere, so f + 1/T is one more floor point:
+    # E|X|**2 = N there, while the line at f keeps its N/2
+    config = SourceConfig(2e5, 1e-3, (Tone(50e3),))
+    batch = sample_event_batch(config, 2000, derive_rng(84), LinkBudget(dead_time=50e-9))
+    amps = batch_amplitudes(batch, np.array([50e3, 50e3 + 1 / 10e-9]))
+    assert amps[:, 0].mean() == pytest.approx(config.expected_count / 2, rel=0.03)
+    assert (amps[:, 1] ** 2).mean() / batch.counts().mean() == pytest.approx(1.0, abs=0.1)
 
 
 # -----------------------------------------------------------------
