@@ -423,7 +423,9 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
         end = np.append(at[1:], key.size)
         while at.size:
             keep[at] = True
-            at = np.searchsorted(key, key[at] + tau)
+            open_ = end - at > 1  # a cluster's last event closes it: no search
+            at = np.searchsorted(key, key[at[open_]] + tau)
+            end = end[open_]
             at, end = at[at < end], end[at < end]
         key = key[keep]
     if budget.rep_period is not None:

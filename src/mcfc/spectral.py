@@ -34,6 +34,14 @@ per-thread workspace of at most :data:`PHASOR_CHUNK` phasors a piece, so a
 stream of short windows neither allocates nor page-faults them again on
 every call.
 
+Events go through the ladder in blocks that pack whole trials, so a trial's
+sums depend on its own events alone: a batch's row equals the one-trial
+call on that trial's events, bit for bit.  That lets a large batch be cut
+at trial boundaries over a small thread pool (up to :data:`THREADS`
+threads, no more than the CPUs the process may run on) with results that
+do not depend on the number of threads.  Single sequences stay on the
+caller's thread.
+
 A dense scan of one sequence (one trial, a run of more than
 :data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
 FFT (Dutt & Rokhlin 1993; the exponential-of-semicircle kernel of
@@ -63,7 +71,9 @@ as next to a line.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -135,13 +145,24 @@ class LineStats:
 # phasor sums
 # ---------------------------------------------------------------------------
 
-#: Most phasors (frequencies x events) in one piece's rotated phasors, so
-#: they stay in a 2 MiB L2 cache: events go in blocks of
-#: ``PHASOR_CHUNK // rows``, ``rows`` being the longest ladder piece of the
-#: call (at most :data:`ANCHOR`).  On a Xeon with that cache, a 2k-event
-#: window at 33 channels ran ~1.4x slower through the direct ``exp`` as one
-#: 64k-phasor block than in 32k pieces.
-PHASOR_CHUNK = 1 << 15
+#: Most phasors (frequencies x events) in one piece's rotated phasors: events
+#: go in blocks of at most ``PHASOR_CHUNK // rows``, ``rows`` being the
+#: longest ladder piece of the call (at most :data:`ANCHOR`).  On a 2-vCPU
+#: Xeon (2 MiB L2 a core), 2**16 against 2**15 took mc-sweep's eight batches
+#: (64k-1.2M events, 11 and 33 channels) from 212 to 208 ms on one thread
+#: and from 178 to 146 ms on two, and one 33-channel window from 335 to
+#: 286 us at 4.2k events and from 138 to 137 us at 1.4k.
+PHASOR_CHUNK = 1 << 16
+
+#: At most this many threads sum one batch (:func:`_split_trials`).
+THREADS = 4
+
+#: Batches of fewer events stay on the caller's thread.  On the same Xeon,
+#: two threads took 0.87 and 1.07 times one thread's time on sweep batches
+#: of 32k events at 11 and 33 channels, 0.69 and 0.96 at 64k, 0.61 and 0.86
+#: at 128k, and 0.93 and 1.16 at 8k: the ladder's many short ufuncs hold the
+#: GIL between their loops, so the gain comes from its per-event ``exp``.
+THREAD_MIN_EVENTS = 1 << 15
 
 #: Rows of a ladder piece: each piece starts at an anchor, and its other rows
 #: are the anchor rotated by powers of the step phasor.  Off the step lattice,
@@ -159,11 +180,12 @@ _LADDER_ULPS = 8.0
 _SLACK = _LADDER_ULPS * np.finfo(np.float64).eps
 
 #: One-trial runs of more than this many rungs go through the type-1 NUFFT
-#: (:func:`_nufft_run`) instead of the ladder rotation.  On a 2-vCPU Xeon the
-#: ladder took 0.58 and 0.85 times the NUFFT's time at 64 rungs for 1k and 90k
-#: events, and the NUFFT overtook it at ~96 and ~75 rungs; the channel bands
-#: (11-33 rungs) stay on the ladder.
-NUFFT_MIN_RUNGS = 64
+#: (:func:`_nufft_run`) instead of the ladder rotation.  On a 2-vCPU Xeon,
+#: over 1 s, the ladder took 0.68 and 0.97 times the NUFFT's time at 96 rungs
+#: for 1k and 90k events, and 0.73 and 1.06 at 112; the NUFFT overtook it at
+#: ~160 rungs for 1k events and ~100 for 90k, where the time goes.  The
+#: channel bands (11-33 rungs) stay on the ladder.
+NUFFT_MIN_RUNGS = 100
 
 #: Exponential-of-semicircle kernel ``exp(beta*(sqrt(1 - z*z) - 1))`` on
 #: ``|z| <= 1``, spanning this many cells of a grid oversampled 2 to 4 times,
@@ -171,6 +193,11 @@ NUFFT_MIN_RUNGS = 64
 #: for 2; more oversampling only makes it more accurate.
 _ES_WIDTH = 16
 _ES_BETA = 2.3 * _ES_WIDTH
+
+#: Events spread onto the NUFFT grid per block, ``_ES_WIDTH`` cells each.
+#: On a 2-vCPU Xeon a 180k-event capture's 501-point scan took 38.7 ms in
+#: blocks of 2048, 40.6 ms in blocks of 4096 and 40.3 ms in blocks of 1024.
+_NUFFT_BLOCK = 2048
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
@@ -203,8 +230,10 @@ class _Workspace(threading.local):
 
     A call needs ``rows * events`` rotated phasors, at most
     ``max(PHASOR_CHUNK, ANCHOR)``, and up to :data:`LATTICE_BITS` event-long
-    powers of the step phasor: 0.8 MiB for the RGB plan's 11-rung bands,
-    2.5 MiB at most (2-rung pieces far up the lattice).
+    powers of the step phasor: 1.6 MiB for the RGB plan's 11-rung bands,
+    9 MiB at most (lone frequencies far up the lattice of their step, one
+    row of 2**16 events and eight powers).  Each thread of the pool
+    (:func:`_split_trials`) keeps its own.
     Fresh arrays of that size went back to the operating system when freed
     and were faulted in again by the next call, ~250 page faults per 1 ms
     image window, so the arrays stay.  They grow on demand and never shrink;
@@ -268,21 +297,25 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
     The frequencies are cut into arithmetic runs (:func:`_ladders`).  With
     one trial, a run of more than :data:`NUFFT_MIN_RUNGS` rungs and a nonzero
     step is evaluated by :func:`_nufft_run`; every other run goes through
-    :func:`_ladder_sums`.  Each value lies within the module's bound of the
-    exact sum, ``a*u*sum(phi_i) + b*N*u`` with ``a = 1014`` and ``b = 1115``
-    over the trial's ``N`` events, plus ``N * _NUFFT_EPS`` on the NUFFT.
+    :func:`_ladder_sums`, whose row of a trial depends on that trial's events
+    alone: a batch's row equals the one-trial call on the same events, in the
+    same order, bit for bit, on any number of threads (:func:`_split_trials`).
+    Each value lies within the module's bound of the exact sum,
+    ``a*u*sum(phi_i) + b*N*u`` with ``a = 1014`` and ``b = 1116`` over the
+    trial's ``N`` events, plus ``N * _NUFFT_EPS`` on the NUFFT.
     """
     t = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64).reshape(-1)
     tid = np.zeros(t.size, dtype=np.intp) if trial_ids is None else np.asarray(trial_ids)
     if tid.shape != t.shape or (tid.size and not 0 <= tid.min() <= tid.max() < trials):
         raise ValueError(f"trial_ids must match times in shape and lie in [0, {trials})")
-    if trial_ids is not None:  # group the events by trial
+    if trial_ids is not None and not (tid[1:] >= tid[:-1]).all():  # group the events by trial
         order = np.argsort(tid, kind="stable")
         t, tid = t[order], tid[order]
+    out = np.zeros((trials, freqs.size), dtype=np.complex128)
     if trials > 1 or freqs.size <= NUFFT_MIN_RUNGS:
-        return _ladder_sums(t, tid, freqs, trials)
-    out = np.zeros((1, freqs.size), dtype=np.complex128)
+        _split_trials(t, tid, freqs, out)
+        return out
     ladder = np.ones(freqs.size, dtype=bool)
     for start, stop, step in _ladders(freqs):
         if stop - start > NUFFT_MIN_RUNGS and step != 0.0:
@@ -290,8 +323,67 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
             ladder[start:stop] = False
     cols = np.flatnonzero(ladder)
     if cols.size:
-        out[:, cols] = _ladder_sums(t, tid, freqs[cols], 1)
+        sums = np.zeros((1, cols.size), dtype=np.complex128)
+        _ladder_sums(t, tid, freqs[cols], sums)
+        out[:, cols] = sums
     return out
+
+
+def _threads() -> int:
+    """Threads a batch may use: the CPUs this process may run on, at most :data:`THREADS`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(THREADS, cpus))
+
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The kernel's thread pool, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(THREADS - 1, thread_name_prefix="mcfc-phasor")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there, so build anew."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_ladder_sums` of events grouped by trial, their trials cut into shares.
+
+    A batch of at least :data:`THREAD_MIN_EVENTS` events is cut at trial
+    boundaries into :func:`_threads` shares of about equal events (views, no
+    copies); the caller's thread sums the first and the pool the others, each
+    into its own rows of ``out``.  Smaller batches, and one trial, stay on
+    the caller's thread.
+    """
+    threads = _threads() if t.size >= THREAD_MIN_EVENTS else 1
+    cuts = [0] + [int(np.searchsorted(tid, tid[t.size * k // threads])) for k in range(1, threads)]
+    shares = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [t.size]) if hi > lo]
+    if len(shares) <= 1:
+        _ladder_sums(t, tid, freqs, out)
+        return
+    pool = _pool()
+    others = [pool.submit(_ladder_sums, t[lo:hi], tid[lo:hi], freqs, out) for lo, hi in shares[1:]]
+    try:
+        lo, hi = shares[0]
+        _ladder_sums(t[lo:hi], tid[lo:hi], freqs, out)
+    finally:
+        for share in others:
+            share.result()
 
 
 def _lattice_rung(freqs: np.ndarray, step: float) -> int:
@@ -302,7 +394,7 @@ def _lattice_rung(freqs: np.ndarray, step: float) -> int:
     return int(rung) if on_lattice and (abs(int(rung)) + freqs.size - 1).bit_length() <= LATTICE_BITS else 0
 
 
-def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int) -> np.ndarray:
+def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndarray) -> None:
     """Phasor sums along ladders, events ``t`` grouped by their trial ids ``tid``.
 
     Each run of :func:`_ladders` is cut into pieces of at most :data:`ANCHOR`
@@ -313,9 +405,15 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
     ``w, w**2, w**4, ...`` at the bits of ``|K|``, conjugated for ``K < 0``:
     no ``exp`` runs.  Off it, ``K = 0`` and the anchor is
     ``exp(-i*fl(P*fl(f0*t)))`` at the first rung ``f0``.  A call over bands
-    sharing one step thus costs one ``exp`` per event in all.  Each block of
-    events is reduced per trial by one ``reduceat`` a piece, and the blocks
-    add up under a Kahan carry.
+    sharing one step thus costs one ``exp`` per event in all.
+
+    Sums go into the rows ``tid`` of ``out``, trial by trial.  Events go in
+    blocks of at most ``E = PHASOR_CHUNK // rows``.  A block packs whole
+    trials, and one ``reduceat`` a piece writes each trial's sums straight
+    into its row.  A trial longer than ``E`` gets blocks of its own, cut
+    every ``E`` events from its start, which add up under a Kahan carry.
+    Either way a row depends on its trial's events alone, not on the trials
+    that share its call.
 
     The bound of :func:`phasor_sums` sums, per event ``i``, the errors below,
     with ``u = 2**-53``, ``phi_i = P*max|f|*|t_i|`` and ``J = |K| + k``, the
@@ -345,16 +443,17 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
       ``exp`` adds ``2u``.
     * The sums: numpy's ``reduceat`` adds pairwise (leaves of 128 values in
       8 interleaved sums, then halvings), so each phasor of a block of at
-      most 2**15 events passes at most 35 roundings, and the Kahan carry adds
-      ``2u`` of the total: ``37u``.  So ``b = 1078 + 37 = 1115``.
+      most 2**16 events passes at most 36 roundings, and the Kahan carry of
+      a long trial adds ``2u`` of the total: ``38u``.  So
+      ``b = 1078 + 38 = 1116``.
 
     That is the worst case, every rounding of every event in one direction.
     The phase roundings dominate where ``phi_i`` is large, and being
     independent across events they typically add up to a walk of about
     ``u*sqrt(sum(phi_i**2))``.
     """
-    out = np.zeros((trials, freqs.size), dtype=np.complex128)
-    carry = np.zeros_like(out)  # Kahan compensation: a long trial adds up hundreds of blocks
+    if not t.size:
+        return
     runs = _ladders(freqs)
     rows = min(ANCHOR, max((stop - start for start, stop, _ in runs), default=1))
     pieces = []  # (first, stop, step, K, powers of w it needs)
@@ -366,49 +465,74 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, trials: int)
             pieces.append((first, end, step, rung, need))
     events = max(1, PHASOR_CHUNK // rows)
     work = _WORKSPACE.take(rows, min(events, t.size), max((p[-1] for p in pieces), default=0))
-    for lo in range(0, t.size, events):
-        block, owner = t[lo: lo + events], tid[lo: lo + events]
-        starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-        n = block.size
-        powers = [w[:n] for w in work.powers]  # w, w**2, w**4, ... for this block's step
-        rotor, ready = None, 0
-        for first, stop, step, rung, need in pieces:
-            r = stop - first
-            if step != rotor:
-                rotor, ready = step, 0
-            while ready < need:
-                w = powers[ready]
-                if ready:
-                    np.multiply(powers[ready - 1], powers[ready - 1], out=w)
-                else:  # w = exp(-i*theta), theta = fl(P*fl(s*t))
-                    np.multiply(block, step, out=w)
-                    w *= -2j * np.pi
-                    np.exp(w, out=w)
-                ready += 1
-            rot = work.rot[:r * n].reshape(r, n)
-            if rung:  # w**K from the powers at the bits of |K|
-                factors = [w for i, w in enumerate(powers) if abs(rung) >> i & 1]
-                np.copyto(rot[0], factors[0])
-                for w in factors[1:]:
+    # each trial's first event, then the end
+    edges = np.concatenate(([0], np.flatnonzero(tid[1:] != tid[:-1]) + 1, [t.size]))
+    i = 0
+    while i < edges.size - 1:
+        lo = edges[i]
+        j = int(np.searchsorted(edges, lo + events, side="right")) - 1
+        if j > i:  # trials i .. j - 1 whole in one block
+            owners = tid[edges[i:j]]
+            for first, stop, sums in _block_sums(t[lo: edges[j]], edges[i:j] - lo, freqs, pieces, work):
+                out[owners, first:stop] = sums.T
+            i = j
+            continue
+        # a trial longer than a block: blocks of its own, added under a Kahan carry
+        end = edges[i + 1]
+        total = np.zeros(freqs.size, dtype=np.complex128)
+        carry = np.zeros_like(total)
+        for block in range(lo, end, events):
+            piece_sums = _block_sums(t[block: min(block + events, end)], [0], freqs, pieces, work)
+            for first, stop, sums in piece_sums:
+                addend = sums[:, 0] - carry[first:stop]
+                running = total[first:stop] + addend
+                carry[first:stop] = (running - total[first:stop]) - addend
+                total[first:stop] = running
+        out[tid[lo]] = total
+        i += 1
+
+
+def _block_sums(block: np.ndarray, starts, freqs: np.ndarray, pieces: list, work: SimpleNamespace):
+    """Yield ``(first, stop, sums)`` per ladder piece of :func:`_ladder_sums` on one
+    block of events: ``sums[k, s]`` adds up row ``first + k`` over the events
+    from ``starts[s]`` to the next start."""
+    n = block.size
+    powers = [w[:n] for w in work.powers]  # w, w**2, w**4, ... for this block's step
+    rotor, ready = None, 0
+    for first, stop, step, rung, need in pieces:
+        r = stop - first
+        if step != rotor:
+            rotor, ready = step, 0
+        while ready < need:
+            w = powers[ready]
+            if ready:
+                np.multiply(powers[ready - 1], powers[ready - 1], out=w)
+            else:  # w = exp(-i*theta), theta = fl(P*fl(s*t))
+                np.multiply(block, step, out=w)
+                w *= -2j * np.pi
+                np.exp(w, out=w)
+            ready += 1
+        rot = work.rot[:r * n].reshape(r, n)
+        if rung:  # w**K from the powers at the bits of |K|
+            factors = [w for i, w in enumerate(powers) if abs(rung) >> i & 1]
+            np.copyto(rot[0], factors[0])
+            for w in factors[1:]:
+                if n > 1:
                     rot[0] *= w
-                if rung < 0:
-                    np.conjugate(rot[0], out=rot[0])
-            else:  # exp(-i*fl(P*fl(f0*t)))
-                np.multiply(block, freqs[first], out=rot[0])
-                rot[0] *= -2j * np.pi
-                np.exp(rot[0], out=rot[0])
-            # rows [2**b, 2**(b + 1)) are rows [0, 2**b) times w**(2**b), one row a
-            # call: broadcasting w over the rows ran ~1.5x slower on 3k-event blocks
-            for k in range(1, r):
-                b = k.bit_length() - 1
-                np.multiply(rot[k - (1 << b)], powers[b], out=rot[k])
-            sums = np.add.reduceat(rot, starts, axis=1)
-            cell = owner[starts], slice(first, stop)
-            addend = sums.T - carry[cell]
-            total = out[cell] + addend
-            carry[cell] = (total - out[cell]) - addend
-            out[cell] = total
-    return out
+                else:  # numpy's in-place loop for one element rounds apart from its vector loop
+                    rot[0] = rot[0] * w
+            if rung < 0:
+                np.conjugate(rot[0], out=rot[0])
+        else:  # exp(-i*fl(P*fl(f0*t)))
+            np.multiply(block, freqs[first], out=rot[0])
+            rot[0] *= -2j * np.pi
+            np.exp(rot[0], out=rot[0])
+        # rows [2**b, 2**(b + 1)) are rows [0, 2**b) times w**(2**b), one row a
+        # call: broadcasting w over the rows ran ~1.5x slower on 3k-event blocks
+        for k in range(1, r):
+            b = k.bit_length() - 1
+            np.multiply(rot[k - (1 << b)], powers[b], out=rot[k])
+        yield first, stop, np.add.reduceat(rot, starts, axis=1)
 
 
 def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -452,9 +576,8 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     n = 1 << (2 * max(m, _ES_WIDTH) - 1).bit_length()  # the least power of two >= 2*max(m, W)
     grid = np.zeros((4, n + _ES_WIDTH))  # cells past n wrap around to the start
     offsets = np.arange(_ES_WIDTH)
-    events = max(1, PHASOR_CHUNK // _ES_WIDTH)
-    for lo in range(0, t.size, events):
-        block = t[lo: lo + events]
+    for lo in range(0, t.size, _NUFFT_BLOCK):
+        block = t[lo: lo + _NUFFT_BLOCK]
         c = np.exp(-1j * (2.0 * np.pi * (fc * block)))
         x = s * block
         nx = n * (x - np.floor(x))

@@ -35,7 +35,7 @@ U = 2.0 ** -53
 #: The constants ``a`` and ``b`` of the bound stated by ``spectral.phasor_sums``
 #: and derived in ``spectral._ladder_sums``, from the module's own constants.
 BOUND_A = 6 + 2 * spectral._LADDER_ULPS * (spectral.ANCHOR - 1)
-BOUND_B = 2 * (2 ** spectral.LATTICE_BITS - 1) + math.sqrt(5) * (2 ** spectral.LATTICE_BITS - 2) + 37
+BOUND_B = 2 * (2 ** spectral.LATTICE_BITS - 1) + math.sqrt(5) * (2 ** spectral.LATTICE_BITS - 2) + 38
 
 #: The reference's own error per event, in units of ``U``: in each part an
 #: ulp of ``cos`` or ``sin``, the rounding of the first-order tail and the

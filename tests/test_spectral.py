@@ -2,13 +2,18 @@
 
 import csv
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from conftest import P, U, exact_sums, kernel_bound, rounding_walk
@@ -248,12 +253,13 @@ def test_nufft_moves_each_mode_onto_its_exact_frequency():
     # line; over a 100 s capture that drifts the line's ~1000 phasors alike by
     # up to ~4e-9 rad, a few 1e-6 in all, which the derivative transform must take
     # out to stay within ten walks (~1e-6).  All three runs take a 256-cell
-    # grid: 121 rungs, 65 (the shortest run on the NUFFT, oversampled 3.9
-    # times) and 128 (oversampled exactly twice)
+    # grid: 121 rungs, 65 (oversampled 3.9 times, sent to the NUFFT under a
+    # lowered threshold) and 128 (oversampled exactly twice)
     for rungs, line in [(121, 100), (65, 50), (128, 100)]:
         grid = 49_999.8 + 0.0037 * np.arange(rungs)
         seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[line]),)), derive_rng(67))
-        with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
+                mock.patch.object(spectral, "NUFFT_MIN_RUNGS", rungs - 1):
             values = _run_through_nufft(seq.seconds, grid)
         assert fft.call_args.args[0].shape == (2, 256)
         errors = _assert_within_bound(values, seq.seconds, grid, nufft=True)
@@ -552,6 +558,119 @@ def test_workspace_follows_a_patched_chunk_cap():
     assert capped_size < free_size
     _assert_within_bound(capped[0], t, ladder)
     assert np.allclose(capped, free, rtol=0.0, atol=1e-12)
+
+
+# -----------------------------------------------------------------
+# trial-independent sums, and threads over trials
+# -----------------------------------------------------------------
+
+def _one_trial_each(times, ids, trials, freqs):
+    """Each trial's events summed by a call of its own, in batch order."""
+    return np.array([phasor_sums(times[ids == k], freqs)[0] for k in range(trials)]).reshape(trials, -1)
+
+
+@settings(deadline=None, max_examples=120)
+@given(_events(), st.one_of(_ladder_frequencies(), _lattice_bands().map(lambda bands: list(bands[0]))),
+       st.sampled_from([1, 7, 97, spectral.PHASOR_CHUNK]))
+@example((np.array([4.25896548e-05, 3e-4]), np.array([0, 1]), 2), list(1e3 * np.arange(60, 71)), 97)
+def test_batch_rows_equal_one_trial_calls(events, freqs, chunk):
+    # empty trials, one trial, one-event trials, and (at a small chunk cap)
+    # trials longer than a block; off and on the lattice; one-trial calls kept
+    # off the NUFFT, which batches never take
+    times, ids, trials = events
+    with mock.patch.object(spectral, "PHASOR_CHUNK", chunk), \
+            mock.patch.object(spectral, "NUFFT_MIN_RUNGS", sys.maxsize):
+        batch = phasor_sums(times, freqs, ids, trials)
+        alone = _one_trial_each(times, ids, trials, freqs)
+    assert np.array_equal(batch, alone)
+
+
+def _threaded_batch():
+    """Unordered ids, empty trials, trials from one event to many blocks long."""
+    rng = derive_rng(72)
+    lengths = np.concatenate([[0, 1, 2000], rng.integers(0, 60, 200), [0, 5000, 3]])
+    ids = rng.permutation(np.repeat(np.arange(lengths.size), lengths))
+    times = rng.uniform(0.0, 1e-3, ids.size)
+    channels = 1e3 * np.concatenate([np.arange(20, 31), np.arange(40, 51), np.arange(60, 71)])
+    return times, channels, ids, lengths.size
+
+
+def _on_threads(threads, case):
+    """``phasor_sums(*case)`` cut into ``threads`` shares; the values, the shares
+    and the number of threads that summed them (the pool may reuse one)."""
+    seen, kernel = [], spectral._ladder_sums
+
+    def traced(*args):
+        seen.append(threading.get_ident())
+        return kernel(*args)
+
+    with mock.patch.object(spectral, "_threads", lambda: threads), \
+            mock.patch.object(spectral, "THREAD_MIN_EVENTS", 0), \
+            mock.patch.object(spectral, "PHASOR_CHUNK", 4096), \
+            mock.patch.object(spectral, "_ladder_sums", traced):
+        return phasor_sums(*case), len(seen), len(set(seen))
+
+
+def test_worker_counts_give_identical_sums():
+    case = _threaded_batch()
+    (one, *on_one), (two, *on_two), (three, *on_three) = (_on_threads(n, case) for n in (1, 2, 3))
+    assert on_one == [1, 1] and on_two == [2, 2] and on_three[0] == 3 and on_three[1] >= 2
+    assert np.array_equal(one, two) and np.array_equal(one, three)
+    times, freqs, ids, trials = case
+    with mock.patch.object(spectral, "PHASOR_CHUNK", 4096):
+        assert np.array_equal(one, _one_trial_each(times, ids, trials, freqs))
+
+
+def test_users_sharing_the_pool_get_their_own_sums():
+    times, freqs, ids, trials = _threaded_batch()
+    half = times.size // 2
+    cases = [(times, freqs, ids, trials), (times[:half], freqs[:11], ids[:half], trials),
+             (times, freqs[::-1], (ids * 7) % trials, trials)]
+    want = [phasor_sums(*case) for case in cases]
+    with mock.patch.object(spectral, "_threads", lambda: 3), mock.patch.object(spectral, "THREAD_MIN_EVENTS", 0):
+        got = _in_threads(*(lambda case=case: [phasor_sums(*case) for _ in range(4)] for case in cases))
+    for values, expected in zip(got, want):
+        assert all(np.array_equal(v, expected) for v in values)
+
+
+def test_import_and_one_trial_calls_start_no_thread():
+    probe = (
+        "import threading, numpy as np, mcfc, mcfc.cli\n"
+        "from mcfc import spectral\n"
+        "assert threading.active_count() == 1, 'import'\n"
+        "t = np.random.default_rng(1).uniform(0.0, 1.0, 4 * spectral.THREAD_MIN_EVENTS)\n"
+        "spectral.phasor_sums(t, 1e3 + np.arange(11.0))\n"
+        "spectral.phasor_sums(t, 1e3 + np.arange(501.0))\n"
+        "assert threading.active_count() == 1 and spectral._POOL is None, 'one-trial call'\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(spectral.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": source_root})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_forked_child_sums_on_threads_of_its_own():
+    case = _threaded_batch()
+    want, *used = _on_threads(2, case)  # the pool now exists, with an idle thread
+    assert used == [2, 2] and spectral._POOL is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a process with threads
+        pid = os.fork()
+    if pid == 0:  # the child: sum again on two threads, exit at once
+        status = 1
+        try:
+            got, *used = _on_threads(2, case)
+            status = 0 if used == [2, 2] and np.array_equal(got, want) else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's threaded call did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @settings(deadline=None)
