@@ -49,7 +49,8 @@ Barnett, Magland & af Klinteberg 2019): one ``exp`` per event to rotate it
 by the run's centre frequency, a spread of each event onto a periodic grid
 (the least power of two at least twice the run's length), one FFT, and a
 division by the kernel's transform.  Its cost per event does not grow with
-the run's length.
+the run's length, and falls where events crowd onto the same grid cells: a
+run of events sharing a cell is added up before it is spread.
 
 Both paths hold one contract, a bound against the exact sum ``X`` of the
 float64 times at the float64 frequencies, with ``P = fl(2*pi)`` and no
@@ -162,6 +163,11 @@ THREADS = 4
 #: of 32k events at 11 and 33 channels, 0.69 and 0.96 at 64k, 0.61 and 0.86
 #: at 128k, and 0.93 and 1.16 at 8k: the ladder's many short ufuncs hold the
 #: GIL between their loops, so the gain comes from its per-event ``exp``.
+#: One call at a time, two threads took 1.03-1.11 times one thread's time on
+#: ``np.add.reduceat`` (6k and 100k elements), 1.04 on a 6k-element complex
+#: product but 0.68 on a 100k one, and 0.54 on ``Generator.uniform`` (one
+#: generator a thread); two processes took 0.56.  Longer calls would let the
+#: products overlap, never the ``reduceat``.
 THREAD_MIN_EVENTS = 1 << 15
 
 #: Rows of a ladder piece: each piece starts at an anchor, and its other rows
@@ -181,11 +187,13 @@ _SLACK = _LADDER_ULPS * np.finfo(np.float64).eps
 
 #: One-trial runs of more than this many rungs go through the type-1 NUFFT
 #: (:func:`_nufft_run`) instead of the ladder rotation.  On a 2-vCPU Xeon,
-#: over 1 s, the ladder took 0.68 and 0.97 times the NUFFT's time at 96 rungs
-#: for 1k and 90k events, and 0.73 and 1.06 at 112; the NUFFT overtook it at
-#: ~160 rungs for 1k events and ~100 for 90k, where the time goes.  The
-#: channel bands (11-33 rungs) stay on the ladder.
-NUFFT_MIN_RUNGS = 100
+#: over 1 s, the ladder took 0.37 and 0.95 times the NUFFT's time at 64 rungs
+#: for 1k and 90k events, and 0.57 and 1.25 at 72, where it needs a second
+#: piece (:data:`ANCHOR`); 0.70 and 1.60 at 112.  The NUFFT overtakes it at
+#: ~170 rungs for 1k events, but there it costs ~0.15 ms more a call, while
+#: at 90k events it saves 3-8 ms: the threshold follows where the time goes.
+#: The channel bands (11-33 rungs) stay on the ladder.
+NUFFT_MIN_RUNGS = 64
 
 #: Exponential-of-semicircle kernel ``exp(beta*(sqrt(1 - z*z) - 1))`` on
 #: ``|z| <= 1``, spanning this many cells of a grid oversampled 2 to 4 times,
@@ -195,13 +203,29 @@ _ES_WIDTH = 16
 _ES_BETA = 2.3 * _ES_WIDTH
 
 #: Events spread onto the NUFFT grid per block, ``_ES_WIDTH`` cells each.
-#: On a 2-vCPU Xeon a 180k-event capture's 501-point scan took 38.7 ms in
-#: blocks of 2048, 40.6 ms in blocks of 4096 and 40.3 ms in blocks of 1024.
+#: On a 2-vCPU Xeon a 180k-event capture's 501-point scan took 26.8 ms in
+#: blocks of 2048, 27.0 ms in blocks of 4096 and 28.0 ms in blocks of 1024;
+#: blocks of 8192 took 25.4 ms with four times the work arrays (~2 MB a block).
 _NUFFT_BLOCK = 2048
+
+#: A block of the NUFFT adds up runs of events sharing a first grid cell before
+#: spreading them when its runs average at least this many events
+#: (:func:`_nufft_run`).  On the same Xeon, 5001-point scans of sorted events
+#: on 1 s took 17.8 ms by run sums against 13.0 ms event by event at 3.2
+#: events a run, 21.7 against 20.4 at 4.9, 25.0 against 24.5 at 6.1, 29.2
+#: against 31.5 at 7.9 and 33.8 against 37.9 at 9.8: each run costs a
+#: ``reduceat`` inner loop per cell, each event a ``bincount`` add per cell.
+_NUFFT_RUN_EVENTS = 6
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
-    return np.exp(_ES_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+    """The kernel at ``z``, evaluated into ``z`` (no temporaries)."""
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= _ES_BETA
+    return np.exp(z, out=z)
 
 
 #: Trapezoid rule on [0, 1] for the kernel's Fourier transform, its weights
@@ -212,11 +236,14 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
 #: use holds ~1 MB more of resident memory.
 _ES_NODES = np.linspace(0.0, 1.0, 2 * _ES_WIDTH + 1)
 _ES_WEIGHTS = np.where((_ES_NODES == 0.0) | (_ES_NODES == 1.0), 1.0, 2.0) / (2 * _ES_WIDTH)
-_ES_WEIGHTS *= _es_kernel(_ES_NODES)
+_ES_WEIGHTS *= _es_kernel(_ES_NODES.copy())
 
-#: Bound on the NUFFT's own error, relative to the event count: against the
-#: direct sum, on runs of 150 to 4001 points whose phases round finely, it
-#: stayed below 5e-15.
+#: Bound on the NUFFT's own error, relative to the event count.  Against the
+#: exact sum, on runs of 150 to 4001 points over 20k events on 1 s whose
+#: phases round finely (0.01 Hz steps from 1 Hz: a walk below 1.2e-16 an
+#: event), the largest error was 5.6e-16 an event, with the events sorted
+#: (run sums) and shuffled (event by event) alike; at 1 Hz steps it stayed
+#: within the walk of the phase roundings, up to 1.1e-14 an event.
 _NUFFT_EPS = 3e-14
 
 #: ``(fl(pi) - pi) / pi``: the phase ``P*f*t`` of the ladder and of the
@@ -548,6 +575,18 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     derivative in frequency, which moves each mode by ``d_k`` onto its point
     and by ``_PI_ROUNDING * k * s`` onto the reference phase's ``fl(2*pi)``.
 
+    Events are spread in blocks of :data:`_NUFFT_BLOCK`, each onto the
+    :data:`_ES_WIDTH` cells from its first cell ``ceil(n*x - W/2)`` on.  Where
+    ``s*t`` sweeps the grid about once, consecutive events share a first
+    cell: ~175 at a time on a 180k-event 1 s capture scanned over 501 points.
+    A block whose runs of events sharing a first cell average at least
+    :data:`_NUFFT_RUN_EVENTS` events adds up each run's weighted kernel
+    values by ``np.add.reduceat`` (pairwise within the run) and scatters the
+    ``runs x W`` sums; any other block (a time-shuffled capture, a scan with
+    about as many cells as events) scatters its ``events x W`` values one at
+    a time.  Either way a cell's total adds the same terms, only in another
+    order.
+
     Against the bound of :func:`phasor_sums`: the rotation's phase
     ``fl(P*fl(fc*t))`` is within ``2u*phi_i`` of ``P*fc*t``, and the modes'
     ``x`` rounds by ``u*|s*t|``, which mode ``k`` turns into ``2u*phi_i``
@@ -579,15 +618,24 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     for lo in range(0, t.size, _NUFFT_BLOCK):
         block = t[lo: lo + _NUFFT_BLOCK]
         c = np.exp(-1j * (2.0 * np.pi * (fc * block)))
+        weighted = c * block
         x = s * block
         nx = n * (x - np.floor(x))
         first = np.ceil(nx - _ES_WIDTH / 2)
-        z = np.add.outer(first - nx, offsets) * (2.0 / _ES_WIDTH)  # exact, in [-1, 1)
-        kernel = _es_kernel(z)
-        cells = np.add.outer(first.astype(np.intp) % n, offsets).ravel()
-        weighted = c * block
-        for row, weight in enumerate((c.real, c.imag, weighted.real, weighted.imag)):
-            grid[row] += np.bincount(cells, (kernel * weight[:, None]).ravel(), minlength=grid.shape[1])
+        cell = first.astype(np.intp) % n
+        runs = np.flatnonzero(np.diff(cell, prepend=-1))  # each run's first event
+        if _NUFFT_RUN_EVENTS * runs.size <= block.size:  # offsets x events, added up along each run
+            kernel = _es_kernel(np.add.outer(offsets, first - nx) * (2.0 / _ES_WIDTH))  # exact, in [-1, 1)
+            cells = np.add.outer(offsets, cell[runs]).ravel()
+            for row, weight in ((0, c), (2, weighted)):
+                sums = np.add.reduceat(kernel * weight, runs, axis=1).ravel()
+                grid[row] += np.bincount(cells, sums.real, minlength=grid.shape[1])
+                grid[row + 1] += np.bincount(cells, sums.imag, minlength=grid.shape[1])
+        else:  # events x offsets, each event on its own cells
+            kernel = _es_kernel(np.add.outer(first - nx, offsets) * (2.0 / _ES_WIDTH))
+            cells = np.add.outer(cell, offsets).ravel()
+            for row, weight in enumerate((c.real, c.imag, weighted.real, weighted.imag)):
+                grid[row] += np.bincount(cells, (kernel * weight[:, None]).ravel(), minlength=grid.shape[1])
     grid[:, :_ES_WIDTH] += grid[:, n:]
     modes = np.fft.fft(grid[0::2, :n] + 1j * grid[1::2, :n])[:, k.astype(np.intp) % n]
     transform = np.zeros(h + 1)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -253,8 +254,8 @@ def test_nufft_moves_each_mode_onto_its_exact_frequency():
     # line; over a 100 s capture that drifts the line's ~1000 phasors alike by
     # up to ~4e-9 rad, a few 1e-6 in all, which the derivative transform must take
     # out to stay within ten walks (~1e-6).  All three runs take a 256-cell
-    # grid: 121 rungs, 65 (oversampled 3.9 times, sent to the NUFFT under a
-    # lowered threshold) and 128 (oversampled exactly twice)
+    # grid: 121 rungs, 65 (oversampled 3.9 times, kept on the NUFFT by the
+    # patched threshold whatever its default) and 128 (oversampled exactly twice)
     for rungs, line in [(121, 100), (65, 50), (128, 100)]:
         grid = 49_999.8 + 0.0037 * np.arange(rungs)
         seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[line]),)), derive_rng(67))
@@ -282,15 +283,63 @@ def test_nufft_holds_a_planted_quiet_point_to_the_bound():
     assert errors[150] <= _nufft_tight(t, grid)
 
 
-def test_scan_error_stays_within_ten_rounding_walks():
-    # a 1 s capture at f*t up to 5e4, scanned across its line; at floor points
-    # |X|**2 is about exponential with mean N, so some points are quiet
+def _scanned_capture():
+    """A 1 s capture of ~20k events at f*t up to 5e4 and a 251-point scan across
+    its line: ~40 events share each first cell of the 512-cell grid."""
     seq = sample_modulated(SourceConfig(2e4, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(63))
-    scan = 49_875.0 + 1.0 * np.arange(251)
-    values = _run_through_nufft(seq.seconds, scan)
-    errors = _assert_within_bound(values, seq.seconds, scan, nufft=True)
-    assert np.abs(values).min() < 0.1 * math.sqrt(len(seq))
-    assert errors.max() <= _nufft_tight(seq.seconds, scan)
+    return seq.seconds, 49_875.0 + 1.0 * np.arange(251)
+
+
+def test_scan_error_stays_within_ten_rounding_walks():
+    # at floor points |X|**2 is about exponential with mean N, so some points are quiet
+    t, scan = _scanned_capture()
+    values = _run_through_nufft(t, scan)
+    errors = _assert_within_bound(values, t, scan, nufft=True)
+    assert np.abs(values).min() < 0.1 * math.sqrt(t.size)
+    assert errors.max() <= _nufft_tight(t, scan)
+
+
+def test_shuffled_events_hold_the_bound_like_sorted_ones():
+    # sorted, each block adds up runs of events sharing a first cell; shuffled,
+    # neighbours seldom share one and each event is spread on its own
+    t, scan = _scanned_capture()
+    shuffled = derive_rng(64).permutation(t)
+    exact = exact_sums(t, scan)
+    for times in (t, shuffled):
+        errors = np.abs(_run_through_nufft(times, scan) - exact)
+        assert (errors <= kernel_bound(times, scan, nufft=True)).all(), errors.max()
+        assert errors.max() <= _nufft_tight(times, scan)
+
+
+def test_dense_blocks_spread_run_sums_and_sparse_blocks_each_event():
+    # the capture's blocks hold ~40 events a run: two reduceats a block (the
+    # phasors and their time-weighted twins); 2000 events over 4096 cells hold
+    # about one event a run, which goes on its own
+    dense, scan = _scanned_capture()
+    sparse = np.sort(derive_rng(65).uniform(0.0, 1.0, 2000))
+    wide = 40_000.0 + 1.0 * np.arange(2001)
+    blocks = -(-dense.size // spectral._NUFFT_BLOCK)
+    for times, freqs, reduceats in [(dense, scan, 2 * blocks), (sparse, wide, 0)]:
+        with mock.patch.object(np, "add", wraps=np.add) as add:
+            values = spectral._nufft_run(times, freqs)
+        assert add.reduceat.call_count == reduceats
+        _assert_within_bound(values, times, freqs, nufft=True)
+
+
+def test_nufft_work_arrays_stay_small():
+    # the grid and one block's kernel, products and sums; nothing the size of
+    # the capture (1.4 MB of times), which would show in the process's peak RSS
+    t = sample_modulated(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(66)).seconds
+    scan = 49_750.0 + 1.0 * np.arange(501)
+    assert t.size > 170_000
+    spectral._nufft_run(t, scan)
+    tracemalloc.start()
+    try:
+        spectral._nufft_run(t, scan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000, peak
 
 
 def test_nufft_modes_turn_at_the_reference_two_pi():
