@@ -31,15 +31,16 @@ evaluates ``exp`` exactly at its first rung, every :data:`ANCHOR` rungs.  A
 call over a whole channel plan then costs one ``exp`` per event.  The
 ladder's rotated phasors and step powers persist between calls in a
 per-thread workspace of at most :data:`PHASOR_CHUNK` phasors a piece, so a
-stream of short windows neither allocates nor page-faults them again on
-every call.
+stream of short windows on one thread neither allocates nor page-faults
+them again on every call.
 
 Events go through the ladder in blocks that pack whole trials, so a trial's
 sums depend on its own events alone: a batch's row equals the one-trial
 call on that trial's events, bit for bit.  That lets a large batch be cut
-at trial boundaries over a small thread pool (up to :data:`THREADS`
-threads, no more than the CPUs the process may run on) with results that
-do not depend on the number of threads.  Single sequences stay on the
+at trial boundaries over threads started for that call (up to
+:data:`THREADS`, no more than the CPUs the process may run on) with results
+that do not depend on the number of threads.  The threads end with the
+call, so the module keeps none between calls.  Single sequences stay on the
 caller's thread.
 
 A dense scan of one sequence (one trial, a run of more than
@@ -82,7 +83,7 @@ from typing import Sequence
 import numpy as np
 
 from .photon_channel import EventBatch, PhotonSequence, SourceConfig
-from .photon_channel import POSITIVE, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, check_range, interval
 
 #: Refuse to build evaluation grids larger than this (denser grids are a
 #: sign of a mistaken resolution argument, not a real need).
@@ -259,8 +260,9 @@ class _Workspace(threading.local):
     ``max(PHASOR_CHUNK, ANCHOR)``, and up to :data:`LATTICE_BITS` event-long
     powers of the step phasor: 1.6 MiB for the RGB plan's 11-rung bands,
     9 MiB at most (lone frequencies far up the lattice of their step, one
-    row of 2**16 events and eight powers).  Each thread of the pool
-    (:func:`_split_trials`) keeps its own.
+    row of 2**16 events and eight powers).  Each thread keeps its own: the
+    caller's for every call it makes, a share's thread (:func:`_split_trials`)
+    for the one call it lives in.
     Fresh arrays of that size went back to the operating system when freed
     and were faulted in again by the next call, ~250 page faults per 1 ms
     image window, so the arrays stay.  They grow on demand and never shrink;
@@ -317,9 +319,9 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
                 trial_ids: np.ndarray | None = None, trials: int = 1) -> np.ndarray:
     """Phasor sums of each trial at each frequency, complex, shape (trials, len(frequencies)).
 
-    Event ``i`` belongs to trial ``trial_ids[i]`` in ``[0, trials)``, or to
-    trial 0 when ``trial_ids`` is omitted: a single sequence is a batch of
-    one.
+    Event ``i`` belongs to trial ``trial_ids[i]``, an integer in ``[0, trials)``,
+    or to trial 0 when ``trial_ids`` is omitted: a single sequence is a batch
+    of one.  ``trials`` may be 0, for an empty batch.
 
     The frequencies are cut into arithmetic runs (:func:`_ladders`).  With
     one trial, a run of more than :data:`NUFFT_MIN_RUNGS` rungs and a nonzero
@@ -331,16 +333,19 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
     ``a*u*sum(phi_i) + b*N*u`` with ``a = 1014`` and ``b = 1116`` over the
     trial's ``N`` events, plus ``N * _NUFFT_EPS`` on the NUFFT.
     """
+    check_range(NON_NEGATIVE, trials=trials)
     t = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64).reshape(-1)
     tid = np.zeros(t.size, dtype=np.intp) if trial_ids is None else np.asarray(trial_ids)
+    if tid.dtype.kind not in "iu":  # float ids fail numpy's indexing, bools its shapes
+        raise ValueError(f"trial_ids must be integers, got dtype {tid.dtype}")
     if tid.shape != t.shape or (tid.size and not 0 <= tid.min() <= tid.max() < trials):
         raise ValueError(f"trial_ids must match times in shape and lie in [0, {trials})")
     if trial_ids is not None and not (tid[1:] >= tid[:-1]).all():  # group the events by trial
         order = np.argsort(tid, kind="stable")
         t, tid = t[order], tid[order]
     out = np.zeros((trials, freqs.size), dtype=np.complex128)
-    if trials > 1 or freqs.size <= NUFFT_MIN_RUNGS:
+    if trials != 1 or freqs.size <= NUFFT_MIN_RUNGS:
         _split_trials(t, tid, freqs, out)
         return out
     ladder = np.ones(freqs.size, dtype=bool)
@@ -365,37 +370,16 @@ def _threads() -> int:
     return max(1, min(THREADS, cpus))
 
 
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The kernel's thread pool, created on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(THREADS - 1, thread_name_prefix="mcfc-phasor")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist there, so build anew."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndarray) -> None:
     """:func:`_ladder_sums` of events grouped by trial, their trials cut into shares.
 
     A batch of at least :data:`THREAD_MIN_EVENTS` events is cut at trial
     boundaries into :func:`_threads` shares of about equal events (views, no
-    copies); the caller's thread sums the first and the pool the others, each
-    into its own rows of ``out``.  Smaller batches, and one trial, stay on
-    the caller's thread.
+    copies), each summed into its own rows of ``out``: the caller's thread
+    sums the first, and threads started for this call the others, joined
+    before it returns.  No thread outlives the call, so a forked child starts
+    with none to miss.  Smaller batches, and one trial, stay on the caller's
+    thread.
     """
     threads = _threads() if t.size >= THREAD_MIN_EVENTS else 1
     cuts = [0] + [int(np.searchsorted(tid, tid[t.size * k // threads])) for k in range(1, threads)]
@@ -403,12 +387,10 @@ def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.nda
     if len(shares) <= 1:
         _ladder_sums(t, tid, freqs, out)
         return
-    pool = _pool()
-    others = [pool.submit(_ladder_sums, t[lo:hi], tid[lo:hi], freqs, out) for lo, hi in shares[1:]]
-    try:
+    with ThreadPoolExecutor(len(shares) - 1, thread_name_prefix="mcfc-phasor") as pool:
+        others = [pool.submit(_ladder_sums, t[lo:hi], tid[lo:hi], freqs, out) for lo, hi in shares[1:]]
         lo, hi = shares[0]
         _ladder_sums(t[lo:hi], tid[lo:hi], freqs, out)
-    finally:
         for share in others:
             share.result()
 
@@ -652,6 +634,8 @@ def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     ``widths[b]`` for band ``b``; that axis becomes one entry per band.
     """
     mags = np.asarray(magnitudes)
+    if min(widths, default=1) < 1:
+        raise ValueError(f"band widths {list(widths)} must each be at least 1 channel")
     if sum(widths) != mags.shape[-1]:
         raise ValueError(f"band widths {list(widths)} do not tile {mags.shape[-1]} channels")
     segments = np.split(mags, np.cumsum(widths)[:-1], axis=-1)

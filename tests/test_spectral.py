@@ -646,7 +646,7 @@ def _threaded_batch():
 
 def _on_threads(threads, case):
     """``phasor_sums(*case)`` cut into ``threads`` shares; the values, the shares
-    and the number of threads that summed them (the pool may reuse one)."""
+    and the number of threads that summed them (a worker may take two shares)."""
     seen, kernel = [], spectral._ladder_sums
 
     def traced(*args):
@@ -670,7 +670,7 @@ def test_worker_counts_give_identical_sums():
         assert np.array_equal(one, _one_trial_each(times, ids, trials, freqs))
 
 
-def test_users_sharing_the_pool_get_their_own_sums():
+def test_concurrent_callers_get_their_own_sums():
     times, freqs, ids, trials = _threaded_batch()
     half = times.size // 2
     cases = [(times, freqs, ids, trials), (times[:half], freqs[:11], ids[:half], trials),
@@ -690,7 +690,7 @@ def test_import_and_one_trial_calls_start_no_thread():
         "t = np.random.default_rng(1).uniform(0.0, 1.0, 4 * spectral.THREAD_MIN_EVENTS)\n"
         "spectral.phasor_sums(t, 1e3 + np.arange(11.0))\n"
         "spectral.phasor_sums(t, 1e3 + np.arange(501.0))\n"
-        "assert threading.active_count() == 1 and spectral._POOL is None, 'one-trial call'\n"
+        "assert threading.active_count() == 1, 'one-trial call'\n"
     )
     source_root = os.path.dirname(os.path.dirname(spectral.__file__))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -698,10 +698,16 @@ def test_import_and_one_trial_calls_start_no_thread():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_threaded_batch_leaves_no_thread_behind():
+    before = threading.active_count()
+    _, *used = _on_threads(2, _threaded_batch())
+    assert used == [2, 2] and threading.active_count() == before
+
+
 def test_forked_child_sums_on_threads_of_its_own():
     case = _threaded_batch()
-    want, *used = _on_threads(2, case)  # the pool now exists, with an idle thread
-    assert used == [2, 2] and spectral._POOL is not None
+    want, *used = _on_threads(2, case)
+    assert used == [2, 2]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a process with threads
         pid = os.fork()
@@ -739,6 +745,30 @@ def test_phasor_sums_single_sequence_is_one_trial():
         phasor_sums(t, freqs, np.full(200, 3), 3)
 
 
+def test_phasor_sums_take_zero_trials_and_refuse_fewer():
+    config = SourceConfig(80e3, 1e-3, (Tone(200e3),))
+    empty = sample_event_batch(config, 0, derive_rng(54))
+    for rungs in (11, spectral.NUFFT_MIN_RUNGS + 36):  # the one-trial NUFFT's length too
+        assert batch_amplitudes(empty, 1e3 * np.arange(1.0, rungs + 1)).shape == (0, rungs)
+    with pytest.raises(ValueError, match="trials"):
+        phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), -1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+def test_phasor_sums_refuse_trial_ids_that_are_not_integers(dtype):
+    t = derive_rng(55).uniform(0.0, 1e-3, 4)
+    with pytest.raises(ValueError, match="trial_ids"):
+        phasor_sums(t, [10e3, 50e3], np.array([0, 1, 1, 0], dtype=dtype), 2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+def test_phasor_sums_take_any_integer_trial_ids(dtype):
+    t = derive_rng(55).uniform(0.0, 1e-3, 4)
+    ids = np.array([0, 1, 1, 0])
+    want = phasor_sums(t, [10e3, 50e3], ids, 2)
+    assert np.array_equal(phasor_sums(t, [10e3, 50e3], ids.astype(dtype), 2), want)
+
+
 @settings(deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4).flatmap(
     lambda widths: st.tuples(
@@ -760,6 +790,9 @@ def test_band_argmax_over_trials():
     assert band_argmax(mags, [3, 2]).tolist() == [[1, 1], [0, 0]]
     with pytest.raises(ValueError, match="widths"):
         band_argmax(mags, [3, 3])
+    for widths in ([-1, 6], [0, 5], [6, -1, 0]):  # they tile the axis, but a band needs a channel
+        with pytest.raises(ValueError, match="widths"):
+            band_argmax(mags, widths)
 
 
 # -----------------------------------------------------------------
