@@ -389,11 +389,34 @@ def _symbol_to_json(sym: Symbol) -> dict:
     return {"kind": sym.kind, "value": value}
 
 
-def _symbol_from_json(doc: dict) -> Symbol:
-    value = doc["value"]
-    if doc["kind"] == "gray-level":
-        value = tuple(int(v) for v in value)
-    return Symbol(doc["kind"], value)
+#: The JSON kinds a plan file's keys hold, by the name its messages give them.
+_PLAN_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an array": lambda v: isinstance(v, list),
+    "an array of numbers": lambda v: isinstance(v, list) and all(_PLAN_KINDS["a number"](x) for x in v),
+}
+
+
+def _plan_key(doc, key: str, kind: str, where: str):
+    """``doc[key]``, refused by a ``ValueError`` naming ``where`` and the key when
+    ``doc`` is not a JSON object, or the key is missing or not of ``kind``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(doc)[:80]}")
+    if key not in doc:
+        raise ValueError(f"{where} is missing the key {key!r}")
+    if not _PLAN_KINDS[kind](doc[key]):
+        raise ValueError(f"{where} key {key!r} must be {kind}, got {json.dumps(doc[key])[:80]}")
+    return doc[key]
+
+
+def _symbol_from_json(doc, where: str) -> Symbol:
+    kind = _plan_key(doc, "kind", "a string", where)
+    if kind not in _KINDS:
+        raise ValueError(f"{where} key 'kind' must be one of {_KINDS}, got {kind!r}")
+    if kind == "gray-level":
+        return Symbol(kind, tuple(int(v) for v in _plan_key(doc, "value", "an array of numbers", where)))
+    return Symbol(kind, _plan_key(doc, "value", "a string" if kind == "character" else "a number", where))
 
 
 def save_plan(path: str | os.PathLike, plan: FrequencyPlan) -> None:
@@ -419,17 +442,24 @@ def save_plan(path: str | os.PathLike, plan: FrequencyPlan) -> None:
 
 
 def load_plan(path: str | os.PathLike) -> FrequencyPlan:
+    """The plan saved by :func:`save_plan`; a malformed file is a ``ValueError``
+    naming the file and the missing or mistyped key."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "mcfc-plan-1":
-        raise ValueError(f"unrecognized plan format tag {doc.get('format')!r}")
-    bands = tuple(
-        NamedBand(b["name"], float(b["low_hz"]), float(b["high_hz"]),
-                  tuple(float(f) for f in b["channels_hz"]))
-        for b in doc["bands"]
-    )
-    symbol_map = {
-        _symbol_from_json(s): tuple(float(f) for f in s["frequencies_hz"])
-        for s in doc["symbols"]
-    }
-    return FrequencyPlan(doc["name"], float(doc["spacing_hz"]), bands, symbol_map)
+    where = f"plan {os.fspath(path)}"
+    tag = _plan_key(doc, "format", "a string", where)
+    if tag != "mcfc-plan-1":
+        raise ValueError(f"{where}: unrecognized plan format tag {tag!r}")
+    bands = []
+    for i, b in enumerate(_plan_key(doc, "bands", "an array", where)):
+        at = f"{where} band {i}"
+        low, high = (float(_plan_key(b, key, "a number", at)) for key in ("low_hz", "high_hz"))
+        channels = tuple(float(f) for f in _plan_key(b, "channels_hz", "an array of numbers", at))
+        bands.append(NamedBand(_plan_key(b, "name", "a string", at), low, high, channels))
+    symbol_map = {}
+    for i, s in enumerate(_plan_key(doc, "symbols", "an array", where)):
+        at = f"{where} symbol {i}"
+        freqs = _plan_key(s, "frequencies_hz", "an array of numbers", at)
+        symbol_map[_symbol_from_json(s, at)] = tuple(float(f) for f in freqs)
+    spacing = float(_plan_key(doc, "spacing_hz", "a number", where))
+    return FrequencyPlan(_plan_key(doc, "name", "a string", where), spacing, tuple(bands), symbol_map)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -44,7 +45,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
-from .photon_channel import NON_NEGATIVE, POSITIVE, check_range
+from .photon_channel import NON_NEGATIVE, POSITIVE, check_count, check_range, interval
 from .spectral import LineStats, band_argmax, batch_amplitudes, floor_channels
 
 
@@ -75,12 +76,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValueError("sweep grid must be nonempty")
-        if self.trials < 2:
-            raise ValueError(f"trials must be >= 2 to estimate a spread, got {self.trials}")
-        if self.channels_per_band < 2:
-            raise ValueError(
-                f"channels_per_band must be >= 2 to measure a floor, got {self.channels_per_band}"
-            )
+        # two trials to estimate a spread, two channels a band to measure a floor
+        check_count(interval(2, math.inf, "[)"),
+                    **{repr(n): getattr(self, n) for n in ("trials", "channels_per_band")})
         check_range(NON_NEGATIVE, **{"'signal_rate'": self.signal_rate})  # 0: the pure-noise point
         check_range(POSITIVE, **{repr(n): getattr(self, n)
                                  for n in ("window", "modulation_frequency", "spacing", "mean_count")})

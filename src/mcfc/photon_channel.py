@@ -32,6 +32,7 @@ container is a small binary format, see :func:`write_pts1`.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass
@@ -75,6 +76,14 @@ def check_range(bounds: tuple[float, float, str], **values: float) -> None:
             ok = False
         if not ok:
             raise ValueError(f"{name} must be finite and in {text}, got {value!r}")
+
+
+def check_count(bounds: tuple[float, float, str], **values: int) -> None:
+    """:func:`check_range` for counts: refuse, by name, a bool or any value that is not an integer first."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_range(bounds, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +487,7 @@ def sample_event_batch(
     events, and jitter is applied vectorized.  Dead time and gating draw
     nothing; a budget with either rounds the times to picoseconds first.
     """
+    check_count(NON_NEGATIVE, trials=trials)
     budget = budget or LinkBudget()
     t, tid = _arrivals(config, trials, rng, budget)
     if budget.dead_time > 0.0 or budget.rep_period is not None:

@@ -29,10 +29,8 @@ starting at rung ``K = f / step`` takes ``w**K`` from the same powers as its
 anchor; a piece off the lattice, or past its gate (:data:`LATTICE_BITS`),
 evaluates ``exp`` exactly at its first rung, every :data:`ANCHOR` rungs.  A
 call over a whole channel plan then costs one ``exp`` per event.  The
-ladder's rotated phasors and step powers persist between calls in a
-per-thread workspace of at most :data:`PHASOR_CHUNK` phasors a piece, so a
-stream of short windows on one thread neither allocates nor page-faults
-them again on every call.
+ladder's rotated phasors and step powers are allocated once per call, at
+most :data:`PHASOR_CHUNK` phasors a piece, and freed when it returns.
 
 Events go through the ladder in blocks that pack whole trials, so a trial's
 sums depend on its own events alone: a batch's row equals the one-trial
@@ -40,8 +38,8 @@ call on that trial's events, bit for bit.  That lets a large batch be cut
 at trial boundaries over threads started for that call (up to
 :data:`THREADS`, no more than the CPUs the process may run on) with results
 that do not depend on the number of threads.  The threads end with the
-call, so the module keeps none between calls.  Single sequences stay on the
-caller's thread.
+call, as do the work arrays: the module keeps nothing between calls.
+Single sequences stay on the caller's thread.
 
 A dense scan of one sequence (one trial, a run of more than
 :data:`NUFFT_MIN_RUNGS` rungs) instead goes through a type-1 non-uniform
@@ -74,16 +72,14 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .photon_channel import EventBatch, PhotonSequence, SourceConfig
-from .photon_channel import NON_NEGATIVE, POSITIVE, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, check_count, check_range, interval
 
 #: Refuse to build evaluation grids larger than this (denser grids are a
 #: sign of a mistaken resolution argument, not a real need).
@@ -148,9 +144,12 @@ class LineStats:
 # ---------------------------------------------------------------------------
 
 #: Most phasors (frequencies x events) in one piece's rotated phasors: events
-#: go in blocks of at most ``PHASOR_CHUNK // rows``, ``rows`` being the
-#: longest ladder piece of the call (at most :data:`ANCHOR`).  On a 2-vCPU
-#: Xeon (2 MiB L2 a core), 2**16 against 2**15 took mc-sweep's eight batches
+#: go in blocks of at most ``E = PHASOR_CHUNK // rows``, ``rows`` being the
+#: longest ladder piece of the call (at most :data:`ANCHOR`).  A call's work
+#: arrays, the rotated phasors and the step powers, hold at most
+#: ``(rows + LATTICE_BITS) * E`` complex values (``E`` capped at the call's
+#: events) and are freed when it returns.  On a 2-vCPU Xeon (2 MiB L2 a
+#: core), 2**16 against 2**15 took mc-sweep's eight batches
 #: (64k-1.2M events, 11 and 33 channels) from 212 to 208 ms on one thread
 #: and from 178 to 146 ms on two, and one 33-channel window from 335 to
 #: 286 us at 4.2k events and from 138 to 137 us at 1.4k.
@@ -253,40 +252,6 @@ _NUFFT_EPS = 3e-14
 _PI_ROUNDING = -math.sin(math.pi) / math.pi
 
 
-class _Workspace(threading.local):
-    """Work arrays of :func:`_ladder_sums`, one set per thread, kept between calls.
-
-    A call needs ``rows * events`` rotated phasors, at most
-    ``max(PHASOR_CHUNK, ANCHOR)``, and up to :data:`LATTICE_BITS` event-long
-    powers of the step phasor: 1.6 MiB for the RGB plan's 11-rung bands,
-    9 MiB at most (lone frequencies far up the lattice of their step, one
-    row of 2**16 events and eight powers).  Each thread keeps its own: the
-    caller's for every call it makes, a share's thread (:func:`_split_trials`)
-    for the one call it lives in.
-    Fresh arrays of that size went back to the operating system when freed
-    and were faulted in again by the next call, ~250 page faults per 1 ms
-    image window, so the arrays stay.  They grow on demand and never shrink;
-    each call writes every element it reads, so no result depends on an
-    earlier call.
-    """
-
-    def __init__(self) -> None:
-        self.cplx = np.empty(0, dtype=np.complex128)
-
-    def take(self, rows: int, events: int, count: int) -> SimpleNamespace:
-        """Views for pieces of up to ``rows`` x ``events`` phasors and ``count``
-        step phasor powers, grown if too small."""
-        span = rows * events
-        if self.cplx.size < span + count * events:
-            self.cplx = np.empty(span + count * events, dtype=np.complex128)
-        cplx = self.cplx
-        powers = [cplx[span + i * events:][:events] for i in range(count)]
-        return SimpleNamespace(rot=cplx[:span], powers=powers)
-
-
-_WORKSPACE = _Workspace()
-
-
 def _ladders(freqs: np.ndarray) -> list[tuple[int, int, float]]:
     """Cut ``freqs`` into maximal arithmetic runs ``(start, stop, step)``, in order.
 
@@ -333,7 +298,7 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
     ``a*u*sum(phi_i) + b*N*u`` with ``a = 1014`` and ``b = 1116`` over the
     trial's ``N`` events, plus ``N * _NUFFT_EPS`` on the NUFFT.
     """
-    check_range(NON_NEGATIVE, trials=trials)
+    check_count(NON_NEGATIVE, trials=trials)
     t = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64).reshape(-1)
     tid = np.zeros(t.size, dtype=np.intp) if trial_ids is None else np.asarray(trial_ids)
@@ -377,9 +342,10 @@ def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.nda
     boundaries into :func:`_threads` shares of about equal events (views, no
     copies), each summed into its own rows of ``out``: the caller's thread
     sums the first, and threads started for this call the others, joined
-    before it returns.  No thread outlives the call, so a forked child starts
-    with none to miss.  Smaller batches, and one trial, stay on the caller's
-    thread.
+    before it returns.  (Putting the first share on a thread of its own too
+    took mc-sweep ~2.5% longer and held 0.7 MB more.)  No thread outlives the
+    call, so a forked child starts with none to miss.  Smaller batches, and
+    one trial, stay on the caller's thread.
     """
     threads = _threads() if t.size >= THREAD_MIN_EVENTS else 1
     cuts = [0] + [int(np.searchsorted(tid, tid[t.size * k // threads])) for k in range(1, threads)]
@@ -473,7 +439,9 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndar
             need = max((end - first - 1).bit_length(), abs(rung).bit_length())
             pieces.append((first, end, step, rung, need))
     events = max(1, PHASOR_CHUNK // rows)
-    work = _WORKSPACE.take(rows, min(events, t.size), max((p[-1] for p in pieces), default=0))
+    n = min(events, t.size)  # work arrays: the rotated phasors, the powers of w the pieces need
+    work = (np.empty(rows * n, dtype=np.complex128),
+            np.empty((max((p[-1] for p in pieces), default=0), n), dtype=np.complex128))
     # each trial's first event, then the end
     edges = np.concatenate(([0], np.flatnonzero(tid[1:] != tid[:-1]) + 1, [t.size]))
     i = 0
@@ -501,12 +469,13 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndar
         i += 1
 
 
-def _block_sums(block: np.ndarray, starts, freqs: np.ndarray, pieces: list, work: SimpleNamespace):
+def _block_sums(block: np.ndarray, starts, freqs: np.ndarray, pieces: list, work: tuple):
     """Yield ``(first, stop, sums)`` per ladder piece of :func:`_ladder_sums` on one
     block of events: ``sums[k, s]`` adds up row ``first + k`` over the events
-    from ``starts[s]`` to the next start."""
+    from ``starts[s]`` to the next start, with the call's ``work`` arrays."""
     n = block.size
-    powers = [w[:n] for w in work.powers]  # w, w**2, w**4, ... for this block's step
+    # row views made once a block: indexing the 2-D array per row cost ~5% on two threads
+    rotated, powers = work[0], [w[:n] for w in work[1]]  # w, w**2, w**4, ... for this block's step
     rotor, ready = None, 0
     for first, stop, step, rung, need in pieces:
         r = stop - first
@@ -521,7 +490,7 @@ def _block_sums(block: np.ndarray, starts, freqs: np.ndarray, pieces: list, work
                 w *= -2j * np.pi
                 np.exp(w, out=w)
             ready += 1
-        rot = work.rot[:r * n].reshape(r, n)
+        rot = rotated[:r * n].reshape(r, n)
         if rung:  # w**K from the powers at the bits of |K|
             factors = [w for i, w in enumerate(powers) if abs(rung) >> i & 1]
             np.copyto(rot[0], factors[0])
@@ -634,8 +603,8 @@ def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     ``widths[b]`` for band ``b``; that axis becomes one entry per band.
     """
     mags = np.asarray(magnitudes)
-    if min(widths, default=1) < 1:
-        raise ValueError(f"band widths {list(widths)} must each be at least 1 channel")
+    if not len(widths) or min(widths) < 1:
+        raise ValueError(f"band widths {list(widths)} must list bands of at least 1 channel each")
     if sum(widths) != mags.shape[-1]:
         raise ValueError(f"band widths {list(widths)} do not tile {mags.shape[-1]} channels")
     segments = np.split(mags, np.cumsum(widths)[:-1], axis=-1)

@@ -13,7 +13,7 @@ import pytest
 import mcfc
 from mcfc import cli
 from mcfc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from mcfc.codec import encode_text, letter_plan, read_pixmap, write_pixmap
+from mcfc.codec import encode_text, letter_plan, read_pixmap, save_plan, write_pixmap
 from mcfc.photon_channel import (
     LinkBudget,
     PhotonSequence,
@@ -410,6 +410,26 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "out"]) == EXIT_DATA
     assert "line 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("breakage, named", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "bands"}, "is missing the key 'bands'"),
+    (lambda doc: [doc], "must be a JSON object"),
+    (lambda doc: {**doc, "symbols": [{k: v for k, v in s.items() if k != "frequencies_hz"}
+                                     for s in doc["symbols"]]},
+     "symbol 0 is missing the key 'frequencies_hz'"),
+    (lambda doc: {**doc, "symbols": [{**s, "kind": "bogus"} for s in doc["symbols"]]},
+     "symbol 0 key 'kind' must be one of"),
+], ids=["no-bands", "a-list", "no-frequencies", "unknown-kind"])
+def test_malformed_plan_files_exit_2(tmp_path, capsys, breakage, named):
+    plan = tmp_path / "plan.json"
+    save_plan(plan, letter_plan())
+    args = ["transmit-text", "--plan", plan, "--rate", 160e3, "--seed", 10, "A"]
+    assert run(args) == EXIT_OK
+    plan.write_text(json.dumps(breakage(json.loads(plan.read_text()))))
+    capsys.readouterr()
+    assert run(args) == EXIT_DATA
+    assert f"error: plan {plan} {named}" in capsys.readouterr().err
 
 
 def test_insufficient_data_exits_2(tmp_path, capsys):

@@ -24,8 +24,17 @@ from mcfc.analysis import (
 )
 from mcfc.codec import FrequencyPlan, NamedBand, Symbol, optimal_channels
 from mcfc.harness import SweepSpec, run_error_vs_integration_time, run_error_vs_spacing
-from mcfc.photon_channel import LinkBudget, PhotonSequence, SourceConfig, Tone, check_range, interval
-from mcfc.spectral import Band, LineStats, periodogram
+from mcfc.photon_channel import (
+    LinkBudget,
+    PhotonSequence,
+    SourceConfig,
+    Tone,
+    check_range,
+    derive_rng,
+    interval,
+    sample_event_batch,
+)
+from mcfc.spectral import Band, LineStats, periodogram, phasor_sums
 
 INF = math.inf
 #: A 10 ms stream of 4000 evenly spaced events: pairs within any lag >= 2.5 us.
@@ -104,6 +113,28 @@ def test_each_field_refuses_what_lies_outside_its_interval(call, field, low, hig
     for end, closed in ((low, ends[0] == "["), (high, ends[1] == "]")):
         if closed and math.isfinite(end):
             call(end)  # accepted
+
+
+COUNTS = [
+    # (call with the count, field named in the message, least count)
+    (lambda v: phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), v), "trials", 0),
+    (lambda v: sample_event_batch(SourceConfig(1e3, 1e-3), v, derive_rng(0)), "trials", 0),
+    (lambda v: SweepSpec(grid=(1.0,), trials=v), "'trials'", 2),
+    (lambda v: SweepSpec(grid=(1.0,), channels_per_band=v), "'channels_per_band'", 2),
+]
+
+
+@pytest.mark.parametrize("call, field, least", COUNTS,
+                         ids=[f"{i}-{row[1]}" for i, row in enumerate(COUNTS)])
+def test_each_count_refuses_what_is_not_an_integer_in_range(call, field, least):
+    for value in (2.5, float(least), True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer, got "):
+            call(value)
+    below = rf"^{re.escape(field)} must be finite and in \[{least}, inf\), got {least - 1}$"
+    with pytest.raises(ValueError, match=below):
+        call(least - 1)
+    call(least)  # accepted, as a numpy integer too
+    call(np.int64(least))
 
 
 def test_the_check_refuses_what_is_not_a_number():

@@ -536,7 +536,7 @@ def test_ladder_cut_of_a_drifting_ladder():
 
 
 # -----------------------------------------------------------------
-# the kernel's persistent workspace
+# the kernel keeps nothing between calls
 # -----------------------------------------------------------------
 
 def _kernel_cases():
@@ -548,7 +548,7 @@ def _kernel_cases():
     return big, small
 
 
-def test_workspace_leaves_no_trace_between_calls():
+def test_sums_do_not_depend_on_earlier_calls():
     big, small = _kernel_cases()
     first = phasor_sums(*big)
     lone = phasor_sums(*small)
@@ -578,7 +578,7 @@ def _in_threads(*jobs, timeout=120.0):
     return results
 
 
-def test_workspace_is_per_thread():
+def test_threads_calling_at_once_get_their_own_sums():
     big, small = _kernel_cases()
     want_big, want_small = phasor_sums(*big), phasor_sums(*small)
 
@@ -591,20 +591,42 @@ def test_workspace_is_per_thread():
     assert all(np.array_equal(v, want_small) for v in got_small)
 
 
-def test_workspace_follows_a_patched_chunk_cap():
-    # a new thread starts with an empty workspace, so its size shows the cap in force
+def test_a_call_holds_no_memory_once_it_returns():
+    # on a fresh thread, which no earlier call can have left anything to; only
+    # the returned sums stay (a 20k-event, 11-channel call)
+    t = _kernel_cases()[0][0]
+    channels = 200e3 + 1e3 * np.arange(-5, 6)
+    phasor_sums(t, channels)  # whatever a first call in the process sets up
+
+    def held():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sums = phasor_sums(t, channels)
+            return tracemalloc.get_traced_memory()[0] - before - sums.nbytes
+        finally:
+            tracemalloc.stop()
+
+    (extra,) = _in_threads(held)
+    assert extra <= 16_384, extra
+
+
+def test_a_patched_chunk_cap_lowers_the_call_peak():
     t = derive_rng(71).uniform(0.0, 1e-3, 1000)
     ladder = 200e3 + 1e3 * np.arange(-5, 6)
 
-    def workspace_size(chunk):
+    def peak_and_sums(chunk):
         with mock.patch.object(spectral, "PHASOR_CHUNK", chunk):
-            (values,) = _in_threads(lambda: (phasor_sums(t, ladder), spectral._WORKSPACE.cplx.size))
-        return values
+            tracemalloc.start()
+            try:
+                sums = phasor_sums(t, ladder)
+                return tracemalloc.get_traced_memory()[1], sums
+            finally:
+                tracemalloc.stop()
 
-    (capped, capped_size), (free, free_size) = workspace_size(97), workspace_size(spectral.PHASOR_CHUNK)
-    # one 11-row piece of 97 // 11 events and the powers w ... w**128 of its step
-    assert capped_size <= (ladder.size + spectral.LATTICE_BITS) * (97 // ladder.size)
-    assert capped_size < free_size
+    (capped_peak, capped), (free_peak, free) = peak_and_sums(97), peak_and_sums(spectral.PHASOR_CHUNK)
+    # at least the rotated phasors of all 1000 events against those of 97 // 11
+    assert free_peak - capped_peak >= 16 * ladder.size * (t.size - 97 // ladder.size)
     _assert_within_bound(capped[0], t, ladder)
     assert np.allclose(capped, free, rtol=0.0, atol=1e-12)
 
@@ -793,6 +815,8 @@ def test_band_argmax_over_trials():
     for widths in ([-1, 6], [0, 5], [6, -1, 0]):  # they tile the axis, but a band needs a channel
         with pytest.raises(ValueError, match="widths"):
             band_argmax(mags, widths)
+    with pytest.raises(ValueError, match="widths"):  # no band: nothing to take the argmax of
+        band_argmax(np.zeros((2, 0)), [])
 
 
 # -----------------------------------------------------------------
