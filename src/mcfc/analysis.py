@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import effective_channels, optimal_channels
-from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, UNIT, PhotonSequence, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, UNIT, PhotonSequence
+from .photon_channel import check_count, check_range, interval
 from .spectral import LineStats, grid_points
 
 
@@ -89,8 +90,7 @@ def channel_error_rate(p: float, channels: int) -> float:
     width - 1.  One competitor gives ``p`` itself.
     """
     check_range(UNIT, p=p)
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
+    check_count(interval(1, math.inf, "[)"), channels=channels)
     if p == 1.0 or channels == 1:
         return p
     return -math.expm1(channels * math.log1p(-p))
@@ -138,6 +138,7 @@ def capacity(
     """
     check_range(POSITIVE, window=window)
     check_range(UNIT, symbol_error=symbol_error)
+    check_count(interval(1, math.inf, "[)"), components=components)
     m_opt = optimal_channels(bandwidth, spacing)
     m_max = effective_channels(m_opt, components)
     raw = math.log2(m_max) / window

@@ -85,9 +85,11 @@ class SweepSpec:
         for value in self.grid:  # a rate, a time or a spacing; a runner may ask more
             check_range(NON_NEGATIVE, **{"'grid'": value})
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        if not self.components:
+            raise ValueError("'components' must list tone counts >= 1, got []")
+        for k in self.components:
+            check_count(interval(1, math.inf, "[)"), **{"'components'": k})
         object.__setattr__(self, "components", tuple(int(k) for k in self.components))
-        if not self.components or min(self.components) < 1:
-            raise ValueError(f"'components' must be tone counts >= 1, got {list(self.components)}")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,15 @@ so the time-averaged detection rate stays at ``mean_rate`` no matter how
 many tones are active.  Sampling uses thinning of a homogeneous proposal
 process, which is exact for bounded rate functions (Lewis & Shedler 1979):
 candidate ``i`` is kept where ``u_i * ceiling < rate(t_i) * transmittance``.
-That test is screened (Marsaglia's squeeze): an approximate rate, from
+Loss is a thinning too, so a candidate whose ``u_i * ceiling`` reaches the
+most that float64 ``rate * transmittance`` can be is dropped first, with no
+sine.  The rest are screened (Marsaglia's squeeze): an approximate rate, from
 float64-reduced phases and float32 ``sin``, decides every candidate farther
 than a derived error bound from it, and only the few within the bound take
 the exact float64 test, so the kept events are those of the exact test, bit
-for bit (see :func:`_screened_thinning` for the bound).
+for bit (see :func:`_screened_thinning` for the cut and the bound).  Uniform
+draws come from ``Generator.random``, scaled where needed: the same numbers
+as ``Generator.uniform``, which returns ``low + (high - low) * random()``.
 
 One pipeline, :func:`sample_event_batch`, samples many trials at once:
 source thinning with loss folded in, background light and dark counts,
@@ -67,11 +71,14 @@ UNIT = interval(0.0, 1.0, "[]")
 
 
 def check_range(bounds: tuple[float, float, str], **values: float) -> None:
-    """The one range check: refuse, by name, any value that is not a finite number in ``bounds``."""
+    """The one range check: refuse, by name, any value that is not a finite number in ``bounds``.
+
+    A bool is refused too: ``True`` is no frequency, rate or window, though Python counts it as 1.
+    """
     low, high, text = bounds
     for name, value in values.items():
         try:
-            ok = math.isfinite(value) and low <= value <= high
+            ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and low <= value <= high
         except TypeError:  # None, a string: not a number
             ok = False
         if not ok:
@@ -224,17 +231,23 @@ class PhotonSequence:
 
         Times are quantized to the picosecond grid; an event that rounds up
         to the window edge is clamped one tick inside so the closed
-        invariant ``t < window`` holds after quantization.
+        invariant ``t < window`` holds after quantization.  A window that is
+        not finite and positive, or a time that is not finite, is refused
+        before any cast.
         """
+        check_range(POSITIVE, window=window)
         window_ps = int(round(float(window) * PS_PER_SECOND))
         t = np.asarray(list(times) if not isinstance(times, np.ndarray) else times, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise ValueError(f"times must be finite, got {t[bad[0]]} at index {bad[0]}")
         if t.size and (np.any(t < 0.0) or np.any(t >= window)):
             raise ValueError("timestamps must lie in [0, window)")
         return cls(np.sort(_to_ps(t, window_ps)).astype(np.uint64), window_ps)
 
     @classmethod
     def empty(cls, window: float) -> "PhotonSequence":
-        return cls(np.empty(0, dtype=np.uint64), int(round(float(window) * PS_PER_SECOND)))
+        return cls.from_seconds((), window)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +311,9 @@ _SCREEN_MAX_PHASE = 2.0**32
 def _poisson_times(rate: float, duration: float, trials: int, rng: np.random.Generator):
     """Homogeneous Poisson arrivals on [0, duration): float seconds, grouped by trial, and counts."""
     counts = rng.poisson(rate * duration, size=trials)
-    return rng.uniform(0.0, duration, size=int(counts.sum())), counts
+    t = rng.random(int(counts.sum()))
+    t *= duration  # rng.uniform(0.0, duration) to the bit: it returns 0.0 + duration * random()
+    return t, counts
 
 
 def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float,
@@ -309,8 +324,8 @@ def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float,
     (:func:`_screened_thinning` decides the same test with few float64 sines).
     """
     if config is None or not config.tones:
-        return rng.uniform(size=t.size) < eta
-    level = rng.uniform(size=t.size)
+        return rng.random(t.size) < eta
+    level = rng.random(t.size)
     level *= config.rate_ceiling
     return _screened_thinning(t, level, eta, config)
 
@@ -318,16 +333,32 @@ def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float,
 def _screened_thinning(t: np.ndarray, level: np.ndarray, eta: float, config: SourceConfig) -> np.ndarray:
     """``level < config.rate(t) * eta``, bit for bit, mostly without float64 ``sin``.
 
-    The squeeze step of rejection sampling (Marsaglia 1977) applied to
-    thinning: in chunks of :data:`SCREEN_CHUNK` candidates, an approximate
-    rate ``A`` decides every candidate whose ``level`` lies farther than a
-    bound ``B`` from it, and only the rest, ~``2*B / ceiling`` of them, go
-    through the exact test.  ``A`` uses the exact path's phase
-    ``x = fl(fl(2*pi*f*t) + phase)`` of each tone, reduced in float64 to
-    ``r = x - fl(n*fl(2*pi))`` with ``n = rint(x / (2*pi))``, and the float32
-    ``sin`` of ``r`` (~1 ns a value, against 20-30 ns for float64 ``sin``).
+    Loss is a thinning of its own (Lewis & Shedler 1979), so with ``eta < 1``
+    each chunk of :data:`SCREEN_CHUNK` candidates first drops, with no sine,
+    those whose ``level`` is at or above ``cut``, the most that float64
+    ``rate(t) * eta`` can be; ~``1 - eta`` of them go there.  With ``eps =
+    2**-53``, ``k`` tones, ``q = fl(mean_rate / k)`` and ``|sin| <= 1``, so that
+    ``fl(d_i * sin) <= d_i``: the ``2*k - 1`` inexact additions of ``rate``'s
+    sum, its product by ``q`` and the one by ``eta`` are monotone in their
+    operands and each rounds up by at most a factor ``1 + eps``, so
+    ``fl(rate(t) * eta) <= q*eta*(k + sum_i d_i)*(1 + eps)**(2*k + 1)``.
+    ``cut`` is that product computed in float64 times ``1 + 16*k*eps`` (exact):
+    its ``k`` additions and three products round down by at most a factor
+    ``(1 - eps)**(k + 3)``, and ``(1 - eps)**(k + 3) * (1 + 16*k*eps)`` exceeds
+    ``(1 + eps)**(2*k + 1)`` by ``(13*k - 4)*eps`` to first order, at least
+    ``9*eps``.  With ``eta == 1`` the cut would reject nothing (``level`` stays
+    below the ceiling) and is skipped.
 
-    The bound, with ``eps = 2**-53``, ``k`` tones, ``q = mean_rate / k``:
+    The squeeze step of rejection sampling (Marsaglia 1977) then decides
+    the rest: an approximate rate ``A`` decides every candidate whose
+    ``level`` lies farther than a bound ``B`` from it, and only the rest,
+    ~``2*B / ceiling`` of them, go through the exact test.  ``A`` uses the
+    exact path's phase ``x = fl(fl(2*pi*f*t) + phase)`` of each tone, reduced
+    in float64 to ``r = x - fl(n*fl(2*pi))`` with ``n = rint(x / (2*pi))``, and
+    the float32 ``sin`` of ``r`` (~1 ns a value, against 20-30 ns for float64
+    ``sin``).
+
+    The bound, with ``eps``, ``k`` and ``q`` as above:
 
     - The reduction errs from ``x - 2*pi*n`` by at most ``eps*|n*2*pi|`` for
       the product, ``|n|*|fl(2*pi) - 2*pi| <= 2.2*eps*|n|`` for the constant
@@ -358,12 +389,16 @@ def _screened_thinning(t: np.ndarray, level: np.ndarray, eta: float, config: Sou
         return level < config.rate(t) * eta
     sines = sum(tone.depth * (2.0**-20 + 2.0 * eps * (x + 8.0)) for tone, x in zip(tones, phases))
     bound = q * eta * (sines + 32.0 * k * k * eps)
-    keep = np.empty(t.size, dtype=bool)
+    cut = q * eta * (k + sum(tone.depth for tone in tones)) * (1.0 + 16.0 * k * eps) if eta < 1.0 else None
+    keep = np.zeros(t.size, dtype=bool)
     width = max(1, min(SCREEN_CHUNK, t.size))
     x, r, acc = np.empty(width), np.empty(width), np.empty(width)
     sine = np.empty(width, dtype=np.float32)
     for lo in range(0, t.size, width):
-        chunk = t[lo: lo + width]
+        live = slice(lo, lo + width)
+        if cut is not None:  # chunk by chunk: one gather over all candidates raised the peak
+            live = lo + np.flatnonzero(level[live] < cut)
+        chunk, below = t[live], level[live]
         n = chunk.size
         x_, r_, acc_, sine_ = x[:n], r[:n], acc[:n], sine[:n]
         acc_.fill(k)
@@ -376,12 +411,12 @@ def _screened_thinning(t: np.ndarray, level: np.ndarray, eta: float, config: Sou
             np.sin(r_, out=sine_, dtype=np.float32)
             acc_ += np.multiply(sine_, tone.depth, out=x_, dtype=np.float64)
         acc_ *= q * eta
-        np.subtract(level[lo: lo + n], acc_, out=acc_)  # level - A
-        np.less(acc_, -bound, out=keep[lo: lo + n])
+        np.subtract(below, acc_, out=acc_)  # level - A
+        decided = acc_ < -bound
         close = np.flatnonzero(np.abs(acc_, out=acc_) <= bound)
         if close.size:
-            close += lo
-            keep[close] = level[close] < config.rate(t[close]) * eta
+            decided[close] = below[close] < config.rate(chunk[close]) * eta
+        keep[live] = decided
     return keep
 
 
@@ -416,10 +451,13 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
             budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
     """Non-extending dead time, then gating, of int64 ps times; sorted by trial and time.
 
-    Trials lie ``window_ps + tau`` apart on one axis, so no gate and no cluster
-    (a run of events each closer than ``tau`` to the one before) spans two.
-    A cluster's first event is registered; each round then registers, per open
-    cluster, the first event ``tau`` or more after the last registered one.
+    Trials lie ``stride = window_ps + tau`` apart on one axis, so no gate and
+    no cluster (a run of events each closer than ``tau`` to the one before)
+    spans two.  A cluster's first event is registered; each round then
+    registers, per open cluster, the first event ``tau`` or more after the last
+    registered one.  One division splits the registered keys into trials and
+    times; gating floors each time onto its gate and drops an event whose
+    trial and gate equal those of the event before it.
     """
     tau = round(budget.dead_time * PS_PER_SECOND)
     stride = window_ps + tau
@@ -427,20 +465,29 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
         raise ValueError(f"{trials} trials of a {window_ps} ps window overflow int64 picoseconds")
     key = np.sort(tid * stride + ps)
     if tau > 0:
-        keep = np.zeros(key.size, dtype=bool)
-        at = np.flatnonzero(np.diff(key, prepend=key[:1] - tau) >= tau)
+        keep = np.ones(key.size, dtype=bool)  # first the cluster starts
+        keep[1:] = key[1:] - key[:-1] >= tau
+        at = np.flatnonzero(keep)
         end = np.append(at[1:], key.size)
         while at.size:
             keep[at] = True
             open_ = end - at > 1  # a cluster's last event closes it: no search
             at = np.searchsorted(key, key[at[open_]] + tau)
             end = end[open_]
-            at, end = at[at < end], end[at < end]
+            inside = at < end
+            at, end = at[inside], end[inside]
         key = key[keep]
+    trial = key // stride
+    ps = key - trial * stride
     if budget.rep_period is not None:
-        key = key - key % stride % round(budget.rep_period * PS_PER_SECOND)
-        key = key[np.diff(key, prepend=-1) > 0]  # still sorted: drop repeats
-    return key % stride, key // stride
+        gate = round(budget.rep_period * PS_PER_SECOND)
+        ps //= gate  # the gate's start, ps - ps % gate, by one division (% is slower)
+        ps *= gate
+        # still sorted: drop an event whose trial and gate equal the one before
+        new = np.ones(ps.size, dtype=bool)
+        new[1:] = (ps[1:] != ps[:-1]) | (trial[1:] != trial[:-1])
+        ps, trial = ps[new], trial[new]
+    return ps, trial
 
 
 def transmit(config: SourceConfig, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:

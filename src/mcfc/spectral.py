@@ -600,13 +600,19 @@ def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     """In-band index of the strongest channel per band, ties to the lowest index.
 
     The last axis of ``magnitudes`` holds the bands' channels side by side,
-    ``widths[b]`` for band ``b``; that axis becomes one entry per band.
+    ``widths[b]`` for band ``b``; that axis becomes one entry per band.  Equal
+    widths, as in every stock plan and sweep, take one ``argmax`` over a
+    ``(..., bands, width)`` view of it; unequal ones take one per band.
     """
     mags = np.asarray(magnitudes)
-    if not len(widths) or min(widths) < 1:
-        raise ValueError(f"band widths {list(widths)} must list bands of at least 1 channel each")
+    # plain isinstance tests, not check_count: a decoded window runs this once
+    if not len(widths) or not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
+                                  for w in widths):
+        raise ValueError(f"band widths {list(widths)} must be whole numbers of channels, at least 1 each")
     if sum(widths) != mags.shape[-1]:
         raise ValueError(f"band widths {list(widths)} do not tile {mags.shape[-1]} channels")
+    if min(widths) == max(widths):
+        return mags.reshape(*mags.shape[:-1], len(widths), widths[0]).argmax(axis=-1)
     segments = np.split(mags, np.cumsum(widths)[:-1], axis=-1)
     return np.stack([np.argmax(s, axis=-1) for s in segments], axis=-1)
 

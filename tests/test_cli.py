@@ -302,6 +302,7 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"sweep": "error-vs-integration-time", "grid": [0]}, "grid"),
     ({"sweep": "error-vs-components", "grid": [float("nan")]}, "grid"),
     ({"sweep": "amplitude", "grid": [-8e4]}, "grid"),
+    ({"components": [1.5]}, "components"),
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config

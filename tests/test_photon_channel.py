@@ -1,6 +1,7 @@
 """Source sampling, channel impairments, and the PTS1 container."""
 
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -133,6 +134,19 @@ def test_from_seconds_quantizes_and_clamps():
         PhotonSequence.from_seconds([window], window)
     with pytest.raises(ValueError):
         PhotonSequence.from_seconds([-1e-9], window)
+
+
+def test_from_seconds_refuses_non_finite_input_by_name_before_any_cast():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "invalid value encountered in cast" would raise
+        for times in ([np.nan], [1e-4, np.inf], [-np.inf, 1e-4]):
+            with pytest.raises(ValueError, match=r"^times must be finite, got -?(nan|inf) at index \d$"):
+                PhotonSequence.from_seconds(times, 1e-3)
+        for window in (np.nan, np.inf, 0.0, -1e-3, True):
+            with pytest.raises(ValueError, match=r"^window must be finite and in \(0, inf\), got "):
+                PhotonSequence.from_seconds([], window)
+            with pytest.raises(ValueError, match=r"^window must be finite and in \(0, inf\), got "):
+                PhotonSequence.empty(window)
 
 
 def test_empty_sequence():
@@ -373,7 +387,7 @@ class _Planted:
     def __init__(self, values):
         self.values = values
 
-    def uniform(self, size):
+    def random(self, size):
         assert size == self.values.size
         return self.values.copy()
 
@@ -406,6 +420,53 @@ def test_screened_thinning_falls_back_at_huge_phases():
         keep = photon_channel._survivors(t, np.random.default_rng(82), 0.9, config)
     assert exact.call_count == 1 and exact.call_args.args[1].size == t.size
     assert np.array_equal(keep, _thinning_reference(t, np.random.default_rng(82), 0.9, config))
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+@pytest.mark.parametrize("eta", [0.5, 0.7])
+def test_loss_cut_leaves_every_level_below_it_to_the_rate(eta, chunk):
+    # three full-depth tones at f, 5f and 9f all peak at t = 1/(4f) + j/f, where
+    # rate(t) reaches its ceiling; at eta 0.7 float64 rate(t) * eta there lies one
+    # ulp above q*eta*(k + sum d) itself, so the cut needs its margin
+    f = 3e3
+    config = SourceConfig(1.002e6, 1e-3, tuple(Tone(f * (1 + 4 * i)) for i in range(3)))
+    k, depths = len(config.tones), sum(tone.depth for tone in config.tones)
+    cut = config.mean_rate / k * eta * (k + depths) * (1.0 + 16.0 * k * 2.0**-53)
+    peaks = 1.0 / (4.0 * f) + np.arange(3) / f
+    peaks = np.concatenate([peaks, np.nextafter(peaks, 0.0), np.nextafter(peaks, 1.0)])
+    target = _rate(config, peaks) * eta
+    assert target.max() <= cut
+    planted = [np.full(peaks.size, cut), np.full(peaks.size, np.nextafter(cut, np.inf)),
+               np.full(peaks.size, np.nextafter(cut, -np.inf)),
+               target, np.nextafter(target, np.inf), np.nextafter(target, -np.inf)]
+    rng = np.random.default_rng(83)
+    filler = rng.uniform(0.0, config.duration, 40)
+    times = np.concatenate([np.tile(peaks, len(planted)), filler])
+    level = np.concatenate(planted + [rng.uniform(0.0, config.rate_ceiling, filler.size)])
+    order = rng.permutation(times.size)  # planted candidates spread over the 7-candidate chunks
+    times, level = times[order], level[order]
+    with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk):
+        keep = photon_channel._screened_thinning(times, level, eta, config)
+    want = level < _rate(config, times) * eta
+    assert np.array_equal(keep, want)
+    assert want.any() and not want.all()
+
+
+def test_random_draws_are_the_uniform_draws():
+    # uniform(low, high) returns low + (high - low) * random(), so random() scaled by the
+    # window is uniform(0.0, window) to the bit; this fails if numpy's two ever part
+    # (seed 235 draws Poisson counts of exactly 1 and 16 385 at those means)
+    config = SourceConfig(2e6, 1e-3, (Tone(40e3, depth=0.7), Tone(95e3, phase=1.0)))
+    for size in (0, 1, 16_385):
+        t, counts = photon_channel._poisson_times(float(size), 1.0, 1, np.random.default_rng(235))
+        rng = np.random.default_rng(235)
+        want_counts = rng.poisson(float(size), size=1)
+        assert counts.tolist() == want_counts.tolist() == [size]
+        assert np.array_equal(t, rng.uniform(0.0, 1.0, size=size))
+        t = np.random.default_rng(size).uniform(0.0, config.duration, size)
+        for source in (None, config):
+            got = photon_channel._survivors(t, np.random.default_rng(235), 0.6, source)
+            assert np.array_equal(got, _thinning_reference(t, np.random.default_rng(235), 0.6, source))
 
 
 def _registered(times, tau_ps, period_ps=None):
@@ -460,6 +521,31 @@ def test_gating_is_idempotent_and_merges_within_a_trial_only():
     gated = apply_detector(seq, budget, derive_rng(38))
     assert len(gated) < len(seq)
     assert np.array_equal(apply_detector(gated, budget, derive_rng(38)).times_ps, gated.times_ps)
+
+
+@pytest.mark.parametrize("budget", [
+    LinkBudget(), LinkBudget(dead_time=7e-12), LinkBudget(rep_period=1e-10),
+    LinkBudget(dead_time=7e-12, rep_period=1e-10),
+])
+def test_detect_takes_no_event_and_one_event(budget):
+    out, out_tid = _detect(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp), 3, 1000, budget)
+    assert out.tolist() == out_tid.tolist() == []
+    out, out_tid = _detect(np.array([987], dtype=np.int64), np.array([2]), 3, 1000, budget)
+    assert out.tolist() == [987 if budget.rep_period is None else 900]
+    assert out_tid.tolist() == [2]
+
+
+@pytest.mark.parametrize("tau", [0, 7])
+def test_gating_merges_equal_gates_of_one_trial_only_at_trial_boundaries(tau):
+    # 100 ps gates on a 1000 ps window; a dead time of 7 ps makes the trial stride
+    # 1007 ps, so gates must be counted from each trial's start, not from zero
+    budget = LinkBudget(dead_time=tau * 1e-12, rep_period=1e-10)
+    ps = np.array([999, 950, 901, 0, 42, 0, 999], dtype=np.int64)
+    tid = np.array([0, 0, 1, 3, 3, 4, 4])  # trial 2 is empty
+    out, out_tid = _detect(ps, tid, 5, 1000, budget)
+    # trial 0's last gate equals trial 1's only gate, and trial 3's equals trial 4's first
+    assert out.tolist() == [900, 900, 0, 0, 900]
+    assert out_tid.tolist() == [0, 1, 3, 4, 4]
 
 
 def test_batch_dead_time_and_gating_draw_nothing():

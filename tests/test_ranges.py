@@ -1,7 +1,7 @@
 """Every numeric input of the library goes through one range check.
 
 Each row names a constructor or function, the field it checks and the
-interval that field must lie in.  NaN, both infinities and the nearest float
+interval that field must lie in.  NaN, both infinities, bools and the nearest float
 outside each finite end are refused with a ``ValueError`` that names the
 field; a closed finite end is accepted.
 """
@@ -96,13 +96,14 @@ ROWS = [
     (lambda v: expected_mandel_q(1e4, v, 1e3, 1e-3), "depth", 0.0, 1.0, "[]"),
     (lambda v: expected_mandel_q(1e4, 1.0, v, 1e-3), "frequency", 0.0, INF, "()"),
     (lambda v: expected_mandel_q(1e4, 1.0, 1e3, v), "window", 0.0, INF, "()"),
+    (lambda v: PhotonSequence.from_seconds([], v), "window", 0.0, INF, "()"),
 ]
 
 
 @pytest.mark.parametrize("call, field, low, high, ends", ROWS,
                          ids=[f"{i}-{row[1]}" for i, row in enumerate(ROWS)])
 def test_each_field_refuses_what_lies_outside_its_interval(call, field, low, high, ends):
-    refused = [math.nan, INF, -INF]
+    refused = [math.nan, INF, -INF, True, False, np.bool_(True), np.bool_(False)]  # a bool is no number
     if math.isfinite(low):
         refused.append(low if ends[0] == "(" else math.nextafter(low, -INF))
     if math.isfinite(high):
@@ -121,6 +122,9 @@ COUNTS = [
     (lambda v: sample_event_batch(SourceConfig(1e3, 1e-3), v, derive_rng(0)), "trials", 0),
     (lambda v: SweepSpec(grid=(1.0,), trials=v), "'trials'", 2),
     (lambda v: SweepSpec(grid=(1.0,), channels_per_band=v), "'channels_per_band'", 2),
+    (lambda v: SweepSpec(grid=(1.0,), components=(1, v)), "'components'", 1),
+    (lambda v: channel_error_rate(0.1, v), "channels", 1),
+    (lambda v: capacity(1e6, 1e3, 1e-3, v), "components", 1),
 ]
 
 

@@ -817,6 +817,23 @@ def test_band_argmax_over_trials():
             band_argmax(mags, widths)
     with pytest.raises(ValueError, match="widths"):  # no band: nothing to take the argmax of
         band_argmax(np.zeros((2, 0)), [])
+    for widths in ([True, 4], [np.bool_(True), 4], [2.0, 3], [2.5, 2.5], ["2", 3], [None, 5]):
+        with pytest.raises(ValueError, match="widths"):  # a width counts channels
+            band_argmax(mags, widths)
+    assert band_argmax(mags, [np.int64(3), np.int32(2)]).tolist() == [[1, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("bands, width", [(3, 11), (1, 26)])
+def test_band_argmax_equal_widths_match_one_argmax_per_band(bands, width):
+    rng = derive_rng(84, bands)
+    mags = rng.random((64, bands * width))
+    mags[::2] = np.round(mags[::2] * 3.0)  # ties in every band of every other row
+    mags[1, :] = 1.0  # all channels tie
+    split = np.stack([np.argmax(s, axis=-1) for s in np.split(mags, bands, axis=-1)], axis=-1)
+    got = band_argmax(mags, [width] * bands)
+    assert got.shape == split.shape and np.array_equal(got, split)
+    assert np.array_equal(band_argmax(mags[5], [width] * bands), split[5])
+    assert np.array_equal(band_argmax(mags.reshape(8, 8, -1), [width] * bands), split.reshape(8, 8, -1))
 
 
 # -----------------------------------------------------------------
