@@ -14,14 +14,9 @@ from .photon_channel import (
     SourceConfig,
     StreamFormatError,
     Tone,
-    apply_detector,
-    apply_loss,
     derive_rng,
-    merge_noise,
     read_pts1,
     sample_event_batch,
-    sample_homogeneous,
-    sample_modulated,
     transmit,
     write_pts1,
 )
@@ -30,13 +25,11 @@ from .spectral import (
     LineStats,
     Spectrum,
     band_argmax,
-    band_peak,
     batch_amplitudes,
     expected_line,
     floor_channels,
     periodogram,
     phasor_sums,
-    point_dft,
     point_dft_many,
 )
 from .codec import (
@@ -48,7 +41,6 @@ from .codec import (
     decode,
     effective_channels,
     encode,
-    encode_image,
     encode_text,
     letter_plan,
     load_plan,

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .photon_channel import POSITIVE, PhotonSequence, Tone, check_range, interval
+from .photon_channel import POSITIVE, REAL, PhotonSequence, Tone, check_count, check_range, interval
 from .spectral import band_argmax, point_dft_many
 
 #: Color written into a reconstructed image where decoding failed outright.
@@ -99,6 +99,7 @@ def optimal_channels(bandwidth: float, spacing: float) -> int:
 
 def effective_channels(m_opt: int, k: int) -> int:
     """Distinct k-subsets of m_opt channels, exact arbitrary-precision count."""
+    check_count(REAL, m_opt=m_opt, k=k)
     if not 1 <= k <= m_opt:
         raise ValueError(f"need 1 <= k <= m_opt, got k={k}, m_opt={m_opt}")
     return math.comb(m_opt, k)
@@ -298,11 +299,6 @@ def image_to_symbols(pixels: np.ndarray) -> list[Symbol]:
         raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
     levels = quantize_level(arr.reshape(-1, 3))
     return [Symbol.gray(*row) for row in levels.tolist()]
-
-
-def encode_image(pixels: np.ndarray, plan: FrequencyPlan) -> list[tuple[Tone, ...]]:
-    """Quantize and encode an image, one three-tone set per pixel."""
-    return encode(image_to_symbols(pixels), plan)
 
 
 def symbols_to_image(symbols: Sequence[Symbol | None], shape: tuple[int, int]) -> np.ndarray:

@@ -45,7 +45,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
-from .photon_channel import NON_NEGATIVE, POSITIVE, check_count, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, check_count, check_range, interval
 from .spectral import LineStats, band_argmax, batch_amplitudes, floor_channels
 
 
@@ -132,6 +132,7 @@ class ImageReport:
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (95% by default)."""
+    check_count(REAL, errors=errors, trials=trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= errors <= trials:

@@ -25,8 +25,8 @@ One pipeline, :func:`sample_event_batch`, samples many trials at once:
 source thinning with loss folded in, background light and dark counts,
 timing jitter, then detector dead time and (optionally) gating onto a clock
 grid.  Arrival stages work in float seconds, the detector in integer
-picoseconds.  :func:`transmit` runs it on one trial, and the per-sequence
-functions are adapters onto its stages.
+picoseconds.  :func:`transmit` runs it on one trial.  Four per-sequence
+stages remain, not exported from ``mcfc``, for the benchmark's tracer alone.
 
 Timestamps are stored as integer picoseconds (``numpy.uint64``) so that
 sequences survive serialization round trips bit-exactly.  The on-disk
@@ -202,6 +202,7 @@ class PhotonSequence:
     window_ps: int
 
     def __post_init__(self) -> None:
+        check_count(interval(1, math.inf, "[)"), window_ps=self.window_ps)
         arr = np.asarray(self.times_ps, dtype=np.uint64)
         if arr.ndim != 1:
             raise ValueError("times_ps must be one-dimensional")
@@ -296,7 +297,7 @@ class LinkBudget:
 
 
 # ---------------------------------------------------------------------------
-# the sampling pipeline, and per-sequence adapters onto its stages
+# the sampling pipeline, and the four per-sequence stages the tracer rebinds
 # ---------------------------------------------------------------------------
 
 #: Candidates per pass of the thinning screen (:func:`_screened_thinning`):
@@ -316,14 +317,13 @@ def _poisson_times(rate: float, duration: float, trials: int, rng: np.random.Gen
     return t, counts
 
 
-def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float,
-               config: SourceConfig | None = None) -> np.ndarray:
+def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float, config: SourceConfig) -> np.ndarray:
     """Keep each event with probability ``eta``, times ``rate(t) / ceiling`` if ``config`` is modulated.
 
     A modulated source keeps candidate ``i`` where ``u_i * ceiling < rate(t_i) * eta``
     (:func:`_screened_thinning` decides the same test with few float64 sines).
     """
-    if config is None or not config.tones:
+    if not config.tones:
         return rng.random(t.size) < eta
     level = rng.random(t.size)
     level *= config.rate_ceiling
@@ -544,27 +544,17 @@ def sample_event_batch(
     return EventBatch(times=t, trial_ids=tid, trials=trials, window=config.duration)
 
 
-def sample_homogeneous(rate: float, duration: float, rng: np.random.Generator) -> PhotonSequence:
-    """Sample a homogeneous Poisson process on [0, duration)."""
-    return sample_modulated(SourceConfig(rate, duration), rng)
-
-
+# Kept only because linkbench/tracing.py rebinds these four; they go with it (ROADMAP item 1).
 def sample_modulated(config: SourceConfig, rng: np.random.Generator) -> PhotonSequence:
-    """Sample the modulated source by thinning a homogeneous proposal.
-
-    Draw ``Poisson(ceiling * T)`` candidate times uniformly on the window
-    and keep each with probability ``rate(t) / ceiling``.  The survivors
-    are exactly an inhomogeneous Poisson sample of the target rate.
-    """
-    t, _ = _arrivals(config, 1, rng, LinkBudget())
-    return PhotonSequence.from_seconds(t, config.duration)
+    """The source alone: :func:`transmit` with a clean budget, drawing the same numbers."""
+    return transmit(config, LinkBudget(), rng)
 
 
 def apply_loss(seq: PhotonSequence, transmittance: float, rng: np.random.Generator) -> PhotonSequence:
     """Thin a sequence by an independent Bernoulli survival trial per event."""
     if transmittance >= 1.0 or len(seq) == 0:
         return seq
-    return PhotonSequence(seq.times_ps[_survivors(seq.times_ps, rng, transmittance)], seq.window_ps)
+    return PhotonSequence(seq.times_ps[rng.random(len(seq)) < transmittance], seq.window_ps)
 
 
 def merge_noise(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
@@ -576,7 +566,7 @@ def merge_noise(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Generato
     rate = budget.noise_rate + budget.dark_rate
     if rate <= 0.0:
         return seq
-    extra = sample_homogeneous(rate, seq.window, rng).times_ps
+    extra = transmit(SourceConfig(rate, seq.window), LinkBudget(), rng).times_ps
     return PhotonSequence(np.sort(np.concatenate([seq.times_ps, extra])), seq.window_ps)
 
 

@@ -14,9 +14,9 @@ shared tone) on top of that floor.  All decoding reduces to comparing
 these magnitudes across a known channel grid.
 
 :func:`phasor_sums` is the one kernel for the sum, over a batch of trials;
-:func:`point_dft`, :func:`point_dft_many`, :func:`batch_amplitudes`,
-:func:`periodogram` and :func:`band_peak` adapt it.  :func:`band_argmax`
-is the one per-band decision, shared by decoding and the sweeps.
+:func:`point_dft_many`, :func:`batch_amplitudes` and :func:`periodogram`
+adapt it.  :func:`band_argmax` is the one per-band decision, shared by
+decoding and the sweeps.
 
 Channel grids and scan grids are uniform ladders, so the kernel does not
 call ``exp`` per phasor.  It cuts the frequency list into maximal
@@ -79,7 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .photon_channel import EventBatch, PhotonSequence, SourceConfig
-from .photon_channel import NON_NEGATIVE, POSITIVE, check_count, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, check_count, check_range, interval
 
 #: Refuse to build evaluation grids larger than this (denser grids are a
 #: sign of a mistaken resolution argument, not a real need).
@@ -573,7 +573,7 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         x = s * block
         nx = n * (x - np.floor(x))
         first = np.ceil(nx - _ES_WIDTH / 2)
-        cell = first.astype(np.intp) % n
+        cell = first.astype(np.intp) & (n - 1)  # n is a power of two: a negative cell wraps as by % n
         runs = np.flatnonzero(np.diff(cell, prepend=-1))  # each run's first event
         if _NUFFT_RUN_EVENTS * runs.size <= block.size:  # offsets x events, added up along each run
             kernel = _es_kernel(np.add.outer(offsets, first - nx) * (2.0 / _ES_WIDTH))  # exact, in [-1, 1)
@@ -617,11 +617,6 @@ def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     return np.stack([np.argmax(s, axis=-1) for s in segments], axis=-1)
 
 
-def point_dft(seq: PhotonSequence, frequency: float) -> complex:
-    """Evaluate the phasor sum of one sequence at a single frequency."""
-    return complex(phasor_sums(seq.seconds, [frequency])[0, 0])
-
-
 def point_dft_many(seq: PhotonSequence, frequencies: np.ndarray) -> np.ndarray:
     """Phasor sums of one sequence at many frequencies, shape (len(frequencies),)."""
     return phasor_sums(seq.seconds, frequencies)[0]
@@ -646,18 +641,6 @@ def periodogram(seq: PhotonSequence, band: Band, resolution: float) -> Spectrum:
                     "coarsen the resolution or narrow the band")
     freqs = np.minimum(band.low + resolution * np.arange(n), band.high)
     return Spectrum(freqs, point_dft_many(seq, freqs), seq.window, len(seq))
-
-
-def band_peak(seq: PhotonSequence, channel_frequencies: np.ndarray) -> tuple[int, float, float]:
-    """Pick the strongest channel of a band.
-
-    Returns (index, frequency, magnitude) of the channel with the largest
-    phasor-sum magnitude.  Exact ties resolve to the lowest frequency.
-    """
-    freqs = np.asarray(channel_frequencies, dtype=np.float64)
-    mags = np.abs(point_dft_many(seq, freqs))
-    idx = int(band_argmax(mags, [freqs.size])[0])
-    return idx, float(freqs[idx]), float(mags[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +691,7 @@ def floor_channels(channels: int, line: int) -> np.ndarray:
     measures the white floor.  A band too narrow to keep any channel that
     way falls back to every channel but the line.
     """
+    check_count(REAL, channels=channels, line=line)
     if channels < 2:
         raise ValueError("a band needs at least two channels to measure a floor")
     if not 0 <= line < channels:

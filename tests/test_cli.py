@@ -1,5 +1,6 @@
 """Command-line interface: round trips, exit codes, determinism, diagnostics."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -523,3 +524,17 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     assert tracing.LAYER_TARGETS
     for target in tracing.LAYER_TARGETS:
         assert callable(getattr(importlib.import_module(target.module), target.attr, None)), target
+
+
+def test_benchmark_probe_targets_resolve():
+    # image-link counts windows by `decode`, mc-sweep points by `sample_event_batch`;
+    # a probe whose name is gone stops the run with a BindingError
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "linkbench", "workloads.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())  # parsed only: importing it would need the benchmark's path
+    probes = {(call.args[0].value, call.args[1].value) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Target"}
+    assert {("mcfc.harness", "decode"), ("mcfc.harness", "sample_event_batch")} <= probes
+    for module, attr in probes:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -20,7 +20,6 @@ from mcfc.codec import (
     decode,
     effective_channels,
     encode,
-    encode_image,
     encode_text,
     image_to_symbols,
     letter_plan,
@@ -204,7 +203,7 @@ def test_decode_round_trip_every_letter(letters):
 
 
 def test_decode_rgb_pixel(rgb_plan):
-    tones = encode_image(np.full((1, 1, 3), 200, dtype=np.uint8), rgb_plan)[0]
+    tones = encode(image_to_symbols(np.full((1, 1, 3), 200, dtype=np.uint8)), rgb_plan)[0]
     seq = transmit(SourceConfig(1.44e6, 1e-3, tones), LinkBudget(), derive_rng(62))
     assert decode(seq, rgb_plan) == Symbol.gray(8, 8, 8)
 

@@ -23,7 +23,6 @@ from mcfc.photon_channel import (
     merge_noise,
     read_pts1,
     sample_event_batch,
-    sample_homogeneous,
     sample_modulated,
     transmit,
     write_pts1,
@@ -122,6 +121,14 @@ def test_sequence_invariants():
     assert seq.window_ps == 100
 
 
+@pytest.mark.parametrize("window_ps", [0, -5])
+def test_sequence_refuses_a_window_below_one_picosecond(tmp_path, window_ps):
+    path = tmp_path / "never.pts1"
+    with pytest.raises(ValueError, match=rf"^window_ps must be finite and in \[1, inf\), got {window_ps}$"):
+        write_pts1(path, PhotonSequence(np.empty(0), window_ps))
+    assert not path.exists()  # refused on construction, so write_pts1 never ran
+
+
 def test_from_seconds_quantizes_and_clamps():
     window = 1e-3
     # an event that rounds up to exactly the window edge must stay inside
@@ -197,7 +204,7 @@ def test_modulated_times_follow_rate():
 
 
 def test_loss_identity_and_total():
-    seq = sample_homogeneous(1e4, 1e-3, derive_rng(15))
+    seq = transmit(SourceConfig(1e4, 1e-3), LinkBudget(), derive_rng(15))
     assert apply_loss(seq, 1.0, derive_rng(16)) is seq
     lost = apply_loss(seq, 1e-12, derive_rng(16))
     assert len(lost) == 0 or len(lost) < len(seq) // 100
@@ -217,7 +224,7 @@ def test_loss_composition_matches_product():
 
 
 def test_merge_noise_adds_sorted_stream():
-    seq = sample_homogeneous(5e4, 1e-3, derive_rng(19, 0))
+    seq = transmit(SourceConfig(5e4, 1e-3), LinkBudget(), derive_rng(19, 0))
     budget = LinkBudget(noise_rate=30e3, dark_rate=10e3)
     totals = []
     for i in range(3000):
@@ -229,8 +236,31 @@ def test_merge_noise_adds_sorted_stream():
 
 
 def test_merge_noise_zero_rate_is_identity():
-    seq = sample_homogeneous(1e4, 1e-3, derive_rng(20))
+    seq = transmit(SourceConfig(1e4, 1e-3), LinkBudget(), derive_rng(20))
     assert merge_noise(seq, LinkBudget(), derive_rng(21)) is seq
+
+
+def test_sample_modulated_is_transmit_with_a_clean_budget():
+    # random sources of 0-3 tones: the same events, and the generators stay in step
+    draw = derive_rng(90, "configs")
+    for i in range(40):
+        tones = tuple(Tone(draw.uniform(1e3, 2e5), draw.uniform(0, 2 * np.pi), draw.choice([0.0, 0.3, 1.0]))
+                      for _ in range(draw.integers(0, 4)))
+        config = SourceConfig(draw.choice([0.0, 2e4, 3e5]), draw.choice([1e-4, 1e-3, 3.3e-3]), tones)
+        a, b = derive_rng(90, i), derive_rng(90, i)
+        seq, ref = sample_modulated(config, a), transmit(config, LinkBudget(), b)
+        assert seq.window_ps == ref.window_ps and np.array_equal(seq.times_ps, ref.times_ps)
+        assert a.random() == b.random()
+
+
+def test_merge_noise_adds_transmit_of_the_homogeneous_stream():
+    seq = transmit(SourceConfig(5e4, 1e-3, (Tone(50e3),)), LinkBudget(), derive_rng(91))
+    a, b = derive_rng(92), derive_rng(92)
+    merged = merge_noise(seq, LinkBudget(noise_rate=30e3, dark_rate=10e3), a)
+    extra = transmit(SourceConfig(40e3, seq.window), LinkBudget(), b)
+    assert len(extra) > 0
+    assert np.array_equal(merged.times_ps, np.sort(np.concatenate([seq.times_ps, extra.times_ps])))
+    assert a.random() == b.random()
 
 
 # -----------------------------------------------------------------
@@ -238,7 +268,7 @@ def test_merge_noise_zero_rate_is_identity():
 # -----------------------------------------------------------------
 
 def test_jitter_keeps_events_inside_window():
-    seq = sample_homogeneous(2e5, 1e-4, derive_rng(22))
+    seq = transmit(SourceConfig(2e5, 1e-4), LinkBudget(), derive_rng(22))
     out = apply_detector(seq, LinkBudget(jitter_sigma=5e-5), derive_rng(23))
     assert len(out) == len(seq)
     assert np.all(np.diff(out.times_ps.astype(np.int64)) >= 0)
@@ -261,7 +291,7 @@ def test_jitter_attenuates_line_by_gaussian_factor():
 
 def test_dead_time_enforces_minimum_gap():
     dead = 2e-6
-    seq = sample_homogeneous(5e5, 1e-3, derive_rng(25))
+    seq = transmit(SourceConfig(5e5, 1e-3), LinkBudget(), derive_rng(25))
     out = apply_detector(seq, LinkBudget(dead_time=dead), derive_rng(26))
     dead_ps = int(dead * PS_PER_SECOND)
     assert len(out) < len(seq)
@@ -269,7 +299,7 @@ def test_dead_time_enforces_minimum_gap():
 
 
 def test_dead_time_monotone_in_length():
-    seq = sample_homogeneous(5e5, 1e-3, derive_rng(27))
+    seq = transmit(SourceConfig(5e5, 1e-3), LinkBudget(), derive_rng(27))
     n = [len(apply_detector(seq, LinkBudget(dead_time=d), derive_rng(28)))
          for d in (0.0, 1e-6, 4e-6, 16e-6)]
     assert n[0] == len(seq)
@@ -279,7 +309,7 @@ def test_dead_time_monotone_in_length():
 
 def test_gating_quantizes_onto_clock_grid():
     period = 1e-7
-    seq = sample_homogeneous(80e3, 1e-3, derive_rng(29))
+    seq = transmit(SourceConfig(80e3, 1e-3), LinkBudget(), derive_rng(29))
     out = apply_detector(seq, LinkBudget(rep_period=period), derive_rng(30))
     period_ps = int(period * PS_PER_SECOND)
     assert np.all(out.times_ps % period_ps == 0)
@@ -339,9 +369,9 @@ def _rate(config, t):
     return total * (config.mean_rate / len(config.tones))
 
 
-def _thinning_reference(t, rng, eta, config=None):
+def _thinning_reference(t, rng, eta, config):
     """The thinning test u * ceiling < rate(t) * eta, one float64 sine per tone and candidate."""
-    if config is None or not config.tones:
+    if not config.tones:
         return rng.uniform(size=t.size) < eta
     return rng.uniform(size=t.size) * config.rate_ceiling < _rate(config, t) * eta
 
@@ -464,7 +494,7 @@ def test_random_draws_are_the_uniform_draws():
         assert counts.tolist() == want_counts.tolist() == [size]
         assert np.array_equal(t, rng.uniform(0.0, 1.0, size=size))
         t = np.random.default_rng(size).uniform(0.0, config.duration, size)
-        for source in (None, config):
+        for source in (SourceConfig(2e6, 1e-3), config):
             got = photon_channel._survivors(t, np.random.default_rng(235), 0.6, source)
             assert np.array_equal(got, _thinning_reference(t, np.random.default_rng(235), 0.6, source))
 
@@ -517,7 +547,7 @@ def test_gating_is_idempotent_and_merges_within_a_trial_only():
     again, again_tid = _detect(out, out_tid, 2, 10_000, budget)
     assert np.array_equal(again, out) and np.array_equal(again_tid, out_tid)
 
-    seq = sample_homogeneous(2e7, 1e-4, derive_rng(37))
+    seq = transmit(SourceConfig(2e7, 1e-4), LinkBudget(), derive_rng(37))
     gated = apply_detector(seq, budget, derive_rng(38))
     assert len(gated) < len(seq)
     assert np.array_equal(apply_detector(gated, budget, derive_rng(38)).times_ps, gated.times_ps)

@@ -22,8 +22,8 @@ from mcfc.analysis import (
     modulator_transfer,
     noise_floor_boundary,
 )
-from mcfc.codec import FrequencyPlan, NamedBand, Symbol, optimal_channels
-from mcfc.harness import SweepSpec, run_error_vs_integration_time, run_error_vs_spacing
+from mcfc.codec import FrequencyPlan, NamedBand, Symbol, effective_channels, optimal_channels
+from mcfc.harness import SweepSpec, run_error_vs_integration_time, run_error_vs_spacing, wilson_interval
 from mcfc.photon_channel import (
     LinkBudget,
     PhotonSequence,
@@ -34,7 +34,7 @@ from mcfc.photon_channel import (
     interval,
     sample_event_batch,
 )
-from mcfc.spectral import Band, LineStats, periodogram, phasor_sums
+from mcfc.spectral import Band, LineStats, floor_channels, periodogram, phasor_sums
 
 INF = math.inf
 #: A 10 ms stream of 4000 evenly spaced events: pairs within any lag >= 2.5 us.
@@ -117,24 +117,34 @@ def test_each_field_refuses_what_lies_outside_its_interval(call, field, low, hig
 
 
 COUNTS = [
-    # (call with the count, field named in the message, least count)
-    (lambda v: phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), v), "trials", 0),
-    (lambda v: sample_event_batch(SourceConfig(1e3, 1e-3), v, derive_rng(0)), "trials", 0),
-    (lambda v: SweepSpec(grid=(1.0,), trials=v), "'trials'", 2),
-    (lambda v: SweepSpec(grid=(1.0,), channels_per_band=v), "'channels_per_band'", 2),
-    (lambda v: SweepSpec(grid=(1.0,), components=(1, v)), "'components'", 1),
-    (lambda v: channel_error_rate(0.1, v), "channels", 1),
-    (lambda v: capacity(1e6, 1e3, 1e-3, v), "components", 1),
+    # (call with the count, field named in the message, least count, and the message
+    # below it where the range check keeps its own, else None for check_count's)
+    (lambda v: phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), v), "trials", 0, None),
+    (lambda v: sample_event_batch(SourceConfig(1e3, 1e-3), v, derive_rng(0)), "trials", 0, None),
+    (lambda v: SweepSpec(grid=(1.0,), trials=v), "'trials'", 2, None),
+    (lambda v: SweepSpec(grid=(1.0,), channels_per_band=v), "'channels_per_band'", 2, None),
+    (lambda v: SweepSpec(grid=(1.0,), components=(1, v)), "'components'", 1, None),
+    (lambda v: channel_error_rate(0.1, v), "channels", 1, None),
+    (lambda v: capacity(1e6, 1e3, 1e-3, v), "components", 1, None),
+    (lambda v: PhotonSequence(np.empty(0), v), "window_ps", 1, None),
+    (lambda v: noise_floor_boundary(100, v), "n_frequencies", 1, "n_frequencies must be >= 1"),
+    (lambda v: wilson_interval(v, 3), "errors", 0, "errors must be in [0, trials]"),
+    (lambda v: wilson_interval(1, v), "trials", 1, "trials must be >= 1"),
+    (lambda v: effective_channels(v, 2), "m_opt", 2, "need 1 <= k <= m_opt, got k=2, m_opt=1"),
+    (lambda v: effective_channels(5, v), "k", 1, "need 1 <= k <= m_opt, got k=0, m_opt=5"),
+    (lambda v: floor_channels(v, 0), "channels", 2, "a band needs at least two channels to measure a floor"),
+    (lambda v: floor_channels(3, v), "line", 0, "line must be a channel index in [0, 3), got -1"),
 ]
 
 
-@pytest.mark.parametrize("call, field, least", COUNTS,
+@pytest.mark.parametrize("call, field, least, own", COUNTS,
                          ids=[f"{i}-{row[1]}" for i, row in enumerate(COUNTS)])
-def test_each_count_refuses_what_is_not_an_integer_in_range(call, field, least):
+def test_each_count_refuses_what_is_not_an_integer_in_range(call, field, least, own):
     for value in (2.5, float(least), True, np.bool_(True), "3", None):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer, got "):
             call(value)
-    below = rf"^{re.escape(field)} must be finite and in \[{least}, inf\), got {least - 1}$"
+    below = (rf"^{re.escape(own)}$" if own else
+             rf"^{re.escape(field)} must be finite and in \[{least}, inf\), got {least - 1}$")
     with pytest.raises(ValueError, match=below):
         call(least - 1)
     call(least)  # accepted, as a numpy integer too

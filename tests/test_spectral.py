@@ -29,21 +29,18 @@ from mcfc.photon_channel import (
     Tone,
     derive_rng,
     sample_event_batch,
-    sample_homogeneous,
-    sample_modulated,
+    transmit,
     write_pts1,
 )
 from mcfc.spectral import (
     MAX_GRID_POINTS,
     Band,
     band_argmax,
-    band_peak,
     batch_amplitudes,
     expected_line,
     floor_channels,
     periodogram,
     phasor_sums,
-    point_dft,
     point_dft_many,
 )
 
@@ -63,8 +60,8 @@ def test_band_validation():
 # -----------------------------------------------------------------
 
 def test_dc_value_equals_event_count():
-    seq = sample_homogeneous(7e4, 1e-3, derive_rng(40))
-    assert point_dft(seq, 0.0) == pytest.approx(len(seq), rel=1e-12)
+    seq = transmit(SourceConfig(7e4, 1e-3), LinkBudget(), derive_rng(40))
+    assert phasor_sums(seq.seconds, [0.0])[0, 0] == pytest.approx(len(seq), rel=1e-12)
 
 
 def test_linearity_over_concatenation():
@@ -72,9 +69,10 @@ def test_linearity_over_concatenation():
     a = np.sort(rng.uniform(0, 1e-3, 500))
     b = np.sort(rng.uniform(0, 1e-3, 700))
     f = 123_456.0
-    xa = point_dft(PhotonSequence.from_seconds(a, 1e-3), f)
-    xb = point_dft(PhotonSequence.from_seconds(b, 1e-3), f)
-    xab = point_dft(PhotonSequence.from_seconds(np.sort(np.concatenate([a, b])), 1e-3), f)
+    xa = phasor_sums(PhotonSequence.from_seconds(a, 1e-3).seconds, [f])[0, 0]
+    xb = phasor_sums(PhotonSequence.from_seconds(b, 1e-3).seconds, [f])[0, 0]
+    ab = PhotonSequence.from_seconds(np.sort(np.concatenate([a, b])), 1e-3)
+    xab = phasor_sums(ab.seconds, [f])[0, 0]
     assert abs(xab - (xa + xb)) / abs(xab) < 1e-9
 
 
@@ -82,27 +80,27 @@ def test_magnitude_invariant_under_time_shift():
     rng = derive_rng(42)
     t = np.sort(rng.uniform(0, 5e-4, 300))
     f = 50e3
-    m0 = abs(point_dft(PhotonSequence.from_seconds(t, 1e-3), f))
-    m1 = abs(point_dft(PhotonSequence.from_seconds(t + 4.9e-4, 1e-3), f))
+    m0 = abs(phasor_sums(PhotonSequence.from_seconds(t, 1e-3).seconds, [f])[0, 0])
+    m1 = abs(phasor_sums(PhotonSequence.from_seconds(t + 4.9e-4, 1e-3).seconds, [f])[0, 0])
     assert m1 == pytest.approx(m0, rel=1e-9)
 
 
 def test_point_dft_many_matches_scalar():
-    seq = sample_modulated(SourceConfig(5e4, 1e-3, (Tone(50e3),)), derive_rng(43))
+    seq = transmit(SourceConfig(5e4, 1e-3, (Tone(50e3),)), LinkBudget(), derive_rng(43))
     freqs = np.array([10e3, 50e3, 123e3])
     many = point_dft_many(seq, freqs)
     for f, v in zip(freqs, many):
-        assert v == pytest.approx(point_dft(seq, f), rel=1e-12)
+        assert v == pytest.approx(phasor_sums(seq.seconds, [f])[0, 0], rel=1e-12)
 
 
 def test_point_dft_many_chunked_path():
     # few events + a wide grid forces several chunks through the outer product
-    seq = sample_homogeneous(2e5, 1e-3, derive_rng(44))
+    seq = transmit(SourceConfig(2e5, 1e-3), LinkBudget(), derive_rng(44))
     assert len(seq) > 150
     freqs = np.linspace(1e3, 500e3, 30_000)
     many = point_dft_many(seq, freqs)
     for idx in (0, 17_345, 29_999):
-        assert many[idx] == pytest.approx(point_dft(seq, freqs[idx]), rel=1e-12)
+        assert many[idx] == pytest.approx(phasor_sums(seq.seconds, [freqs[idx]])[0, 0], rel=1e-12)
 
 
 def test_empty_sequence_gives_zero_spectrum():
@@ -122,7 +120,7 @@ def test_batch_amplitudes_match_per_trial_dft():
         for j, f in enumerate(freqs):
             # from_seconds snaps timestamps onto the picosecond grid, so
             # allow the resulting phase slew instead of exact agreement
-            assert amps[trial, j] == pytest.approx(abs(point_dft(seq, f)), rel=1e-5)
+            assert amps[trial, j] == pytest.approx(abs(phasor_sums(seq.seconds, [f])[0, 0]), rel=1e-5)
 
 
 # -----------------------------------------------------------------
@@ -187,7 +185,7 @@ def test_rotation_holds_the_bound_at_the_quietest_point():
     # at f*t ~ 5e4 each phase (~3e5 rad) rounds by up to ~3e-11 rad; the rotated
     # phasors keep those roundings independent, so they add up to a walk of about
     # u*sqrt(sum(phi**2)) (~5e-9 here) at the line and at the quietest point alike
-    t = sample_modulated(SourceConfig(5e4, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(54)).seconds
+    t = transmit(SourceConfig(5e4, 1.0, (Tone(50e3, depth=0.5),)), LinkBudget(), derive_rng(54)).seconds
     # 61 rungs through the line: on the lattice of 250 Hz (K = 170), and off it
     for ladder in (250.0 * np.arange(170, 231), 49_970.0 + 1.0 * np.arange(61)):
         values = phasor_sums(t, ladder)[0]
@@ -200,7 +198,7 @@ def test_ladder_callers_stay_off_the_nufft(rgb_plan):
     # decode windows (33 channels in 11-rung bands) and multi-trial batches keep
     # the ladder's values bit for bit, so image and sweep outputs cannot change
     tones = tuple(Tone(f) for f in rgb_plan.frequencies_for(Symbol.gray(4, 5, 10)))
-    window = sample_modulated(SourceConfig(2e6, 1e-3, tones), derive_rng(55)).seconds
+    window = transmit(SourceConfig(2e6, 1e-3, tones), LinkBudget(), derive_rng(55)).seconds
     channels = np.concatenate([band.channels for band in rgb_plan.bands])
     batch = sample_event_batch(SourceConfig(1e5, 1e-3, (Tone(50e3),)), 20, derive_rng(56))
     scan = 49_750.0 + 1.0 * np.arange(501)
@@ -258,7 +256,7 @@ def test_nufft_moves_each_mode_onto_its_exact_frequency():
     # patched threshold whatever its default) and 128 (oversampled exactly twice)
     for rungs, line in [(121, 100), (65, 50), (128, 100)]:
         grid = 49_999.8 + 0.0037 * np.arange(rungs)
-        seq = sample_modulated(SourceConfig(20.0, 100.0, (Tone(grid[line]),)), derive_rng(67))
+        seq = transmit(SourceConfig(20.0, 100.0, (Tone(grid[line]),)), LinkBudget(), derive_rng(67))
         with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft, \
                 mock.patch.object(spectral, "NUFFT_MIN_RUNGS", rungs - 1):
             values = _run_through_nufft(seq.seconds, grid)
@@ -286,7 +284,7 @@ def test_nufft_holds_a_planted_quiet_point_to_the_bound():
 def _scanned_capture():
     """A 1 s capture of ~20k events at f*t up to 5e4 and a 251-point scan across
     its line: ~40 events share each first cell of the 512-cell grid."""
-    seq = sample_modulated(SourceConfig(2e4, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(63))
+    seq = transmit(SourceConfig(2e4, 1.0, (Tone(50e3, depth=0.5),)), LinkBudget(), derive_rng(63))
     return seq.seconds, 49_875.0 + 1.0 * np.arange(251)
 
 
@@ -329,7 +327,7 @@ def test_dense_blocks_spread_run_sums_and_sparse_blocks_each_event():
 def test_nufft_work_arrays_stay_small():
     # the grid and one block's kernel, products and sums; nothing the size of
     # the capture (1.4 MB of times), which would show in the process's peak RSS
-    t = sample_modulated(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), derive_rng(66)).seconds
+    t = transmit(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), LinkBudget(), derive_rng(66)).seconds
     scan = 49_750.0 + 1.0 * np.arange(501)
     assert t.size > 170_000
     spectral._nufft_run(t, scan)
@@ -356,7 +354,7 @@ def test_many_event_blocks_add_up_like_one_sum():
     # one event per block: next to a strong line the running sum swings by ~1e3
     # over the capture, and adding 20k block sums in turn would drift by ~1e-11;
     # the Kahan carry keeps them within 1e-12 of the sum in a few large blocks
-    seq = sample_modulated(SourceConfig(20e3, 1.0, (Tone(50e3),)), derive_rng(61))
+    seq = transmit(SourceConfig(20e3, 1.0, (Tone(50e3),)), LinkBudget(), derive_rng(61))
     ladder = np.array([49_998.0, 49_999.0, 50_000.0, 50_001.0, 50_002.0])
     with mock.patch.object(spectral, "PHASOR_CHUNK", ladder.size):
         values = phasor_sums(seq.seconds, ladder)[0]
@@ -400,7 +398,7 @@ def _exp_per_call(run):
 
 def test_one_exp_per_event_for_a_whole_channel_plan(rgb_plan):
     tones = tuple(Tone(f) for f in rgb_plan.frequencies_for(Symbol.gray(4, 5, 10)))
-    window = sample_modulated(SourceConfig(1.44e6, 1e-3, tones), derive_rng(80))
+    window = transmit(SourceConfig(1.44e6, 1e-3, tones), LinkBudget(), derive_rng(80))
     symbol, calls = _exp_per_call(lambda: decode(window, rgb_plan))
     assert symbol == Symbol.gray(4, 5, 10)
     assert calls == [(len(window), len(window))]
@@ -954,13 +952,14 @@ def test_free_running_detector_does_not_alias():
 
 def test_periodogram_grid_and_peak():
     config = SourceConfig(2e5, 1e-3, (Tone(50e3),))
-    seq = sample_modulated(config, derive_rng(50))
+    seq = transmit(config, LinkBudget(), derive_rng(50))
     spec = periodogram(seq, Band(40e3, 60e3), 1e3)
     assert spec.frequencies.size == 21
     assert spec.frequencies[np.argmax(spec.magnitude)] == pytest.approx(50e3)
-    idx, freq, mag = band_peak(seq, spec.frequencies)
-    assert (idx, freq) == (10, pytest.approx(50e3))
-    assert mag == pytest.approx(spec.magnitude.max(), rel=1e-12)
+    mags = np.abs(point_dft_many(seq, spec.frequencies))
+    idx = int(band_argmax(mags, [mags.size])[0])
+    assert (idx, spec.frequencies[idx]) == (10, pytest.approx(50e3))
+    assert mags[idx] == pytest.approx(spec.magnitude.max(), rel=1e-12)
 
 
 def test_periodogram_keeps_the_closed_band_top():
@@ -982,11 +981,6 @@ def test_periodogram_grid_cap():
     seq = PhotonSequence.empty(1e-3)
     with pytest.raises(ValueError, match=str(MAX_GRID_POINTS)):
         periodogram(seq, Band(1.0, 1e9), 0.1)
-
-
-def test_band_peak_tie_resolves_to_lowest_frequency():
-    idx, freq, mag = band_peak(PhotonSequence.empty(1e-3), np.array([10e3, 20e3, 30e3]))
-    assert idx == 0 and freq == 10e3 and mag == 0.0
 
 
 def test_floor_channels_mask():
@@ -1026,7 +1020,7 @@ def test_line_stats_against_theory():
 # -----------------------------------------------------------------
 
 def test_spectrum_csv_format(tmp_path, capsys):
-    seq = sample_modulated(SourceConfig(5e4, 1e-3, (Tone(50e3),)), derive_rng(52))
+    seq = transmit(SourceConfig(5e4, 1e-3, (Tone(50e3),)), LinkBudget(), derive_rng(52))
     write_pts1(tmp_path / "s.pts1", seq)
     path = tmp_path / "spec.csv"
     assert cli.main(["spectrum", "--in", str(tmp_path / "s.pts1"), "--low", "45e3",
