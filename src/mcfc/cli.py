@@ -16,8 +16,9 @@ Conventions: rates in counts/second, times in seconds, frequencies in Hz;
 numeric flags accept scientific notation.  ``--seed`` falls back to the
 MCFC_SEED environment variable, then to 0.  Exit codes: 0 success, 1 usage
 error, 2 data/format error or too little data for a statistic, 3 internal
-error.  Output files are written to a temporary name and atomically
-renamed, so a failed run never leaves a partial file behind.
+error.  Every writer replaces its file atomically (``photon_channel.atomic_write``):
+a failed run leaves the old file, never a partial one; a symlink or special
+file at the path is replaced, and the new file takes the umask's mode.
 """
 
 from __future__ import annotations
@@ -99,24 +100,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@contextlib.contextmanager
-def _atomic(path: str):
-    """Yield a temp path; rename onto ``path`` only if the body succeeds."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds its generators from non-negative integers only."""
     try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _window_flags(parser: argparse.ArgumentParser, plan: str, rate: float) -> None:
     parser.add_argument("--plan", default=plan)
     parser.add_argument("--rate", type=float, default=rate)
     parser.add_argument("--window", type=float, default=1e-3)
-    parser.add_argument("--seed", type=int, default=os.environ.get("MCFC_SEED", "0"))
+    parser.add_argument("--seed", type=_seed, default=os.environ.get("MCFC_SEED", "0"))
 
 
 def _budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,8 +159,7 @@ def _cmd_generate(args) -> int:
         config = SourceConfig(args.rate, args.duration, tuple(_parse_tone(t) for t in args.tone or []))
         budget = _budget_from(args)
     seq = transmit(config, budget, derive_rng(args.seed, "generate"))
-    with _atomic(args.out) as tmp:
-        write_pts1(tmp, seq)
+    write_pts1(args.out, seq)
     print(f"wrote {args.out}: {len(seq)} events over {seq.window:g} s")
     return EXIT_OK
 
@@ -169,9 +167,8 @@ def _cmd_generate(args) -> int:
 def _cmd_spectrum(args) -> int:
     seq = read_pts1(args.input)
     spec = periodogram(seq, Band(args.low, args.high), args.resolution)
-    with _atomic(args.out) as tmp:
-        write_csv(tmp, ("frequency_hz", "re", "im", "abs"),
-                  ((f, v.real, v.imag, abs(v)) for f, v in zip(spec.frequencies, spec.values)))
+    write_csv(args.out, ("frequency_hz", "re", "im", "abs"),
+              ((f, v.real, v.imag, abs(v)) for f, v in zip(spec.frequencies, spec.values)))
     peak = int(np.argmax(spec.magnitude)) if len(seq) else 0
     print(f"wrote {args.out}: {spec.frequencies.size} points, "
           f"peak {spec.magnitude[peak]:.3f} at {spec.frequencies[peak]:g} Hz")
@@ -197,8 +194,7 @@ def _cmd_encode(args) -> int:
     paths = []
     for i, seq in enumerate(windows):
         path = os.path.join(args.out_dir, f"symbol_{i:04d}.pts1")
-        with _atomic(path) as tmp:
-            write_pts1(tmp, seq)
+        write_pts1(path, seq)
         paths.append(path)
     print(f"wrote {len(paths)} windows to {args.out_dir}")
     return EXIT_OK
@@ -227,8 +223,7 @@ def _cmd_transmit_image(args) -> int:
     pixels = read_pixmap(args.input)
     plan = _plan_from(args.plan)
     received, report = run_image_transmission(pixels, plan, args.rate, budget, args.seed, args.window)
-    with _atomic(args.out) as tmp:
-        write_pixmap(tmp, received)
+    write_pixmap(args.out, received)
     print(f"wrote {args.out}: {report.pixel_errors}/{report.pixels} pixel errors "
           f"({report.pixel_error_rate:.4f}), {report.failed_pixels} undecodable")
     for name, count in report.band_errors.items():
@@ -236,12 +231,14 @@ def _cmd_transmit_image(args) -> int:
     return EXIT_OK
 
 
+#: Each sweep's runner and the config keys it does not read, its grid's among them.
 _SWEEPS = {
-    "error-vs-noise": run_error_vs_noise,
-    "error-vs-integration-time": run_error_vs_integration_time,
-    "error-vs-spacing": run_error_vs_spacing,
-    "error-vs-components": run_error_vs_components,
-    "amplitude": run_amplitude_nonlinearity,
+    "error-vs-noise": (run_error_vs_noise, {"components", "mean_count", "budget.noise_rate"}),
+    "error-vs-integration-time": (run_error_vs_integration_time,
+                                  {"window", "signal_rate", "spacing", "components"}),
+    "error-vs-spacing": (run_error_vs_spacing, {"spacing", "channels_per_band", "components", "mean_count"}),
+    "error-vs-components": (run_error_vs_components, {"signal_rate", "modulation_frequency", "mean_count"}),
+    "amplitude": (run_amplitude_nonlinearity, {"signal_rate", "modulation_frequency", "mean_count"}),
 }
 
 
@@ -294,15 +291,17 @@ def _cmd_sweep(args) -> int:
     if kind not in _SWEEPS:
         raise ValueError(f"config 'sweep' must be one of {sorted(_SWEEPS)}, got {kind!r}")
     spec = _from_config(SweepSpec, {k: v for k, v in doc.items() if k != "sweep"}, "config")
-    points = _SWEEPS[kind](spec)
+    run_sweep, unread = _SWEEPS[kind]
+    for key in [*doc, *(f"budget.{k}" for k in doc.get("budget", ()))]:
+        if key in unread:  # a key the sweep ignores would stand in the manifest as if it were used
+            raise ValueError(f"config key {key!r} is not read by the {kind!r} sweep")
+    points = run_sweep(spec)
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, f"{kind}.csv")
     manifest_path = os.path.join(args.out_dir, "manifest.json")
-    with _atomic(csv_path) as tmp:
-        write_sweep_csv(tmp, points)
-    with _atomic(manifest_path) as tmp:
-        write_manifest(tmp, doc, [os.path.basename(csv_path)])
+    write_sweep_csv(csv_path, points)
+    write_manifest(manifest_path, doc, [os.path.basename(csv_path)])
     print(f"wrote {csv_path} ({len(points)} points) and {manifest_path}")
     return EXIT_OK
 
@@ -339,8 +338,7 @@ def _cmd_stats(args) -> int:
         print(f"g2: {curve.lags.size} bins, min {curve.values.min():.4f}, "
               f"max {curve.values.max():.4f}, mean {curve.values.mean():.4f}")
         if args.out:
-            with _atomic(args.out) as tmp:
-                write_csv(tmp, ("lag_s", "g2", "pairs"), zip(curve.lags, curve.values, curve.pair_counts))
+            write_csv(args.out, ("lag_s", "g2", "pairs"), zip(curve.lags, curve.values, curve.pair_counts))
             print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -360,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tone", action="append", metavar="FREQ[,DEPTH[,PHASE]]",
                    help="modulation tone; repeatable")
     p.add_argument("--duration", type=float, required=True, help="window length, s")
-    # a string default goes through type=int: a bad MCFC_SEED is a usage error of --seed
-    p.add_argument("--seed", type=int, default=os.environ.get("MCFC_SEED", "0"))
+    # a string default goes through the type: a bad MCFC_SEED is a usage error of --seed
+    p.add_argument("--seed", type=_seed, default=os.environ.get("MCFC_SEED", "0"))
     p.add_argument("--out", required=True)
     _budget_flags(p)
     p.set_defaults(func=_cmd_generate)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .photon_channel import POSITIVE, REAL, PhotonSequence, Tone, check_count, check_range, interval
+from .photon_channel import POSITIVE, REAL, PhotonSequence, Tone, atomic_write, check_count, check_range, interval
 from .spectral import band_argmax, point_dft_many
 
 #: Color written into a reconstructed image where decoding failed outright.
@@ -371,7 +371,7 @@ def write_pixmap(path: str | os.PathLike, pixels: np.ndarray) -> None:
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
     h, w = arr.shape[:2]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
 
@@ -391,6 +391,8 @@ _PLAN_KINDS = {
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "an array": lambda v: isinstance(v, list),
     "an array of numbers": lambda v: isinstance(v, list) and all(_PLAN_KINDS["a number"](x) for x in v),
+    "an array of whole numbers":
+        lambda v: _PLAN_KINDS["an array of numbers"](v) and all(isinstance(x, int) or x.is_integer() for x in v),
 }
 
 
@@ -411,7 +413,7 @@ def _symbol_from_json(doc, where: str) -> Symbol:
     if kind not in _KINDS:
         raise ValueError(f"{where} key 'kind' must be one of {_KINDS}, got {kind!r}")
     if kind == "gray-level":
-        return Symbol(kind, tuple(int(v) for v in _plan_key(doc, "value", "an array of numbers", where)))
+        return Symbol(kind, tuple(int(v) for v in _plan_key(doc, "value", "an array of whole numbers", where)))
     return Symbol(kind, _plan_key(doc, "value", "a string" if kind == "character" else "a number", where))
 
 
@@ -432,7 +434,7 @@ def save_plan(path: str | os.PathLike, plan: FrequencyPlan) -> None:
             for sym, freqs in plan.symbol_map.items()
         ],
     }
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -456,6 +458,9 @@ def load_plan(path: str | os.PathLike) -> FrequencyPlan:
     for i, s in enumerate(_plan_key(doc, "symbols", "an array", where)):
         at = f"{where} symbol {i}"
         freqs = _plan_key(s, "frequencies_hz", "an array of numbers", at)
-        symbol_map[_symbol_from_json(s, at)] = tuple(float(f) for f in freqs)
+        sym = _symbol_from_json(s, at)
+        if sym in symbol_map:  # a dict would keep the last entry and drop the first's channels unsaid
+            raise ValueError(f"{at} key 'value' repeats symbol {list(symbol_map).index(sym)}, {sym.value!r}")
+        symbol_map[sym] = tuple(float(f) for f in freqs)
     spacing = float(_plan_key(doc, "spacing_hz", "a number", where))
     return FrequencyPlan(_plan_key(doc, "name", "a string", where), spacing, tuple(bands), symbol_map)

@@ -45,7 +45,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
-from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, check_count, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, atomic_write, check_count, check_range, interval
 from .spectral import LineStats, band_argmax, batch_amplitudes, floor_channels
 
 
@@ -79,6 +79,7 @@ class SweepSpec:
         # two trials to estimate a spread, two channels a band to measure a floor
         check_count(interval(2, math.inf, "[)"),
                     **{repr(n): getattr(self, n) for n in ("trials", "channels_per_band")})
+        check_count(NON_NEGATIVE, **{"'seed'": self.seed})  # numpy seeds from non-negative integers only
         check_range(NON_NEGATIVE, **{"'signal_rate'": self.signal_rate})  # 0: the pure-noise point
         check_range(POSITIVE, **{repr(n): getattr(self, n)
                                  for n in ("window", "modulation_frequency", "spacing", "mean_count")})
@@ -391,7 +392,7 @@ def _cell(value):
 
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """The one results writer: a header line, then one line per row, with the csv module's CRLF ends."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)
@@ -417,6 +418,6 @@ def write_manifest(path: str | os.PathLike, config: dict, outputs: Sequence[str]
         "config": config,
         "outputs": list(outputs),
     }
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

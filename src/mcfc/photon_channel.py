@@ -35,6 +35,7 @@ container is a small binary format, see :func:`write_pts1`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -91,6 +92,21 @@ def check_count(bounds: tuple[float, float, str], **values: int) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     check_range(bounds, **values)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | os.PathLike, mode: str, newline: str | None = None):
+    """The one write path: yield ``<path>.tmp.<pid>`` open in ``mode``, renamed onto ``path`` if the
+    block succeeds (replacing a symlink or special file there too) and removed if it fails."""
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode, newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +617,7 @@ def write_pts1(path: str | os.PathLike, seq: PhotonSequence) -> None:
     header += int(seq.window_ps).to_bytes(8, "little")
     header += len(seq).to_bytes(8, "little")
     payload = np.ascontiguousarray(seq.times_ps, dtype="<u8").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 

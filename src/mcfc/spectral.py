@@ -310,19 +310,14 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
         order = np.argsort(tid, kind="stable")
         t, tid = t[order], tid[order]
     out = np.zeros((trials, freqs.size), dtype=np.complex128)
-    if trials != 1 or freqs.size <= NUFFT_MIN_RUNGS:
-        _split_trials(t, tid, freqs, out)
-        return out
-    ladder = np.ones(freqs.size, dtype=bool)
+    runs = []
     for start, stop, step in _ladders(freqs):
-        if stop - start > NUFFT_MIN_RUNGS and step != 0.0:
+        if trials == 1 and stop - start > NUFFT_MIN_RUNGS and step != 0.0:
             out[0, start:stop] = _nufft_run(t, freqs[start:stop])
-            ladder[start:stop] = False
-    cols = np.flatnonzero(ladder)
-    if cols.size:
-        sums = np.zeros((1, cols.size), dtype=np.complex128)
-        _ladder_sums(t, tid, freqs[cols], sums)
-        out[:, cols] = sums
+        else:
+            runs.append((start, stop, step))
+    if runs:
+        _split_trials(t, tid, freqs, runs, out)
     return out
 
 
@@ -335,8 +330,8 @@ def _threads() -> int:
     return max(1, min(THREADS, cpus))
 
 
-def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndarray) -> None:
-    """:func:`_ladder_sums` of events grouped by trial, their trials cut into shares.
+def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, runs: list, out: np.ndarray) -> None:
+    """:func:`_ladder_sums` on ``runs`` of events grouped by trial, their trials cut into shares.
 
     A batch of at least :data:`THREAD_MIN_EVENTS` events is cut at trial
     boundaries into :func:`_threads` shares of about equal events (views, no
@@ -351,12 +346,12 @@ def _split_trials(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.nda
     cuts = [0] + [int(np.searchsorted(tid, tid[t.size * k // threads])) for k in range(1, threads)]
     shares = [(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [t.size]) if hi > lo]
     if len(shares) <= 1:
-        _ladder_sums(t, tid, freqs, out)
+        _ladder_sums(t, tid, freqs, runs, out)
         return
     with ThreadPoolExecutor(len(shares) - 1, thread_name_prefix="mcfc-phasor") as pool:
-        others = [pool.submit(_ladder_sums, t[lo:hi], tid[lo:hi], freqs, out) for lo, hi in shares[1:]]
+        others = [pool.submit(_ladder_sums, t[lo:hi], tid[lo:hi], freqs, runs, out) for lo, hi in shares[1:]]
         lo, hi = shares[0]
-        _ladder_sums(t[lo:hi], tid[lo:hi], freqs, out)
+        _ladder_sums(t[lo:hi], tid[lo:hi], freqs, runs, out)
         for share in others:
             share.result()
 
@@ -369,8 +364,9 @@ def _lattice_rung(freqs: np.ndarray, step: float) -> int:
     return int(rung) if on_lattice and (abs(int(rung)) + freqs.size - 1).bit_length() <= LATTICE_BITS else 0
 
 
-def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndarray) -> None:
-    """Phasor sums along ladders, events ``t`` grouped by their trial ids ``tid``.
+def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, runs: list, out: np.ndarray) -> None:
+    """Phasor sums along ``runs``, runs of :func:`_ladders` on ``freqs``, into
+    their columns of ``out``, events ``t`` grouped by their trial ids ``tid``.
 
     Each run of :func:`_ladders` is cut into pieces of at most :data:`ANCHOR`
     rows, and row ``k`` of a piece is its anchor rotated by ``w**k``, with
@@ -429,7 +425,6 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndar
     """
     if not t.size:
         return
-    runs = _ladders(freqs)
     rows = min(ANCHOR, max((stop - start for start, stop, _ in runs), default=1))
     pieces = []  # (first, stop, step, K, powers of w it needs)
     for start, stop, step in runs:
@@ -456,8 +451,8 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndar
             continue
         # a trial longer than a block: blocks of its own, added under a Kahan carry
         end = edges[i + 1]
-        total = np.zeros(freqs.size, dtype=np.complex128)
-        carry = np.zeros_like(total)
+        total = out[tid[lo]]  # a view of the trial's row, whose run columns start at 0
+        carry = np.zeros(freqs.size, dtype=np.complex128)
         for block in range(lo, end, events):
             piece_sums = _block_sums(t[block: min(block + events, end)], [0], freqs, pieces, work)
             for first, stop, sums in piece_sums:
@@ -465,7 +460,6 @@ def _ladder_sums(t: np.ndarray, tid: np.ndarray, freqs: np.ndarray, out: np.ndar
                 running = total[first:stop] + addend
                 carry[first:stop] = (running - total[first:stop]) - addend
                 total[first:stop] = running
-        out[tid[lo]] = total
         i += 1
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: round trips, exit codes, determinism, diagnostics."""
 
 import ast
+import errno
 import importlib.util
 import json
 import os
@@ -15,6 +16,7 @@ import mcfc
 from mcfc import cli
 from mcfc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from mcfc.codec import encode_text, letter_plan, read_pixmap, save_plan, write_pixmap
+from mcfc.harness import write_csv, write_manifest
 from mcfc.photon_channel import (
     LinkBudget,
     PhotonSequence,
@@ -304,6 +306,15 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"sweep": "error-vs-components", "grid": [float("nan")]}, "grid"),
     ({"sweep": "amplitude", "grid": [-8e4]}, "grid"),
     ({"components": [1.5]}, "components"),
+    ({"seed": -3}, "seed"),
+    # a key the sweep does not read, its grid's included
+    ({"sweep": "error-vs-spacing", "grid": [1e3], "spacing": 2e3}, "spacing"),
+    ({"sweep": "error-vs-integration-time", "grid": [1e-3], "window": 2e-3}, "window"),
+    ({"sweep": "error-vs-components", "grid": [8e4], "modulation_frequency": 1e5}, "modulation_frequency"),
+    ({"sweep": "error-vs-components", "grid": [8e4], "mean_count": 40.0}, "mean_count"),
+    ({"sweep": "error-vs-components", "grid": [8e4], "signal_rate": 4e4}, "signal_rate"),
+    ({"components": [2]}, "components"),
+    ({"budget": {"noise_rate": 1e3}}, "budget.noise_rate"),
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
@@ -422,7 +433,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
      "symbol 0 is missing the key 'frequencies_hz'"),
     (lambda doc: {**doc, "symbols": [{**s, "kind": "bogus"} for s in doc["symbols"]]},
      "symbol 0 key 'kind' must be one of"),
-], ids=["no-bands", "a-list", "no-frequencies", "unknown-kind"])
+    (lambda doc: {**doc, "symbols": [doc["symbols"][0], {**doc["symbols"][1], "value": "A"},
+                                     *doc["symbols"][2:]]},
+     "symbol 1 key 'value' repeats symbol 0, 'A'"),
+    (lambda doc: {**doc, "symbols": [{**doc["symbols"][0], "kind": "gray-level", "value": [0.5, 1, 2]},
+                                     *doc["symbols"][1:]]},
+     "symbol 0 key 'value' must be an array of whole numbers, got [0.5, 1, 2]"),
+], ids=["no-bands", "a-list", "no-frequencies", "unknown-kind", "repeated-symbol", "fractional-level"])
 def test_malformed_plan_files_exit_2(tmp_path, capsys, breakage, named):
     plan = tmp_path / "plan.json"
     save_plan(plan, letter_plan())
@@ -476,6 +493,15 @@ def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     assert not d.exists()
     assert run(args + ["--seed", 21, "--out", d]) == EXIT_OK
     assert run(["capacity", "--bandwidth", 1e6, "--spacing", 1e3, "--window", 1e-3, "--k", 2]) == EXIT_OK
+    # so is a negative one, from the flag or the environment: numpy takes no negative seed
+    e = tmp_path / "e.pts1"
+    assert run(args + ["--seed", -1, "--out", e]) == EXIT_USAGE
+    assert "--seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    monkeypatch.setenv("MCFC_SEED", "-1")
+    for command in (args + ["--out", e], ["transmit-text", "A"]):
+        assert run(command) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+    assert not e.exists()
 
 
 def test_no_stray_temp_files(tmp_path):
@@ -483,6 +509,65 @@ def test_no_stray_temp_files(tmp_path):
     run(["generate", "--rate", 50e3, "--duration", 1e-3, "--out", out])
     leftovers = [p for p in tmp_path.iterdir() if ".tmp." in p.name]
     assert leftovers == []
+
+
+class _DiskFull:
+    """A file open for writing that takes its first write and fails the next, as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+_WRITERS = {
+    "write_pts1": lambda path: write_pts1(path, PhotonSequence.from_seconds([1e-4, 2e-4], 1e-3)),
+    "write_pixmap": lambda path: write_pixmap(path, np.zeros((2, 2, 3), dtype=np.uint8)),
+    "save_plan": lambda path: save_plan(path, letter_plan()),
+    "write_csv": lambda path: write_csv(path, ("a",), [(3,), (4,)]),
+    "write_manifest": lambda path: write_manifest(path, {"seed": 1}, ["a.csv"]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path, writer):
+    path = tmp_path / "result"
+    path.write_bytes(b"a\r\n1\r\n2\r\n")
+    real_open = open
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiskFull(fh) if set(mode) & set("wax+") else fh
+
+    with mock.patch("builtins.open", disk_full_open), pytest.raises(OSError, match="No space left"):
+        _WRITERS[writer](path)
+    assert path.read_bytes() == b"a\r\n1\r\n2\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+    _WRITERS[writer](path)  # and the write itself succeeds, through the same path
+    assert path.read_bytes() != b"a\r\n1\r\n2\r\n" and list(tmp_path.iterdir()) == [path]
+
+
+def test_write_csv_keeps_the_old_file_when_its_rows_fail(tmp_path):
+    def rows():
+        yield (3,)
+        raise RuntimeError("the row source failed")
+
+    path = tmp_path / "a.csv"
+    write_csv(path, ("a",), [(1,), (2,)])
+    with pytest.raises(RuntimeError, match="row source"):
+        write_csv(path, ("a",), rows())
+    assert path.read_bytes() == b"a\r\n1\r\n2\r\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_module_entry_point(tmp_path):
@@ -524,6 +609,32 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     assert tracing.LAYER_TARGETS
     for target in tracing.LAYER_TARGETS:
         assert callable(getattr(importlib.import_module(target.module), target.attr, None)), target
+
+
+def _opens_for_writing(tree):
+    """Lines of the ``open`` calls under ``tree`` whose mode writes, appends or creates, or is not a constant."""
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                yield call.lineno
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    # a writer that opened its target itself would truncate it, and a failure
+    # midway would leave a partial file: photon_channel.atomic_write is the one way
+    package = os.path.dirname(os.path.abspath(mcfc.__file__))
+    found, trees = [], {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                trees[name] = ast.parse(fh.read())
+            found += [f"{name}:{line}" for line in _opens_for_writing(trees[name])]
+    assert len(found) == 1, found
+    helper = next(node for node in ast.walk(trees["photon_channel.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "atomic_write")
+    assert found == [f"photon_channel.py:{line}" for line in _opens_for_writing(helper)]
 
 
 def test_benchmark_probe_targets_resolve():

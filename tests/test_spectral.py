@@ -281,6 +281,24 @@ def test_nufft_holds_a_planted_quiet_point_to_the_bound():
     assert errors[150] <= _nufft_tight(t, grid)
 
 
+def test_a_mixed_list_is_cut_once_and_each_run_summed_as_cut():
+    # [1, 2, 3] kHz, 70 rungs for the NUFFT, then [4, 5] kHz: cutting the ladder's
+    # columns again would sum 1..5 kHz as one run, [4, 5] as its rungs 3 and 4
+    t = np.sort(derive_rng(73).uniform(0.0, 1e-3, 5000))
+    short, scan, tail = 1e3 * np.arange(1, 4), 10e3 + 500.0 * np.arange(70), np.array([4e3, 5e3])
+    freqs = np.concatenate([short, scan, tail])
+    with mock.patch.object(spectral, "_ladders", wraps=spectral._ladders) as ladders:
+        got = _run_through_nufft(t, freqs)
+    assert ladders.call_count == 1
+    for run, cols in [(short, slice(0, 3)), (scan, slice(3, 73)), (tail, slice(73, 75))]:
+        assert np.array_equal(got[cols], phasor_sums(t, run)[0]), run
+    # a trial longer than a ladder block adds up into its row around the NUFFT's columns
+    with mock.patch.object(spectral, "PHASOR_CHUNK", 64):
+        blocked = phasor_sums(t, freqs)[0]
+    assert np.array_equal(blocked[3:73], got[3:73])
+    _assert_within_bound(blocked, t, freqs, nufft=True)
+
+
 def _scanned_capture():
     """A 1 s capture of ~20k events at f*t up to 5e4 and a 251-point scan across
     its line: ~40 events share each first cell of the 512-cell grid."""
