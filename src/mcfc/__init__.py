@@ -61,7 +61,6 @@ from .analysis import (
     g2,
     mandel_q,
     misdecode_prob,
-    misdecode_prob_quadrature,
     modulator_transfer,
     noise_floor_boundary,
 )

@@ -8,11 +8,9 @@ probability that one floor channel beats the line then has the closed form
 
 and a band misdecodes with probability 1 - (1 - p)**M, where M counts the
 line's competitors: the band's width - 1 other channels.
-Both the closed form and a literal numeric quadrature of the underlying
-double Gaussian integral are provided; they agree to machine precision
-and the closed form is the reference for rates below Monte-Carlo reach.
-The quadrature imports scipy when called, so the module (and the package)
-needs only numpy at run time.
+The closed form is the reference for rates below Monte-Carlo reach; the
+tests check it against a numeric quadrature of the underlying double
+Gaussian integral.
 
 Capacity counts distinct k-subsets of the channel grid with exact
 big-integer arithmetic, converts to bits per integration window, and
@@ -58,29 +56,6 @@ def misdecode_prob(model: LineStats) -> float:
     gap = model.line_mean - model.floor_mean
     spread = math.hypot(model.line_std, model.floor_std)
     return _norm_cdf(-gap / spread)
-
-
-def misdecode_prob_quadrature(model: LineStats) -> float:
-    """Same probability by direct numeric integration of the two-Gaussian overlap.
-
-    Integrates P(floor > a) against the line-magnitude density over the
-    standardized line variable.  Exists purely to cross-validate the
-    closed form; agreement is within 1e-10 absolute.  Imports scipy when
-    called (the ``dev`` extra).
-    """
-    from scipy import integrate, special
-
-    mu_s, sd_s = model.line_mean, model.line_std
-    mu_b, sd_b = model.floor_mean, model.floor_std
-
-    def integrand(z: float) -> float:
-        a = mu_s + sd_s * z
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * special.ndtr(
-            -(a - mu_b) / sd_b
-        )
-
-    value, _ = integrate.quad(integrand, -12.0, 12.0, epsabs=1e-16, epsrel=1e-12, limit=200)
-    return float(value)
 
 
 def channel_error_rate(p: float, channels: int) -> float:

@@ -26,10 +26,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
-import types
 import typing
 
 import numpy as np
@@ -40,8 +38,10 @@ from .codec import (
     FrequencyPlan,
     decode,
     encode_text,
+    json_key,
     letter_plan,
     load_plan,
+    read_json,
     read_pixmap,
     rgb_image_plan,
     write_pixmap,
@@ -242,51 +242,31 @@ _SWEEPS = {
 }
 
 
-def _fits(value, hint) -> bool:
-    """Whether the JSON value ``value`` can stand for a field annotated ``hint``."""
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is type(None):
-        return value is None
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    # tuple[X, ...]: a JSON list of X
-    return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
-
-
-def _from_config(cls, doc, where: str):
+def _from_config(cls, doc: dict, where: str):
     """The dataclass ``cls`` built from the JSON object ``doc``, nested objects for dataclass fields.
 
-    A key that is not a field of ``cls``, a missing required field and a
-    value of the wrong JSON type are refused by a ``ValueError`` naming the key.
+    A key that is not a field of ``cls``, a missing required field and a value
+    of the wrong JSON kind (from the field's annotation) are refused by a
+    ``ValueError`` naming the key; ``cls`` refuses what is out of range or not whole.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {json.dumps(doc)}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     kwargs = {}
-    for key, value in doc.items():
-        if key not in fields:
-            raise ValueError(f"unknown key {key!r} in {where}; expected one of {sorted(fields)}")
+    for key in [*doc, *(name for name in required if name not in doc)]:
+        if key not in hints:
+            raise ValueError(f"unknown key {key!r} in {where}; expected one of {sorted(hints)}")
         hint = hints[key]
-        if dataclasses.is_dataclass(hint):
-            value = _from_config(hint, value, f"{where} {key!r}")
-        elif not _fits(value, hint):
-            kind = hint.__name__ if isinstance(hint, type) else hint
-            raise ValueError(f"{where} key {key!r} must be {kind}, got {json.dumps(value)}")
-        kwargs[key] = value
-    for name, f in fields.items():
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if required and name not in kwargs:
-            raise ValueError(f"{where} is missing the required key {name!r}")
+        kind = ("an object" if dataclasses.is_dataclass(hint) else
+                "an array of numbers" if typing.get_origin(hint) is tuple else
+                "a number or null" if type(None) in typing.get_args(hint) else "a number")
+        value = json_key(doc, key, kind, where)  # a missing required key is refused here
+        kwargs[key] = _from_config(hint, value, f"{where} {key!r}") if kind == "an object" else value
     return cls(**kwargs)
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.config, f"config {args.config}")
     kind = doc.get("sweep") if isinstance(doc, dict) else None
     if kind not in _SWEEPS:
         raise ValueError(f"config 'sweep' must be one of {sorted(_SWEEPS)}, got {kind!r}")

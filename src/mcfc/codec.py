@@ -377,44 +377,64 @@ def write_pixmap(path: str | os.PathLike, pixels: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plan serialization
+# JSON files: one key check, one reader and one writer for plans, sweep
+# configs and manifests; plan serialization
 # ---------------------------------------------------------------------------
 
-def _symbol_to_json(sym: Symbol) -> dict:
-    value = list(sym.value) if isinstance(sym.value, tuple) else sym.value
-    return {"kind": sym.kind, "value": value}
-
-
-#: The JSON kinds a plan file's keys hold, by the name its messages give them.
-_PLAN_KINDS = {
+#: The JSON kinds a plan file's or a sweep config's keys hold, by the name its messages give them.
+_JSON_KINDS = {
     "a string": lambda v: isinstance(v, str),
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a number or null": lambda v: v is None or _JSON_KINDS["a number"](v),
+    "an object": lambda v: isinstance(v, dict),
     "an array": lambda v: isinstance(v, list),
-    "an array of numbers": lambda v: isinstance(v, list) and all(_PLAN_KINDS["a number"](x) for x in v),
+    "an array of numbers": lambda v: isinstance(v, list) and all(_JSON_KINDS["a number"](x) for x in v),
     "an array of whole numbers":
-        lambda v: _PLAN_KINDS["an array of numbers"](v) and all(isinstance(x, int) or x.is_integer() for x in v),
+        lambda v: _JSON_KINDS["an array of numbers"](v) and all(isinstance(x, int) or x.is_integer() for x in v),
 }
 
 
-def _plan_key(doc, key: str, kind: str, where: str):
+def json_key(doc, key: str, kind: str, where: str):
     """``doc[key]``, refused by a ``ValueError`` naming ``where`` and the key when
     ``doc`` is not a JSON object, or the key is missing or not of ``kind``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {json.dumps(doc)[:80]}")
     if key not in doc:
         raise ValueError(f"{where} is missing the key {key!r}")
-    if not _PLAN_KINDS[kind](doc[key]):
+    if not _JSON_KINDS[kind](doc[key]):
         raise ValueError(f"{where} key {key!r} must be {kind}, got {json.dumps(doc[key])[:80]}")
     return doc[key]
 
 
+def read_json(path: str | os.PathLike, where: str):
+    """The JSON document in the file ``path``; one that does not parse, or is not
+    UTF-8, is refused by a ``ValueError`` that begins with ``where``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+
+def write_json(path: str | os.PathLike, doc) -> None:
+    """Write ``doc`` as JSON indented by 2, with a final newline, through :func:`atomic_write`."""
+    with atomic_write(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _symbol_to_json(sym: Symbol) -> dict:
+    value = list(sym.value) if isinstance(sym.value, tuple) else sym.value
+    return {"kind": sym.kind, "value": value}
+
+
 def _symbol_from_json(doc, where: str) -> Symbol:
-    kind = _plan_key(doc, "kind", "a string", where)
+    kind = json_key(doc, "kind", "a string", where)
     if kind not in _KINDS:
         raise ValueError(f"{where} key 'kind' must be one of {_KINDS}, got {kind!r}")
     if kind == "gray-level":
-        return Symbol(kind, tuple(int(v) for v in _plan_key(doc, "value", "an array of whole numbers", where)))
-    return Symbol(kind, _plan_key(doc, "value", "a string" if kind == "character" else "a number", where))
+        return Symbol(kind, tuple(int(v) for v in json_key(doc, "value", "an array of whole numbers", where)))
+    return Symbol(kind, json_key(doc, "value", "a string" if kind == "character" else "a number", where))
 
 
 def save_plan(path: str | os.PathLike, plan: FrequencyPlan) -> None:
@@ -434,33 +454,30 @@ def save_plan(path: str | os.PathLike, plan: FrequencyPlan) -> None:
             for sym, freqs in plan.symbol_map.items()
         ],
     }
-    with atomic_write(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_plan(path: str | os.PathLike) -> FrequencyPlan:
     """The plan saved by :func:`save_plan`; a malformed file is a ``ValueError``
     naming the file and the missing or mistyped key."""
-    with open(path) as fh:
-        doc = json.load(fh)
     where = f"plan {os.fspath(path)}"
-    tag = _plan_key(doc, "format", "a string", where)
+    doc = read_json(path, where)
+    tag = json_key(doc, "format", "a string", where)
     if tag != "mcfc-plan-1":
         raise ValueError(f"{where}: unrecognized plan format tag {tag!r}")
     bands = []
-    for i, b in enumerate(_plan_key(doc, "bands", "an array", where)):
+    for i, b in enumerate(json_key(doc, "bands", "an array", where)):
         at = f"{where} band {i}"
-        low, high = (float(_plan_key(b, key, "a number", at)) for key in ("low_hz", "high_hz"))
-        channels = tuple(float(f) for f in _plan_key(b, "channels_hz", "an array of numbers", at))
-        bands.append(NamedBand(_plan_key(b, "name", "a string", at), low, high, channels))
+        low, high = (float(json_key(b, key, "a number", at)) for key in ("low_hz", "high_hz"))
+        channels = tuple(float(f) for f in json_key(b, "channels_hz", "an array of numbers", at))
+        bands.append(NamedBand(json_key(b, "name", "a string", at), low, high, channels))
     symbol_map = {}
-    for i, s in enumerate(_plan_key(doc, "symbols", "an array", where)):
+    for i, s in enumerate(json_key(doc, "symbols", "an array", where)):
         at = f"{where} symbol {i}"
-        freqs = _plan_key(s, "frequencies_hz", "an array of numbers", at)
+        freqs = json_key(s, "frequencies_hz", "an array of numbers", at)
         sym = _symbol_from_json(s, at)
         if sym in symbol_map:  # a dict would keep the last entry and drop the first's channels unsaid
             raise ValueError(f"{at} key 'value' repeats symbol {list(symbol_map).index(sym)}, {sym.value!r}")
         symbol_map[sym] = tuple(float(f) for f in freqs)
-    spacing = float(_plan_key(doc, "spacing_hz", "a number", where))
-    return FrequencyPlan(_plan_key(doc, "name", "a string", where), spacing, tuple(bands), symbol_map)
+    spacing = float(json_key(doc, "spacing_hz", "a number", where))
+    return FrequencyPlan(json_key(doc, "name", "a string", where), spacing, tuple(bands), symbol_map)

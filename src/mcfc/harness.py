@@ -36,11 +36,13 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .analysis import InsufficientDataError, channel_error_rate, misdecode_prob
 from .codec import FrequencyPlan, Symbol, decode, encode, image_to_symbols, symbols_to_image, DecodeError
+from .codec import write_json
 from .photon_channel import (
     LinkBudget,
     PhotonSequence,
     SourceConfig,
     Tone,
+    WINDOW,
     derive_rng,
     sample_event_batch,
     transmit,
@@ -81,8 +83,9 @@ class SweepSpec:
                     **{repr(n): getattr(self, n) for n in ("trials", "channels_per_band")})
         check_count(NON_NEGATIVE, **{"'seed'": self.seed})  # numpy seeds from non-negative integers only
         check_range(NON_NEGATIVE, **{"'signal_rate'": self.signal_rate})  # 0: the pure-noise point
+        check_range(WINDOW, **{"'window'": self.window})
         check_range(POSITIVE, **{repr(n): getattr(self, n)
-                                 for n in ("window", "modulation_frequency", "spacing", "mean_count")})
+                                 for n in ("modulation_frequency", "spacing", "mean_count")})
         for value in self.grid:  # a rate, a time or a spacing; a runner may ask more
             check_range(NON_NEGATIVE, **{"'grid'": value})
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
@@ -256,7 +259,7 @@ def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
     the window's natural grid 1/window, strictly above the line so every
     probe stays positive even for very short windows.
     """
-    check_range(POSITIVE, **{"'grid'": min(spec.grid)})
+    check_range(WINDOW, **{"'grid'": min(spec.grid)})
     f_m = spec.modulation_frequency
     return [
         _measure_point("window_s", window, 1,
@@ -418,6 +421,4 @@ def write_manifest(path: str | os.PathLike, config: dict, outputs: Sequence[str]
         "config": config,
         "outputs": list(outputs),
     }
-    with atomic_write(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)

@@ -69,6 +69,8 @@ REAL = interval(-math.inf, math.inf)
 POSITIVE = interval(0.0, math.inf)
 NON_NEGATIVE = interval(0.0, math.inf, "[)")
 UNIT = interval(0.0, 1.0, "[]")
+#: A window or duration in seconds: at least one picosecond, the tick of the timestamps.
+WINDOW = interval(1.0 / PS_PER_SECOND, math.inf, "[)")
 
 
 def check_range(bounds: tuple[float, float, str], **values: float) -> None:
@@ -169,7 +171,7 @@ class SourceConfig:
 
     def __post_init__(self) -> None:
         check_range(NON_NEGATIVE, mean_rate=self.mean_rate)
-        check_range(POSITIVE, duration=self.duration)
+        check_range(WINDOW, duration=self.duration)
         object.__setattr__(self, "tones", tuple(self.tones))
 
     def rate(self, t: np.ndarray | float) -> np.ndarray | float:
@@ -249,10 +251,10 @@ class PhotonSequence:
         Times are quantized to the picosecond grid; an event that rounds up
         to the window edge is clamped one tick inside so the closed
         invariant ``t < window`` holds after quantization.  A window that is
-        not finite and positive, or a time that is not finite, is refused
+        not finite and at least 1 ps, or a time that is not finite, is refused
         before any cast.
         """
-        check_range(POSITIVE, window=window)
+        check_range(WINDOW, window=window)
         window_ps = int(round(float(window) * PS_PER_SECOND))
         t = np.asarray(list(times) if not isinstance(times, np.ndarray) else times, dtype=np.float64)
         bad = np.flatnonzero(~np.isfinite(t))
@@ -616,10 +618,9 @@ def write_pts1(path: str | os.PathLike, seq: PhotonSequence) -> None:
     header = PTS1_MAGIC
     header += int(seq.window_ps).to_bytes(8, "little")
     header += len(seq).to_bytes(8, "little")
-    payload = np.ascontiguousarray(seq.times_ps, dtype="<u8").tobytes()
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(seq.times_ps, dtype="<u8"))  # the times' own buffer: no copy
 
 
 def read_pts1(path: str | os.PathLike) -> PhotonSequence:

@@ -18,12 +18,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import misdecode_prob_quadrature
 from mcfc.analysis import (
     capacity,
     g2,
     mandel_q,
     misdecode_prob,
-    misdecode_prob_quadrature,
     modulator_transfer,
 )
 from mcfc.codec import Symbol, decode, effective_channels, letter_plan

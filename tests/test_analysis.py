@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import misdecode_prob_quadrature
 from mcfc import analysis
 from mcfc.analysis import (
     CapacityReport,
@@ -18,7 +19,6 @@ from mcfc.analysis import (
     g2,
     mandel_q,
     misdecode_prob,
-    misdecode_prob_quadrature,
     modulator_transfer,
     noise_floor_boundary,
 )

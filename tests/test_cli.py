@@ -315,6 +315,7 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"sweep": "error-vs-components", "grid": [8e4], "signal_rate": 4e4}, "signal_rate"),
     ({"components": [2]}, "components"),
     ({"budget": {"noise_rate": 1e3}}, "budget.noise_rate"),
+    ({"window": 3e-13, "budget": {"dead_time": 1e-12}}, "window"),  # below the 1 ps tick
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
@@ -389,7 +390,8 @@ def test_bad_budget_flag_exits_1_on_every_subcommand(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     write_pixmap(tmp_path / "in.ppm", np.zeros((1, 1, 3), dtype=np.uint8))
     window = "--duration" if command[0] == "generate" else "--window"
-    rows = [("--rate", -5, "mean_rate"), ("--rate", "nan", "mean_rate"), (window, 0, "duration")]
+    rows = [("--rate", -5, "mean_rate"), ("--rate", "nan", "mean_rate"), (window, 0, "duration"),
+            (window, 1e-13, "duration")]  # below the 1 ps tick of the timestamps
     if command[0] != "encode":
         rows += [("--rep-period", 2e-13, "rep_period"), ("--noise-rate", "nan", "noise_rate"),
                  ("--dark-rate", "nan", "dark_rate"), ("--jitter", "nan", "jitter_sigma"),
@@ -419,9 +421,11 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert run(["decode", "--plan", "letters", empty]) == EXIT_DATA
     assert "no events to decode" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"sweep": "error-vs-noise",')
-    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "out"]) == EXIT_DATA
-    assert "line 1" in capsys.readouterr().err
+    for text, says in [(b'{"sweep": "error-vs-noise",', "line 1"), (b'{"sweep": "\xff"}', "utf-8")]:
+        cfg.write_bytes(text)
+        assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "out"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg}: ") and says in err
     assert not (tmp_path / "out").exists()
 
 
@@ -449,6 +453,17 @@ def test_malformed_plan_files_exit_2(tmp_path, capsys, breakage, named):
     capsys.readouterr()
     assert run(args) == EXIT_DATA
     assert f"error: plan {plan} {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, says", [(b'{"format": "mcfc-plan-1", "bands"', "line 1"),
+                                         (b'{"format": "mcfc-plan-1", "name": "\xe9"}', "utf-8")],
+                         ids=["truncated", "not-utf-8"])
+def test_plan_files_that_do_not_parse_exit_2(tmp_path, capsys, text, says):
+    plan = tmp_path / "plan.json"
+    plan.write_bytes(text)
+    assert run(["transmit-text", "--plan", plan, "A"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plan {plan}: ") and says in err
 
 
 def test_insufficient_data_exits_2(tmp_path, capsys):
@@ -584,7 +599,7 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # numpy is the only runtime dependency; scipy is for the tests and the quadrature reference
+    # numpy is the only runtime dependency; scipy is for the tests and the benchmark
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(mcfc.__file__)))
     probe = ("import sys, mcfc, mcfc.cli; "
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
@@ -635,6 +650,32 @@ def test_only_the_atomic_writer_opens_files_for_writing():
     helper = next(node for node in ast.walk(trees["photon_channel.py"])
                   if isinstance(node, ast.FunctionDef) and node.name == "atomic_write")
     assert found == [f"photon_channel.py:{line}" for line in _opens_for_writing(helper)]
+
+
+def test_only_the_json_helpers_load_and_dump_json():
+    # one reader names the file a document fails to parse in, one writer keeps one layout:
+    # codec.read_json and codec.write_json; json.dumps, for messages and digests, is free
+    package = os.path.dirname(os.path.abspath(mcfc.__file__))
+    found, allowed = set(), set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            found |= {f"{name}:{line}" for line in _json_loads_and_dumps(tree)}
+            allowed |= {f"{name}:{line}" for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                        and node.name in ("read_json", "write_json") for line in _json_loads_and_dumps(node)}
+    assert len(allowed) == 2 and found == allowed, sorted(found)
+
+
+def _json_loads_and_dumps(tree):
+    """Lines under ``tree`` that name ``json.load`` or ``json.dump``, or import either from ``json``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "dump")
+                and getattr(node.value, "id", None) == "json"):
+            yield node.lineno
+        if isinstance(node, ast.ImportFrom) and node.module == "json" and {
+                alias.name for alias in node.names} & {"load", "dump", "*"}:
+            yield node.lineno
 
 
 def test_benchmark_probe_targets_resolve():

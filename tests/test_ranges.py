@@ -52,7 +52,7 @@ ROWS = [
     (lambda v: Tone(1e3, depth=v), "depth", 0.0, 1.0, "[]"),
     (lambda v: Tone(1e3, phase=v), "phase", -INF, INF, "()"),
     (lambda v: SourceConfig(v, 1e-3), "mean_rate", 0.0, INF, "[)"),
-    (lambda v: SourceConfig(1e3, v), "duration", 0.0, INF, "()"),
+    (lambda v: SourceConfig(1e3, v), "duration", 1e-12, INF, "[)"),
     (lambda v: LinkBudget(transmittance=v), "transmittance", 0.0, 1.0, "(]"),
     (lambda v: LinkBudget(noise_rate=v), "noise_rate", 0.0, INF, "[)"),
     (lambda v: LinkBudget(dark_rate=v), "dark_rate", 0.0, INF, "[)"),
@@ -73,7 +73,7 @@ ROWS = [
     (lambda v: optimal_channels(1e3, v), "spacing", 0.0, INF, "()"),
     (lambda v: SweepSpec(grid=(v,)), "'grid'", 0.0, INF, "[)"),
     (lambda v: SweepSpec(grid=(1.0,), signal_rate=v), "'signal_rate'", 0.0, INF, "[)"),
-    (lambda v: SweepSpec(grid=(1.0,), window=v), "'window'", 0.0, INF, "()"),
+    (lambda v: SweepSpec(grid=(1.0,), window=v), "'window'", 1e-12, INF, "[)"),
     (lambda v: SweepSpec(grid=(1.0,), modulation_frequency=v), "'modulation_frequency'", 0.0, INF, "()"),
     (lambda v: SweepSpec(grid=(1.0,), spacing=v), "'spacing'", 0.0, INF, "()"),
     (lambda v: SweepSpec(grid=(1.0,), mean_count=v), "'mean_count'", 0.0, INF, "()"),
@@ -96,7 +96,7 @@ ROWS = [
     (lambda v: expected_mandel_q(1e4, v, 1e3, 1e-3), "depth", 0.0, 1.0, "[]"),
     (lambda v: expected_mandel_q(1e4, 1.0, v, 1e-3), "frequency", 0.0, INF, "()"),
     (lambda v: expected_mandel_q(1e4, 1.0, 1e3, v), "window", 0.0, INF, "()"),
-    (lambda v: PhotonSequence.from_seconds([], v), "window", 0.0, INF, "()"),
+    (lambda v: PhotonSequence.from_seconds([], v), "window", 1e-12, INF, "[)"),
 ]
 
 
