@@ -15,10 +15,11 @@ One executable, nine subcommands:
 Conventions: rates in counts/second, times in seconds, frequencies in Hz;
 numeric flags accept scientific notation.  ``--seed`` falls back to the
 MCFC_SEED environment variable, then to 0.  Exit codes: 0 success, 1 usage
-error, 2 data/format error or too little data for a statistic, 3 internal
-error.  Every writer replaces its file atomically (``photon_channel.atomic_write``):
-a failed run leaves the old file, never a partial one; a symlink or special
-file at the path is replaced, and the new file takes the umask's mode.
+error, 2 data/format error, a file that cannot be read or written, or too
+little data for a statistic, 3 internal error.  Every writer replaces its
+file atomically (``photon_channel.atomic_write``): a failed run leaves the
+old file, never a partial one; a symlink or special file at the path is
+replaced, and the new file takes the umask's mode.
 """
 
 from __future__ import annotations
@@ -47,13 +48,9 @@ from .codec import (
     write_pixmap,
 )
 from .harness import (
+    SWEEPS,
     SweepSpec,
     decode_windows,
-    run_amplitude_nonlinearity,
-    run_error_vs_components,
-    run_error_vs_integration_time,
-    run_error_vs_noise,
-    run_error_vs_spacing,
     run_image_transmission,
     transmit_windows,
     write_csv,
@@ -146,8 +143,15 @@ def _plan_from(name: str) -> FrequencyPlan:
 
 
 def _parse_tone(text: str) -> Tone:
-    """Parse FREQ[,DEPTH[,PHASE]]."""
-    return Tone(**dict(zip(("frequency", "depth", "phase"), map(float, text.split(",")))))
+    """Parse FREQ[,DEPTH[,PHASE]]; ``Tone`` checks the numbers' ranges."""
+    fields = text.split(",")
+    try:
+        if len(fields) > 3:
+            raise ValueError
+        values = [float(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"--tone must be FREQ[,DEPTH[,PHASE]], up to three numbers, got {text!r}") from None
+    return Tone(**dict(zip(("frequency", "depth", "phase"), values)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +235,6 @@ def _cmd_transmit_image(args) -> int:
     return EXIT_OK
 
 
-#: Each sweep's runner and the config keys it does not read, its grid's among them.
-_SWEEPS = {
-    "error-vs-noise": (run_error_vs_noise, {"components", "mean_count", "budget.noise_rate"}),
-    "error-vs-integration-time": (run_error_vs_integration_time,
-                                  {"window", "signal_rate", "spacing", "components"}),
-    "error-vs-spacing": (run_error_vs_spacing, {"spacing", "channels_per_band", "components", "mean_count"}),
-    "error-vs-components": (run_error_vs_components, {"signal_rate", "modulation_frequency", "mean_count"}),
-    "amplitude": (run_amplitude_nonlinearity, {"signal_rate", "modulation_frequency", "mean_count"}),
-}
-
-
 def _from_config(cls, doc: dict, where: str):
     """The dataclass ``cls`` built from the JSON object ``doc``, nested objects for dataclass fields.
 
@@ -268,10 +261,10 @@ def _from_config(cls, doc: dict, where: str):
 def _cmd_sweep(args) -> int:
     doc = read_json(args.config, f"config {args.config}")
     kind = doc.get("sweep") if isinstance(doc, dict) else None
-    if kind not in _SWEEPS:
-        raise ValueError(f"config 'sweep' must be one of {sorted(_SWEEPS)}, got {kind!r}")
+    if kind not in SWEEPS:
+        raise ValueError(f"config 'sweep' must be one of {sorted(SWEEPS)}, got {kind!r}")
     spec = _from_config(SweepSpec, {k: v for k, v in doc.items() if k != "sweep"}, "config")
-    run_sweep, unread = _SWEEPS[kind]
+    run_sweep, unread = SWEEPS[kind]
     for key in [*doc, *(f"budget.{k}" for k in doc.get("budget", ()))]:
         if key in unread:  # a key the sweep ignores would stand in the manifest as if it were used
             raise ValueError(f"config key {key!r} is not read by the {kind!r} sweep")
@@ -412,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # OSError: any file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

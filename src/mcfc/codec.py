@@ -310,13 +310,9 @@ def symbols_to_image(symbols: Sequence[Symbol | None], shape: tuple[int, int]) -
     h, w = shape
     if len(symbols) != h * w:
         raise ValueError(f"{len(symbols)} symbols cannot fill a {h}x{w} image")
-    out = np.zeros((h * w, 3), dtype=np.uint8)
-    for i, sym in enumerate(symbols):
-        if sym is None:
-            out[i] = FAILED_PIXEL
-        else:
-            out[i] = [level_to_byte(v) for v in sym.value]
-    return out.reshape(h, w, 3)
+    failed = np.array([sym is None for sym in symbols], dtype=bool).reshape(h, w, 1)
+    levels = np.array([(0, 0, 0) if sym is None else sym.value for sym in symbols]).reshape(h, w, 3)
+    return np.where(failed, np.array(FAILED_PIXEL, dtype=np.uint8), level_to_byte(levels))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Points whose empirical error count is zero are flagged analytic-only: the
 harness never turns an absence of observed errors into a rate claim.
 
 Reproducibility: every grid point draws from an independent substream
-derived from (seed, sweep label, point index[, component count]), so
+derived from (seed, sweep label[, tone count], point index), so
 results do not depend on evaluation order and re-running any single point
 in isolation reproduces it bit-exactly.  Trials inside a point are
 vectorized over one substream rather than individually seeded; this is a
@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,10 +223,36 @@ def _measure_point(
     )
 
 
-def _centered_band(center: float, spacing: float, channels: int) -> np.ndarray:
-    """Channel ladder of ``channels`` frequencies centered on ``center``."""
+def _centered_band(center: float, spacing: float, channels: int, what: str) -> np.ndarray:
+    """Channel ladder of ``channels`` frequencies centered on ``center``, ``what`` naming the centre.
+
+    A channel at or below 0 Hz would hold ``|X(0)|`` = count and win every
+    trial, so such a band is refused.
+    """
     half = channels // 2
+    if not center - spacing * half > 0:
+        raise ValueError(f"{what} {center:g} Hz less {half} channels of 'spacing' {spacing:g} Hz "
+                         f"('channels_per_band' {channels}) puts a channel at {center - spacing * half:g} Hz;"
+                         " every channel must lie above 0 Hz")
     return center + spacing * (np.arange(channels) - half)
+
+
+def _units(seed: int, label: str, items: Iterable, unit: Callable, *path: int) -> Iterator:
+    """Lazily, ``unit(item, rng)`` for each item ``i``, ``rng`` being ``derive_rng(seed, label, *path, i)``.
+
+    The harness's one source of generators: each sweep point and each link
+    window is an independent unit on its own substream.
+    """
+    return (unit(item, derive_rng(seed, label, *path, i)) for i, item in enumerate(items))
+
+
+def _sweep(spec: SweepSpec, label: str, parameter: str, point: Callable, components: int,
+           *path: int) -> list[SweepPoint]:
+    """One :func:`_measure_point` per grid value; ``point(value)`` gives its source, bands, lines, budget."""
+    def measure(value: float, rng: np.random.Generator) -> SweepPoint:
+        config, bands, lines, budget = point(value)
+        return _measure_point(parameter, value, components, config, bands, lines, spec.trials, rng, budget)
+    return list(_units(spec.seed, label, spec.grid, measure, *path))
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +265,11 @@ def run_error_vs_noise(spec: SweepSpec) -> list[SweepPoint]:
     One full-depth tone at ``modulation_frequency``; the decoder picks the
     strongest of ``channels_per_band`` channels centered on the tone.
     """
-    band = _centered_band(spec.modulation_frequency, spec.spacing, spec.channels_per_band)
-    line_idx = spec.channels_per_band // 2
+    band = _centered_band(spec.modulation_frequency, spec.spacing, spec.channels_per_band,
+                          "'modulation_frequency'")
     config = SourceConfig(spec.signal_rate, spec.window, (Tone(spec.modulation_frequency),))
-    return [
-        _measure_point("noise_rate_cps", noise, 1, config, [band], [line_idx], spec.trials,
-                       derive_rng(spec.seed, "error-vs-noise", i),
-                       replace(spec.budget, noise_rate=noise))
-        for i, noise in enumerate(spec.grid)
-    ]
+    return _sweep(spec, "error-vs-noise", "noise_rate_cps", lambda noise: (
+        config, [band], [spec.channels_per_band // 2], replace(spec.budget, noise_rate=noise)), 1)
 
 
 def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
@@ -261,13 +283,9 @@ def run_error_vs_integration_time(spec: SweepSpec) -> list[SweepPoint]:
     """
     check_range(WINDOW, **{"'grid'": min(spec.grid)})
     f_m = spec.modulation_frequency
-    return [
-        _measure_point("window_s", window, 1,
-                       SourceConfig(spec.mean_count / window, window, (Tone(f_m),)),
-                       [f_m + np.arange(spec.channels_per_band) / window], [0], spec.trials,
-                       derive_rng(spec.seed, "error-vs-window", i), spec.budget)
-        for i, window in enumerate(spec.grid)
-    ]
+    return _sweep(spec, "error-vs-window", "window_s", lambda window: (
+        SourceConfig(spec.mean_count / window, window, (Tone(f_m),)),
+        [f_m + np.arange(spec.channels_per_band) / window], [0], spec.budget), 1)
 
 
 def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
@@ -280,12 +298,12 @@ def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
     """
     check_range(POSITIVE, **{"'grid'": min(spec.grid)})
     base = round(spec.modulation_frequency * spec.window) / spec.window
+    if not base > 0:
+        raise ValueError(f"'modulation_frequency' {spec.modulation_frequency:g} Hz rounds to {base:g} Hz "
+                         f"on the 'window''s {1 / spec.window:g} Hz grid; the line must lie above 0 Hz")
     config = SourceConfig(spec.signal_rate, spec.window, (Tone(base),))
-    return [
-        _measure_point("spacing_hz", spacing, 1, config, [np.asarray([base, base + spacing])], [0],
-                       spec.trials, derive_rng(spec.seed, "error-vs-spacing", i), spec.budget)
-        for i, spacing in enumerate(spec.grid)
-    ]
+    return _sweep(spec, "error-vs-spacing", "spacing_hz", lambda spacing: (
+        config, [np.asarray([base, base + spacing])], [0], spec.budget), 1)
 
 
 def _tone_count_sweep(spec: SweepSpec, label: str, decided_bands: int | None) -> list[SweepPoint]:
@@ -296,15 +314,12 @@ def _tone_count_sweep(spec: SweepSpec, label: str, decided_bands: int | None) ->
     line = spec.channels_per_band // 2
     points = []
     for k in spec.components:
-        bands = [_centered_band(30_000.0 + 20_000.0 * b, spec.spacing, spec.channels_per_band)
-                 for b in range(k)]
+        bands = [_centered_band(30_000.0 + 20_000.0 * b, spec.spacing, spec.channels_per_band,
+                                f"band {b}'s centre") for b in range(k)]
         tones = tuple(Tone(float(band[line])) for band in bands)
         bands = bands[:decided_bands]
-        for i, rate in enumerate(spec.grid):
-            points.append(_measure_point(
-                "signal_rate_cps", rate, k, SourceConfig(rate, spec.window, tones), bands,
-                [line] * len(bands), spec.trials, derive_rng(spec.seed, label, k, i), spec.budget,
-            ))
+        points += _sweep(spec, label, "signal_rate_cps", lambda rate: (  # run before the next k rebinds
+            SourceConfig(rate, spec.window, tones), bands, [line] * len(bands), spec.budget), k, k)
     return points
 
 
@@ -328,6 +343,17 @@ def run_amplitude_nonlinearity(spec: SweepSpec) -> list[SweepPoint]:
     return _tone_count_sweep(spec, "amplitude", 1)
 
 
+#: Each sweep's runner and the config keys it does not read, its grid's among them.
+SWEEPS = {
+    "error-vs-noise": (run_error_vs_noise, {"components", "mean_count", "budget.noise_rate"}),
+    "error-vs-integration-time": (run_error_vs_integration_time,
+                                  {"window", "signal_rate", "spacing", "components"}),
+    "error-vs-spacing": (run_error_vs_spacing, {"spacing", "channels_per_band", "components", "mean_count"}),
+    "error-vs-components": (run_error_vs_components, {"signal_rate", "modulation_frequency", "mean_count"}),
+    "amplitude": (run_amplitude_nonlinearity, {"signal_rate", "modulation_frequency", "mean_count"}),
+}
+
+
 # ---------------------------------------------------------------------------
 # the per-window link
 # ---------------------------------------------------------------------------
@@ -341,8 +367,8 @@ def transmit_windows(tone_sets: Iterable[tuple[Tone, ...]], signal_rate: float, 
     result is iterated.
     """
     source = SourceConfig(signal_rate, window)
-    return (transmit(replace(source, tones=tones), budget, derive_rng(seed, label, i))
-            for i, tones in enumerate(tone_sets))
+    return _units(seed, label, tone_sets,
+                  lambda tones, rng: transmit(replace(source, tones=tones), budget, rng))
 
 
 def decode_windows(windows: Iterable[PhotonSequence], plan: FrequencyPlan) -> Iterator[Symbol | None]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mcfc
-from mcfc import cli
+from mcfc import cli, harness
 from mcfc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from mcfc.codec import encode_text, letter_plan, read_pixmap, save_plan, write_pixmap
 from mcfc.harness import write_csv, write_manifest
@@ -316,6 +316,12 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"components": [2]}, "components"),
     ({"budget": {"noise_rate": 1e3}}, "budget.noise_rate"),
     ({"window": 3e-13, "budget": {"dead_time": 1e-12}}, "window"),  # below the 1 ps tick
+    # a channel at or below 0 Hz holds |X(0)| = count and wins every trial
+    ({"modulation_frequency": 3000.0}, "modulation_frequency"),  # channels -2 ... 8 kHz
+    ({"modulation_frequency": 5000.0}, "modulation_frequency"),  # a channel at 0 Hz
+    ({"channels_per_band": 401}, "channels_per_band"),  # 200 kHz less 200 channels of 1 kHz
+    ({"sweep": "error-vs-components", "grid": [200e3], "spacing": 6000.0}, "spacing"),  # band 0 from 0 Hz
+    ({"sweep": "error-vs-spacing", "grid": [1e3], "modulation_frequency": 400.0}, "modulation_frequency"),
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
@@ -372,6 +378,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run(["generate", "--rate", 1e4, "--duration", 1e-2, "--tone", tone,
                     "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
         assert f"{field} must be finite" in capsys.readouterr().err
+    # FREQ[,DEPTH[,PHASE]]: a fourth field or one that is not a number is refused, naming the flag
+    for tone in ["5e3,1,0,7", "abc", "5e3,,0", "5e3,1,0,"]:
+        assert run(["generate", "--rate", 1e4, "--duration", 1e-2, "--tone", tone,
+                    "--out", tmp_path / "x.pts1"]) == EXIT_USAGE
+        assert f"--tone must be FREQ[,DEPTH[,PHASE]], up to three numbers, got {tone!r}" in (
+            capsys.readouterr().err)
     for flag, field in [("--noise-rate", "noise_rate"), ("--dark-rate", "dark_rate"),
                         ("--jitter", "jitter_sigma")]:
         assert run(["generate", "--rate", 1e3, "--duration", 1e-3, flag, "nan",
@@ -400,6 +412,24 @@ def test_bad_budget_flag_exits_1_on_every_subcommand(tmp_path, monkeypatch, caps
         assert run(command + [flag, value]) == EXIT_USAGE
         assert field in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm"]
+
+
+def test_a_file_that_cannot_be_read_or_written_exits_2(tmp_path, capsys):
+    # every OSError is data: a file where a directory belongs, or the other way round
+    blocker = tmp_path / "F"
+    blocker.write_text("keep")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sweep": "error-vs-noise", "grid": [0], "trials": 10}))
+    for command in (["encode", "--out-dir", blocker, "A"],
+                    ["sweep", "--config", cfg, "--out-dir", blocker],
+                    ["generate", "--rate", 1e3, "--duration", 1e-3, "--out", blocker / "x.pts1"],
+                    ["spectrum", "--in", blocker / "x", "--low", 1e3, "--high", 2e3, "--resolution", 1e3,
+                     "--out", tmp_path / "s.csv"]):
+        assert run(command) == EXIT_DATA, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err, err
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "c.json"]
 
 
 def test_unknown_symbol_is_data_and_writes_nothing(tmp_path, capsys):
@@ -650,6 +680,18 @@ def test_only_the_atomic_writer_opens_files_for_writing():
     helper = next(node for node in ast.walk(trees["photon_channel.py"])
                   if isinstance(node, ast.FunctionDef) and node.name == "atomic_write")
     assert found == [f"photon_channel.py:{line}" for line in _opens_for_writing(helper)]
+
+
+def test_only_units_derives_generators_in_the_harness():
+    # every sweep point and link window draws through harness._units, so its body alone decides how
+    # independent units run: a name bound to derive_rng outside it would draw past it
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    units = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_units")
+    uses = {node for node in ast.walk(tree)
+            if "derive_rng" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert uses and uses <= set(ast.walk(units)), sorted(node.lineno for node in uses)
 
 
 def test_only_the_json_helpers_load_and_dump_json():

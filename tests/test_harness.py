@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -250,6 +251,33 @@ def test_window_link_checks_the_source_before_the_first_window(rgb_plan, rate, w
         assert transmit.call_count == 0
         next(windows)
         assert transmit.call_count == 1
+
+
+@pytest.mark.parametrize("runner, label, counts", [
+    (run_error_vs_noise, "error-vs-noise", ()),
+    (run_error_vs_integration_time, "error-vs-window", ()),  # the runner's label, not the CLI's name
+    (run_error_vs_spacing, "error-vs-spacing", ()),
+    (run_error_vs_components, "error-vs-components", (1, 3)),
+    (run_amplitude_nonlinearity, "amplitude", (1, 3)),
+])
+def test_each_sweep_point_draws_from_its_own_substream(runner, label, counts):
+    # point i of a sweep draws from (seed, label, i), and of tone count k from (seed, label, k, i):
+    # the paths every written result depends on
+    spec = SweepSpec(grid=(1e-3, 2e-3) if runner is run_error_vs_integration_time else (8e4, 2e5),
+                     trials=20, seed=93, components=counts or (1,))
+    with mock.patch.object(harness, "derive_rng", wraps=harness.derive_rng) as derive:
+        runner(spec)
+    paths = [(93, label, *k, i) for k in ([(k,) for k in counts] or [()]) for i in range(2)]
+    assert [c.args for c in derive.call_args_list] == paths
+
+
+def test_every_sweep_has_a_runner_and_names_only_config_keys():
+    keys = {f.name for f in fields(SweepSpec)} | {f"budget.{f.name}" for f in fields(LinkBudget)}
+    assert set(harness.SWEEPS) == {"error-vs-noise", "error-vs-integration-time", "error-vs-spacing",
+                                   "error-vs-components", "amplitude"}
+    for name, (runner, unread) in harness.SWEEPS.items():
+        assert getattr(harness, runner.__name__) is runner and runner.__name__.startswith("run_"), name
+        assert unread <= keys and not unread & {"grid", "trials", "seed", "budget"}, (name, unread)
 
 
 def test_image_report_rate_empty():
