@@ -272,8 +272,6 @@ def noise_floor_boundary(count: float, n_frequencies: int, miss_prob: float = 0.
     sqrt(N * ln(n / miss_prob)) except with probability about miss_prob.
     """
     check_range(POSITIVE, count=count)
-    check_count(REAL, n_frequencies=n_frequencies)
-    if n_frequencies < 1:
-        raise ValueError("n_frequencies must be >= 1")
+    check_count(interval(1, math.inf, "[)"), n_frequencies=n_frequencies)
     check_range(interval(0.0, 1.0), miss_prob=miss_prob)
     return float(np.sqrt(count * np.log(n_frequencies / miss_prob)))

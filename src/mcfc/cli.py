@@ -293,10 +293,9 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_stats(args) -> int:
     seq = read_pts1(args.input)
-    rate = len(seq) / seq.window if seq.window else 0.0
     print(f"events: {len(seq)}")
     print(f"window: {seq.window:g} s")
-    print(f"mean rate: {rate:.6g} counts/s")
+    print(f"mean rate: {len(seq) / seq.window:.6g} counts/s")  # a window is at least 1 ps
     if args.mandel_window is not None:
         q = mandel_q(seq, args.mandel_window)
         print(f"mandel_q({args.mandel_window:g} s windows): {q:.6g}")

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .photon_channel import POSITIVE, REAL, PhotonSequence, Tone, atomic_write, check_count, check_range, interval
+from .photon_channel import POSITIVE, PhotonSequence, Tone, atomic_write, check_count, check_range, interval
 from .spectral import band_argmax, point_dft_many
 
 #: Color written into a reconstructed image where decoding failed outright.
@@ -99,9 +99,8 @@ def optimal_channels(bandwidth: float, spacing: float) -> int:
 
 def effective_channels(m_opt: int, k: int) -> int:
     """Distinct k-subsets of m_opt channels, exact arbitrary-precision count."""
-    check_count(REAL, m_opt=m_opt, k=k)
-    if not 1 <= k <= m_opt:
-        raise ValueError(f"need 1 <= k <= m_opt, got k={k}, m_opt={m_opt}")
+    check_count(interval(1, math.inf, "[)"), m_opt=m_opt)
+    check_count(interval(1, m_opt, "[]"), k=k)
     return math.comb(m_opt, k)
 
 
@@ -159,6 +158,11 @@ class FrequencyPlan:
         object.__setattr__(self, "bands", tuple(self.bands))
         object.__setattr__(self, "symbol_map", dict(self.symbol_map))
 
+        names = [band.name for band in self.bands]
+        for b, name in enumerate(names):  # reports key their band counts by name
+            if name in names[:b]:
+                raise ValueError(f"band {b} repeats band {names.index(name)}'s name {name!r}; "
+                                 "band names must be unique across the plan")
         all_channels = [f for band in self.bands for f in band.channels]
         if len(set(all_channels)) != len(all_channels):
             raise ValueError("channel frequencies must be unique across the plan")
@@ -476,4 +480,8 @@ def load_plan(path: str | os.PathLike) -> FrequencyPlan:
             raise ValueError(f"{at} key 'value' repeats symbol {list(symbol_map).index(sym)}, {sym.value!r}")
         symbol_map[sym] = tuple(float(f) for f in freqs)
     spacing = float(json_key(doc, "spacing_hz", "a number", where))
-    return FrequencyPlan(json_key(doc, "name", "a string", where), spacing, tuple(bands), symbol_map)
+    name = json_key(doc, "name", "a string", where)
+    try:
+        return FrequencyPlan(name, spacing, tuple(bands), symbol_map)
+    except ValueError as exc:  # a rule of the plan as a whole: name the file too
+        raise ValueError(f"{where}: {exc}") from None

@@ -47,7 +47,7 @@ from .photon_channel import (
     sample_event_batch,
     transmit,
 )
-from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, atomic_write, check_count, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, atomic_write, check_count, check_range, interval
 from .spectral import LineStats, band_argmax, batch_amplitudes, floor_channels
 
 
@@ -136,11 +136,8 @@ class ImageReport:
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (95% by default)."""
-    check_count(REAL, errors=errors, trials=trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= errors <= trials:
-        raise ValueError("errors must be in [0, trials]")
+    check_count(interval(1, math.inf, "[)"), trials=trials)
+    check_count(interval(0, trials, "[]"), errors=errors)
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -162,10 +159,10 @@ def band_model(amplitudes: np.ndarray, line: int) -> tuple[LineStats, float]:
     losing to any of the band's ``width - 1`` competitors.
     """
     trials, width = amplitudes.shape
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2 to estimate a spread, got {trials}")
+    check_count(interval(2, math.inf, "[)"), trials=trials)  # two to estimate a spread
+    probes = floor_channels(width, line)  # checks ``line`` before it indexes
     line_amps = amplitudes[:, line]
-    floor = amplitudes[:, floor_channels(width, line)].ravel()
+    floor = amplitudes[:, probes].ravel()
     stats = LineStats(float(line_amps.mean()), float(line_amps.std(ddof=1)),
                       float(floor.mean()), float(floor.std(ddof=1)))
     return stats, channel_error_rate(misdecode_prob(stats), width - 1)
@@ -309,12 +306,18 @@ def run_error_vs_spacing(spec: SweepSpec) -> list[SweepPoint]:
 def _tone_count_sweep(spec: SweepSpec, label: str, decided_bands: int | None) -> list[SweepPoint]:
     """Signal-rate sweep per tone count, deciding the first ``decided_bands`` bands (all if None).
 
-    The k tones sit one per band, at the centres of bands 20 kHz apart from 30 kHz.
+    The k tones sit one per band, at the centres of bands 20 kHz apart from 30 kHz,
+    so with two tones or more a band must span less than those 20 kHz.
     """
+    step, span = 20_000.0, spec.spacing * (spec.channels_per_band - 1)
+    if max(spec.components) > 1 and not span < step:
+        raise ValueError(f"'spacing' {spec.spacing:g} Hz over 'channels_per_band' {spec.channels_per_band} "
+                         f"spans {span:g} Hz; bands {step:g} Hz apart would share channels, so with "
+                         f"'components' above 1 the span must be below {step:g} Hz")
     line = spec.channels_per_band // 2
     points = []
     for k in spec.components:
-        bands = [_centered_band(30_000.0 + 20_000.0 * b, spec.spacing, spec.channels_per_band,
+        bands = [_centered_band(30_000.0 + step * b, spec.spacing, spec.channels_per_band,
                                 f"band {b}'s centre") for b in range(k)]
         tones = tuple(Tone(float(band[line])) for band in bands)
         bands = bands[:decided_bands]

@@ -31,6 +31,9 @@ stages remain, not exported from ``mcfc``, for the benchmark's tracer alone.
 Timestamps are stored as integer picoseconds (``numpy.uint64``) so that
 sequences survive serialization round trips bit-exactly.  The on-disk
 container is a small binary format, see :func:`write_pts1`.
+:class:`PhotonSequence` is the one check of timestamps, in memory or read
+from a file: it names the first event out of order or outside the window.
+Every count goes through :func:`check_count` with its real interval.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ _HEADER_BYTES = 24  # magic(8) + window_ps(8) + count(8)
 
 class StreamFormatError(ValueError):
     """Raised when a serialized timestamp stream is malformed."""
+
+
+class BadEventError(ValueError):
+    """Raised by :class:`PhotonSequence` for event ``index``, out of order or outside the window."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 def interval(low: float, high: float, ends: str = "()") -> tuple[float, float, str]:
@@ -82,7 +93,7 @@ def check_range(bounds: tuple[float, float, str], **values: float) -> None:
     for name, value in values.items():
         try:
             ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and low <= value <= high
-        except TypeError:  # None, a string: not a number
+        except (TypeError, OverflowError):  # None, a string: not a number; an int past the float range
             ok = False
         if not ok:
             raise ValueError(f"{name} must be finite and in {text}, got {value!r}")
@@ -94,6 +105,14 @@ def check_count(bounds: tuple[float, float, str], **values: int) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     check_range(bounds, **values)
+
+
+def check_finite(**arrays: np.ndarray) -> None:
+    """Refuse, by name, an array holding NaN or an infinity: its first such value and that value's index."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            i = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise ValueError(f"{name} must be finite, got {values.flat[i]} at index {i}")
 
 
 @contextlib.contextmanager
@@ -220,16 +239,19 @@ class PhotonSequence:
     window_ps: int
 
     def __post_init__(self) -> None:
+        """The one timestamp check: a refused sequence names its first bad event by index."""
         check_count(interval(1, math.inf, "[)"), window_ps=self.window_ps)
-        arr = np.asarray(self.times_ps, dtype=np.uint64)
+        arr, window_ps = np.asarray(self.times_ps, dtype=np.uint64), int(self.window_ps)
         if arr.ndim != 1:
             raise ValueError("times_ps must be one-dimensional")
         if arr.size and np.any(arr[1:] < arr[:-1]):
-            raise ValueError("timestamps must be nondecreasing")
-        if arr.size and int(arr[-1]) >= int(self.window_ps):
-            raise ValueError("timestamps must lie inside the observation window")
+            i = int(np.argmax(arr[1:] < arr[:-1])) + 1
+            raise BadEventError(i, f"event {i} precedes event {i - 1}")
+        if arr.size and int(arr[-1]) >= window_ps:  # sorted: the first late event by bisection
+            i = int(np.searchsorted(arr, np.uint64(window_ps)))  # a uint64 key: no float64 copy
+            raise BadEventError(i, f"event {i} at {int(arr[i])} ps is outside the {window_ps} ps window")
         object.__setattr__(self, "times_ps", arr)
-        object.__setattr__(self, "window_ps", int(self.window_ps))
+        object.__setattr__(self, "window_ps", window_ps)
 
     def __len__(self) -> int:
         return int(self.times_ps.size)
@@ -257,9 +279,7 @@ class PhotonSequence:
         check_range(WINDOW, window=window)
         window_ps = int(round(float(window) * PS_PER_SECOND))
         t = np.asarray(list(times) if not isinstance(times, np.ndarray) else times, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(t))
-        if bad.size:
-            raise ValueError(f"times must be finite, got {t[bad[0]]} at index {bad[0]}")
+        check_finite(times=t)
         if t.size and (np.any(t < 0.0) or np.any(t >= window)):
             raise ValueError("timestamps must lie in [0, window)")
         return cls(np.sort(_to_ps(t, window_ps)).astype(np.uint64), window_ps)
@@ -627,7 +647,9 @@ def read_pts1(path: str | os.PathLike) -> PhotonSequence:
     """Parse a PTS1 container, validating structure with byte-offset diagnostics.
 
     The file's size is checked against its header before the payload is read
-    straight into the times array, so the file is held in memory once.
+    straight into the times array, so the file is held in memory once.  The
+    events are checked by :class:`PhotonSequence` alone; the first bad one is
+    named by its byte offset, ``24 + 8 * index``.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
@@ -660,17 +682,7 @@ def read_pts1(path: str | os.PathLike) -> PhotonSequence:
         if got < expected:  # the file shrank after its size was read
             raise StreamFormatError(f"offset {got}: truncated payload, header promises {count} events")
 
-    bad_order = np.nonzero(times[1:] < times[:-1])[0]
-    if bad_order.size:
-        i = int(bad_order[0]) + 1
-        raise StreamFormatError(
-            f"offset {_HEADER_BYTES + 8 * i}: event {i} precedes event {i - 1}"
-        )
-    too_late = np.nonzero(times >= window_ps)[0]
-    if too_late.size:
-        i = int(too_late[0])
-        raise StreamFormatError(
-            f"offset {_HEADER_BYTES + 8 * i}: event {i} at {int(times[i])} ps "
-            f"is outside the {window_ps} ps window"
-        )
-    return PhotonSequence(times, window_ps)
+    try:
+        return PhotonSequence(times, window_ps)
+    except BadEventError as exc:
+        raise StreamFormatError(f"offset {_HEADER_BYTES + 8 * exc.index}: {exc}") from None

@@ -79,7 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .photon_channel import EventBatch, PhotonSequence, SourceConfig
-from .photon_channel import NON_NEGATIVE, POSITIVE, REAL, check_count, check_range, interval
+from .photon_channel import NON_NEGATIVE, POSITIVE, check_count, check_finite, check_range, interval
 
 #: Refuse to build evaluation grids larger than this (denser grids are a
 #: sign of a mistaken resolution argument, not a real need).
@@ -301,6 +301,7 @@ def phasor_sums(times: np.ndarray, frequencies: np.ndarray,
     check_count(NON_NEGATIVE, trials=trials)
     t = np.asarray(times, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64).reshape(-1)
+    check_finite(times=t, frequencies=freqs)  # a NaN phase would pass as a NaN sum
     tid = np.zeros(t.size, dtype=np.intp) if trial_ids is None else np.asarray(trial_ids)
     if tid.dtype.kind not in "iu":  # float ids fail numpy's indexing, bools its shapes
         raise ValueError(f"trial_ids must be integers, got dtype {tid.dtype}")
@@ -685,11 +686,8 @@ def floor_channels(channels: int, line: int) -> np.ndarray:
     measures the white floor.  A band too narrow to keep any channel that
     way falls back to every channel but the line.
     """
-    check_count(REAL, channels=channels, line=line)
-    if channels < 2:
-        raise ValueError("a band needs at least two channels to measure a floor")
-    if not 0 <= line < channels:
-        raise ValueError(f"line must be a channel index in [0, {channels}), got {line}")
+    check_count(interval(2, math.inf, "[)"), channels=channels)
+    check_count(interval(0, channels - 1, "[]"), line=line)
     mask = np.ones(channels, dtype=bool)
     mask[max(line - 1, 0): line + 2] = False
     if not mask.any():

@@ -15,7 +15,7 @@ import pytest
 import mcfc
 from mcfc import cli, harness
 from mcfc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from mcfc.codec import encode_text, letter_plan, read_pixmap, save_plan, write_pixmap
+from mcfc.codec import encode_text, letter_plan, read_pixmap, rgb_image_plan, save_plan, write_pixmap
 from mcfc.harness import write_csv, write_manifest
 from mcfc.photon_channel import (
     LinkBudget,
@@ -322,6 +322,10 @@ def test_sweep_runs_with_a_detector_budget(tmp_path, capsys, budget):
     ({"channels_per_band": 401}, "channels_per_band"),  # 200 kHz less 200 channels of 1 kHz
     ({"sweep": "error-vs-components", "grid": [200e3], "spacing": 6000.0}, "spacing"),  # band 0 from 0 Hz
     ({"sweep": "error-vs-spacing", "grid": [1e3], "modulation_frequency": 400.0}, "modulation_frequency"),
+    # with two tones or more, bands 20 kHz apart must not share channels
+    ({"sweep": "error-vs-components", "grid": [2e5], "spacing": 2000.0, "components": [1, 2]}, "spacing"),
+    ({"sweep": "amplitude", "grid": [2e5], "channels_per_band": 21, "components": [3]}, "channels_per_band"),
+    ({"trials": 10**400}, "trials"),  # a whole number past the float range
 ])
 def test_sweep_config_errors_name_the_key_and_exit_2(tmp_path, capsys, config, key):
     doc = {"sweep": "error-vs-noise", "grid": [0], "trials": 10} | config
@@ -355,7 +359,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("nan", 1e3, 1e-3, 3, 0, "bandwidth"), ("inf", 1e3, 1e-3, 3, 0, "bandwidth"),
         (1e9, "nan", 1e-3, 3, 0, "spacing"), (1e9, "inf", 1e-3, 3, 0, "spacing"),
         (1e300, 1e-300, 1e-3, 3, 0, "bandwidth / spacing"),
-        (1e9, 1e3, 1e-3, 3, "nan", "symbol_error"), (1e3, 1e3, 1e-3, 5, 0, "k=5"),
+        (1e9, 1e3, 1e-3, 3, "nan", "symbol_error"), (1e3, 1e3, 1e-3, 5, 0, "k must be finite and in [1, 2], got 5"),
     ]:
         assert run(["capacity", "--bandwidth", bandwidth, "--spacing", spacing, "--window", window,
                     "--k", k, "--error", error]) == EXIT_USAGE
@@ -494,6 +498,19 @@ def test_plan_files_that_do_not_parse_exit_2(tmp_path, capsys, text, says):
     assert run(["transmit-text", "--plan", plan, "A"]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith(f"error: plan {plan}: ") and says in err
+
+
+def test_plan_file_with_a_band_name_used_twice_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    save_plan(plan, rgb_image_plan())
+    doc = json.loads(plan.read_text())
+    doc["bands"][1]["name"] = "red"
+    plan.write_text(json.dumps(doc))
+    img, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
+    write_pixmap(img, np.zeros((2, 2, 3), dtype=np.uint8))
+    assert run(["transmit-image", "--in", img, "--out", out, "--plan", plan]) == EXIT_DATA
+    assert f"error: plan {plan}: band 1 repeats band 0's name 'red'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_insufficient_data_exits_2(tmp_path, capsys):

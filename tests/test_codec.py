@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -122,6 +123,21 @@ def test_plan_validation_rejects_bad_structures():
 
     with pytest.raises(ValueError, match="not a channel"):
         FrequencyPlan("stray", 1e3, (band,), {Symbol.index(0): (10_500.0,)})
+
+
+def test_plan_refuses_a_band_name_used_twice(tmp_path, rgb_plan):
+    # reports count errors per band name, so a repeated name would merge two bands' counts
+    a = NamedBand("x", 10e3, 12e3, (10e3, 11e3, 12e3))
+    b = NamedBand("x", 20e3, 22e3, (20e3, 21e3, 22e3))
+    with pytest.raises(ValueError, match=r"^band 1 repeats band 0's name 'x'; band names must be unique"):
+        FrequencyPlan("twice", 1e3, (a, b), {Symbol.index(0): (10e3, 20e3)})
+    path = tmp_path / "plan.json"
+    save_plan(path, rgb_plan)
+    doc = json.loads(path.read_text())
+    doc["bands"][2]["name"] = "red"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^plan {re.escape(str(path))}: band 2 repeats band 0's name 'red'"):
+        load_plan(path)
 
 
 def test_plan_rejects_overpacked_bandwidth():

@@ -116,6 +116,11 @@ def test_three_channel_band_measures_a_real_floor():
     assert clean.analytic_rate < 1e-3
 
 
+def test_band_model_refuses_a_line_outside_the_band():
+    with pytest.raises(ValueError, match=r"^line must be finite and in \[0, 4\], got 7$"):
+        harness.band_model(np.ones((4, 5)), 7)
+
+
 def test_pure_noise_point_is_measured():
     spec = SweepSpec(grid=(80e3,), trials=500, seed=91, signal_rate=0.0)
     (point,) = run_error_vs_noise(spec)
@@ -171,6 +176,16 @@ def test_error_vs_spacing_shape():
     assert tight.empirical_rate > 0.05
     assert natural.empirical_rate < 0.01
     assert natural.analytic_rate < 1e-3
+
+
+def test_tone_count_sweeps_refuse_bands_that_share_channels():
+    # bands sit 20 kHz apart: 11 channels at 2 kHz span 20 kHz and touch the next band
+    spec = SweepSpec(grid=(2e5,), trials=20, spacing=2e3, components=(2,))
+    for runner in (run_error_vs_components, run_amplitude_nonlinearity):
+        with pytest.raises(ValueError, match=r"^'spacing' 2000 Hz over 'channels_per_band' 11 spans 20000 Hz"):
+            runner(spec)
+    (point,) = run_error_vs_components(SweepSpec(grid=(2e5,), trials=20, spacing=2e3))  # one tone, one band
+    assert point.components == 1
 
 
 def test_components_share_the_rate_budget():

@@ -113,10 +113,12 @@ def test_rate_ceiling_bounds_rate():
 # -----------------------------------------------------------------
 
 def test_sequence_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^event 1 precedes event 0$"):
         PhotonSequence(np.array([5, 3], dtype=np.uint64), 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^event 0 at 100 ps is outside the 100 ps window$"):
         PhotonSequence(np.array([100], dtype=np.uint64), 100)
+    with pytest.raises(ValueError, match=r"^event 1 at 100 ps is outside the 100 ps window$"):
+        PhotonSequence(np.array([7, 100, 120], dtype=np.uint64), 100)
     seq = PhotonSequence(np.array([0, 3, 3, 99], dtype=np.uint64), 100)
     assert len(seq) == 4
     assert seq.window_ps == 100
@@ -688,6 +690,17 @@ def test_pts1_event_outside_window(tmp_path):
     path = tmp_path / "late.pts1"
     path.write_bytes(bytes(blob))
     with pytest.raises(StreamFormatError, match="offset 40.*outside"):
+        read_pts1(path)
+
+
+def test_pts1_late_event_past_float_precision_names_its_offset(tmp_path):
+    # above 2**53 ps a float64 comparison would round the window onto its events
+    window = 2**53 + 1
+    header = PTS1_MAGIC + window.to_bytes(8, "little") + (3).to_bytes(8, "little")
+    path = tmp_path / "late.pts1"
+    path.write_bytes(header + np.array([2**53 - 1, 2**53, 2**53 + 1], dtype="<u8").tobytes())
+    with pytest.raises(StreamFormatError,
+                       match=rf"^offset 40: event 2 at {2**53 + 1} ps is outside the {window} ps window$"):
         read_pts1(path)
 
 

@@ -117,38 +117,45 @@ def test_each_field_refuses_what_lies_outside_its_interval(call, field, low, hig
 
 
 COUNTS = [
-    # (call with the count, field named in the message, least count, and the message
-    # below it where the range check keeps its own, else None for check_count's)
-    (lambda v: phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), v), "trials", 0, None),
-    (lambda v: sample_event_batch(SourceConfig(1e3, 1e-3), v, derive_rng(0)), "trials", 0, None),
-    (lambda v: SweepSpec(grid=(1.0,), trials=v), "'trials'", 2, None),
-    (lambda v: SweepSpec(grid=(1.0,), channels_per_band=v), "'channels_per_band'", 2, None),
-    (lambda v: SweepSpec(grid=(1.0,), components=(1, v)), "'components'", 1, None),
-    (lambda v: channel_error_rate(0.1, v), "channels", 1, None),
-    (lambda v: capacity(1e6, 1e3, 1e-3, v), "components", 1, None),
-    (lambda v: PhotonSequence(np.empty(0), v), "window_ps", 1, None),
-    (lambda v: noise_floor_boundary(100, v), "n_frequencies", 1, "n_frequencies must be >= 1"),
-    (lambda v: wilson_interval(v, 3), "errors", 0, "errors must be in [0, trials]"),
-    (lambda v: wilson_interval(1, v), "trials", 1, "trials must be >= 1"),
-    (lambda v: effective_channels(v, 2), "m_opt", 2, "need 1 <= k <= m_opt, got k=2, m_opt=1"),
-    (lambda v: effective_channels(5, v), "k", 1, "need 1 <= k <= m_opt, got k=0, m_opt=5"),
-    (lambda v: floor_channels(v, 0), "channels", 2, "a band needs at least two channels to measure a floor"),
-    (lambda v: floor_channels(3, v), "line", 0, "line must be a channel index in [0, 3), got -1"),
+    # (call with the count, field named in the message, least and greatest count)
+    (lambda v: phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), v), "trials", 0, INF),
+    (lambda v: sample_event_batch(SourceConfig(1e3, 1e-3), v, derive_rng(0)), "trials", 0, INF),
+    (lambda v: SweepSpec(grid=(1.0,), trials=v), "'trials'", 2, INF),
+    (lambda v: SweepSpec(grid=(1.0,), channels_per_band=v), "'channels_per_band'", 2, INF),
+    (lambda v: SweepSpec(grid=(1.0,), components=(1, v)), "'components'", 1, INF),
+    (lambda v: channel_error_rate(0.1, v), "channels", 1, INF),
+    (lambda v: capacity(1e6, 1e3, 1e-3, v), "components", 1, INF),
+    (lambda v: PhotonSequence(np.empty(0), v), "window_ps", 1, INF),
+    (lambda v: noise_floor_boundary(100, v), "n_frequencies", 1, INF),
+    (lambda v: wilson_interval(v, 3), "errors", 0, 3),  # at most the trials
+    (lambda v: wilson_interval(1, v), "trials", 1, INF),
+    (lambda v: effective_channels(v, 1), "m_opt", 1, INF),
+    (lambda v: effective_channels(5, v), "k", 1, 5),  # at most the channels
+    (lambda v: floor_channels(v, 0), "channels", 2, INF),
+    (lambda v: floor_channels(3, v), "line", 0, 2),  # a channel index
 ]
 
 
-@pytest.mark.parametrize("call, field, least, own", COUNTS,
+@pytest.mark.parametrize("call, field, least, most", COUNTS,
                          ids=[f"{i}-{row[1]}" for i, row in enumerate(COUNTS)])
-def test_each_count_refuses_what_is_not_an_integer_in_range(call, field, least, own):
+def test_each_count_refuses_what_is_not_an_integer_in_range(call, field, least, most):
     for value in (2.5, float(least), True, np.bool_(True), "3", None):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer, got "):
             call(value)
-    below = (rf"^{re.escape(own)}$" if own else
-             rf"^{re.escape(field)} must be finite and in \[{least}, inf\), got {least - 1}$")
-    with pytest.raises(ValueError, match=below):
-        call(least - 1)
-    call(least)  # accepted, as a numpy integer too
-    call(np.int64(least))
+    text = f"[{least}, inf)" if most == INF else f"[{least}, {most}]"
+    for value in (least - 1, most + 1):
+        if math.isfinite(value):
+            with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite and in "
+                                                 rf"{re.escape(text)}, got {value}$"):
+                call(value)
+    for value in (least, np.int64(least), most):  # accepted, as a numpy integer too
+        if math.isfinite(value):
+            call(value)
+
+
+def test_a_count_past_the_float_range_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^trials must be finite and in \[1, inf\), got 1000"):
+        wilson_interval(1, 10**400)
 
 
 def test_the_check_refuses_what_is_not_a_number():

@@ -792,6 +792,18 @@ def test_phasor_sums_take_zero_trials_and_refuse_fewer():
         phasor_sums(np.empty(0), [1e3], np.empty(0, dtype=np.intp), -1)
 
 
+@pytest.mark.parametrize("times, freqs, named", [
+    ([0.1, 0.2], [math.nan, 1.0], "frequencies must be finite, got nan at index 0"),
+    ([0.1, 0.2], [1.0, math.inf], "frequencies must be finite, got inf at index 1"),
+    ([0.1, math.nan], [1.0], "times must be finite, got nan at index 1"),
+])
+def test_phasor_sums_refuse_what_is_not_finite_by_name(times, freqs, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused by name before numpy can warn
+        with pytest.raises(ValueError, match=rf"^{named}$"):
+            phasor_sums(times, freqs)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
 def test_phasor_sums_refuse_trial_ids_that_are_not_integers(dtype):
     t = derive_rng(55).uniform(0.0, 1e-3, 4)
