@@ -470,7 +470,11 @@ def load_plan(path: str | os.PathLike) -> FrequencyPlan:
         at = f"{where} band {i}"
         low, high = (float(json_key(b, key, "a number", at)) for key in ("low_hz", "high_hz"))
         channels = tuple(float(f) for f in json_key(b, "channels_hz", "an array of numbers", at))
-        bands.append(NamedBand(json_key(b, "name", "a string", at), low, high, channels))
+        band = json_key(b, "name", "a string", at)
+        try:
+            bands.append(NamedBand(band, low, high, channels))
+        except ValueError as exc:  # a band's own range check: name the file and the band too
+            raise ValueError(f"{at}: {exc}") from None
     symbol_map = {}
     for i, s in enumerate(json_key(doc, "symbols", "an array", where)):
         at = f"{where} symbol {i}"

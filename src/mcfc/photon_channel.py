@@ -20,13 +20,20 @@ the exact float64 test, so the kept events are those of the exact test, bit
 for bit (see :func:`_screened_thinning` for the cut and the bound).  Uniform
 draws come from ``Generator.random``, scaled where needed: the same numbers
 as ``Generator.uniform``, which returns ``low + (high - low) * random()``.
+The thinning levels are drawn :data:`SCREEN_CHUNK` candidates at a time into
+one buffer, each chunk just before the screen decides it (the numbers of one
+draw, in its order), and each chunk's survivors are gathered in place to the
+front of the candidate times: sampling holds one candidate-sized array, 8 bytes
+a candidate, beside a 1-byte mask.
 
 One pipeline, :func:`sample_event_batch`, samples many trials at once:
 source thinning with loss folded in, background light and dark counts,
 timing jitter, then detector dead time and (optionally) gating onto a clock
 grid.  Arrival stages work in float seconds, the detector in integer
-picoseconds.  :func:`transmit` runs it on one trial.  Four per-sequence
-stages remain, not exported from ``mcfc``, for the benchmark's tracer alone.
+picoseconds; jitter and the cast to picoseconds work in place, and the
+dead-time walk visits only clusters of two or more events.  :func:`transmit`
+runs it on one trial.  Four per-sequence stages remain, not exported from
+``mcfc``, for the benchmark's tracer alone.
 
 Timestamps are stored as integer picoseconds (``numpy.uint64``) so that
 sequences survive serialization round trips bit-exactly.  The on-disk
@@ -278,11 +285,13 @@ class PhotonSequence:
         """
         check_range(WINDOW, window=window)
         window_ps = int(round(float(window) * PS_PER_SECOND))
-        t = np.asarray(list(times) if not isinstance(times, np.ndarray) else times, dtype=np.float64)
+        t = np.array(list(times) if not isinstance(times, np.ndarray) else times, dtype=np.float64)
         check_finite(times=t)
         if t.size and (np.any(t < 0.0) or np.any(t >= window)):
             raise ValueError("timestamps must lie in [0, window)")
-        return cls(np.sort(_to_ps(t, window_ps)).astype(np.uint64), window_ps)
+        ps = _to_ps(t, window_ps)  # in the copy's own buffer
+        ps.sort()
+        return cls(ps.view(np.uint64), window_ps)
 
     @classmethod
     def empty(cls, window: float) -> "PhotonSequence":
@@ -338,8 +347,8 @@ class LinkBudget:
 # the sampling pipeline, and the four per-sequence stages the tracer rebinds
 # ---------------------------------------------------------------------------
 
-#: Candidates per pass of the thinning screen (:func:`_screened_thinning`):
-#: its four work vectors, ~0.4 MB, stay in a 2 MiB L2 cache.
+#: Candidates per pass of the thinning screen (:func:`_survivors`): its five
+#: work vectors, the levels among them, ~0.6 MB, stay in a 2 MiB L2 cache.
 SCREEN_CHUNK = 1 << 14
 
 #: Tone phases (rad) from which the thinning screen's reduction error would
@@ -359,17 +368,28 @@ def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float, config: Sour
     """Keep each event with probability ``eta``, times ``rate(t) / ceiling`` if ``config`` is modulated.
 
     A modulated source keeps candidate ``i`` where ``u_i * ceiling < rate(t_i) * eta``
-    (:func:`_screened_thinning` decides the same test with few float64 sines).
+    (:func:`_screened_thinning` decides the same test with few float64 sines).  The
+    uniforms ``u`` are drawn :data:`SCREEN_CHUNK` at a time into one buffer, each chunk
+    just before it is decided: the numbers of one draw of ``t.size``, in its order.
     """
-    if not config.tones:
-        return rng.random(t.size) < eta
-    level = rng.random(t.size)
-    level *= config.rate_ceiling
-    return _screened_thinning(t, level, eta, config)
+    if config.tones:
+        decide = _screened_thinning(t, eta, config)
+    else:
+        def decide(chunk, u, out):
+            np.less(u, eta, out=out)
+    keep = np.zeros(t.size, dtype=bool)
+    u = np.empty(min(SCREEN_CHUNK, t.size))
+    for lo in range(0, t.size, SCREEN_CHUNK):
+        chunk = t[lo:lo + SCREEN_CHUNK]
+        decide(chunk, rng.random(out=u[:chunk.size]), keep[lo:lo + SCREEN_CHUNK])
+    return keep
 
 
-def _screened_thinning(t: np.ndarray, level: np.ndarray, eta: float, config: SourceConfig) -> np.ndarray:
-    """``level < config.rate(t) * eta``, bit for bit, mostly without float64 ``sin``.
+def _screened_thinning(t: np.ndarray, eta: float, config: SourceConfig):
+    """The test ``level < config.rate(t) * eta``, ``level = u * ceiling``, bit for bit, mostly
+    without float64 ``sin``: a function of a chunk of ``t``, its uniforms ``u`` (made its levels
+    in place) and that chunk of the mask, which it leaves ``False`` where it rejects.  Its
+    constants, below, are worked out once, for all of ``t``.
 
     Loss is a thinning of its own (Lewis & Shedler 1979), so with ``eta < 1``
     each chunk of :data:`SCREEN_CHUNK` candidates first drops, with no sine,
@@ -419,24 +439,29 @@ def _screened_thinning(t: np.ndarray, level: np.ndarray, eta: float, config: Sou
     tones = config.tones
     k = len(tones)
     q = config.mean_rate / k
+    ceiling = config.rate_ceiling
     eps = np.finfo(np.float64).eps / 2
     reach = float(max(t.max(), -t.min())) if t.size else 0.0
     scales = [2.0 * np.pi * tone.frequency for tone in tones]  # as in SourceConfig.rate
     phases = [abs(scale) * reach + tone.phase for scale, tone in zip(scales, tones)]
     if max(phases) >= _SCREEN_MAX_PHASE:
-        return level < config.rate(t) * eta
+        def exact(chunk, u, out):
+            u *= ceiling
+            np.less(u, config.rate(chunk) * eta, out=out)
+        return exact
     sines = sum(tone.depth * (2.0**-20 + 2.0 * eps * (x + 8.0)) for tone, x in zip(tones, phases))
     bound = q * eta * (sines + 32.0 * k * k * eps)
     cut = q * eta * (k + sum(tone.depth for tone in tones)) * (1.0 + 16.0 * k * eps) if eta < 1.0 else None
-    keep = np.zeros(t.size, dtype=bool)
-    width = max(1, min(SCREEN_CHUNK, t.size))
+    width = min(SCREEN_CHUNK, t.size)
     x, r, acc = np.empty(width), np.empty(width), np.empty(width)
     sine = np.empty(width, dtype=np.float32)
-    for lo in range(0, t.size, width):
-        live = slice(lo, lo + width)
-        if cut is not None:  # chunk by chunk: one gather over all candidates raised the peak
-            live = lo + np.flatnonzero(level[live] < cut)
-        chunk, below = t[live], level[live]
+
+    def screen(chunk, level, out):
+        level *= ceiling
+        live = slice(None)
+        if cut is not None:
+            live = np.flatnonzero(level < cut)
+            chunk, level = chunk[live], level[live]
         n = chunk.size
         x_, r_, acc_, sine_ = x[:n], r[:n], acc[:n], sine[:n]
         acc_.fill(k)
@@ -449,40 +474,60 @@ def _screened_thinning(t: np.ndarray, level: np.ndarray, eta: float, config: Sou
             np.sin(r_, out=sine_, dtype=np.float32)
             acc_ += np.multiply(sine_, tone.depth, out=x_, dtype=np.float64)
         acc_ *= q * eta
-        np.subtract(below, acc_, out=acc_)  # level - A
+        np.subtract(level, acc_, out=acc_)  # level - A
         decided = acc_ < -bound
         close = np.flatnonzero(np.abs(acc_, out=acc_) <= bound)
         if close.size:
-            decided[close] = below[close] < config.rate(chunk[close]) * eta
-        keep[live] = decided
-    return keep
+            decided[close] = level[close] < config.rate(chunk[close]) * eta
+        out[live] = decided
+
+    return screen
 
 
 def _jitter(t: np.ndarray, sigma: float, high: float, rng: np.random.Generator) -> np.ndarray:
-    """Add Gaussian timing noise of standard deviation ``sigma``, clipped to [0, high]."""
-    return np.clip(t + rng.normal(0.0, sigma, size=t.size), 0.0, high)
+    """Add Gaussian timing noise of standard deviation ``sigma`` to ``t`` in place, clipped to [0, high]."""
+    t += rng.normal(0.0, sigma, size=t.size)
+    return np.clip(t, 0.0, high, out=t)
 
 
 def _arrivals(config: SourceConfig, trials: int, rng: np.random.Generator, budget: LinkBudget):
-    """Source thinning with loss folded in, background and dark counts, jitter: seconds, trial ids."""
+    """Source thinning with loss folded in, background and dark counts, jitter: seconds, trial ids.
+
+    Each chunk's survivors are gathered to the front of the candidate array, and
+    the survivors before each trial's end counted on the way; the trial ids are
+    built once the candidates are released.  No other array spans the candidates
+    but the survivors' 1-byte mask.
+    """
     t, counts = _poisson_times(config.rate_ceiling, config.duration, trials, rng)
-    # trial ids of the survivors only, from their count per trial (the survivors
-    # before each trial's end): a candidate-sized id array would raise the peak
-    keep = np.flatnonzero(_survivors(t, rng, budget.transmittance, config))
-    per_trial = np.diff(np.searchsorted(keep, np.cumsum(counts)), prepend=0)
-    t, tid = t[keep], np.repeat(np.arange(trials), per_trial)
-    extra_rate = budget.noise_rate + budget.dark_rate
-    if extra_rate > 0.0:
-        te, extra = _poisson_times(extra_rate, config.duration, trials, rng)
-        t, tid = np.concatenate([t, te]), np.concatenate([tid, np.repeat(np.arange(trials), extra)])
+    keep = _survivors(t, rng, budget.transmittance, config)
+    bounds = np.zeros(trials + 1, dtype=np.intp)  # each trial's first candidate, then the last one's end
+    np.cumsum(counts, out=bounds[1:])
+    before = np.empty_like(bounds)  # survivors before each bound
+    n = 0
+    for lo in range(0, t.size + 1, SCREEN_CHUNK):  # to t.size itself: the bounds there count too
+        at = lo + np.flatnonzero(keep[lo:lo + SCREEN_CHUNK])
+        here = slice(*np.searchsorted(bounds, (lo, lo + SCREEN_CHUNK)))
+        before[here] = n + np.searchsorted(at, bounds[here])
+        t[n:n + at.size] = t[at]
+        n += at.size
+    del keep
+    # background and dark counts (none drawn at rate 0) follow the survivors, each grouped by trial
+    te, extra = _poisson_times(budget.noise_rate + budget.dark_rate, config.duration, trials, rng)
+    t = np.concatenate([t[:n], te])
+    ids = np.arange(trials)
+    tid = np.repeat(np.concatenate([ids, ids]), np.concatenate([before[1:] - before[:-1], extra]))
     if budget.jitter_sigma > 0.0 and t.size:
-        t = _jitter(t, budget.jitter_sigma, config.duration - 1e-12, rng)
+        _jitter(t, budget.jitter_sigma, config.duration - 1e-12, rng)
     return t, tid
 
 
 def _to_ps(t: np.ndarray, window_ps: int) -> np.ndarray:
-    """Round float seconds to int64 picoseconds, at most one tick inside the window."""
-    return np.minimum(np.rint(t * PS_PER_SECOND).astype(np.int64), window_ps - 1)
+    """Round float seconds to int64 picoseconds, at most one tick inside the window, in ``t``'s buffer."""
+    t *= PS_PER_SECOND
+    np.rint(t, out=t)
+    ps = t.view(np.int64)
+    ps[...] = t  # an elementwise cast onto the same bytes: no copy
+    return np.minimum(ps, window_ps - 1, out=ps)
 
 
 def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
@@ -491,7 +536,9 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
 
     Trials lie ``stride = window_ps + tau`` apart on one axis, so no gate and
     no cluster (a run of events each closer than ``tau`` to the one before)
-    spans two.  A cluster's first event is registered; each round then
+    spans two.  Every cluster's first event is registered.  Only clusters of
+    two or more events are walked: they open where a cluster start is followed
+    by an event that is not one and close at the next start.  Each round
     registers, per open cluster, the first event ``tau`` or more after the last
     registered one.  One division splits the registered keys into trials and
     times; gating floors each time onto its gate and drops an event whose
@@ -501,22 +548,27 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
     stride = window_ps + tau
     if trials * stride > np.iinfo(np.int64).max:
         raise ValueError(f"{trials} trials of a {window_ps} ps window overflow int64 picoseconds")
-    key = np.sort(tid * stride + ps)
+    key = np.multiply(tid, stride)
+    key += ps
+    key.sort()
     if tau > 0:
-        keep = np.ones(key.size, dtype=bool)  # first the cluster starts
-        keep[1:] = key[1:] - key[:-1] >= tau
-        at = np.flatnonzero(keep)
-        end = np.append(at[1:], key.size)
+        start = np.empty(key.size + 1, dtype=bool)  # cluster starts, and one past the last event
+        start[0] = start[-1] = True
+        np.greater_equal(key[1:] - key[:-1], tau, out=start[1:-1])
+        edge = np.flatnonzero(start[1:] != start[:-1])  # start then non-start, non-start then start
+        at, end = edge[0::2], edge[1::2] + 1
+        keep = start[:-1]
         while at.size:
-            keep[at] = True
-            open_ = end - at > 1  # a cluster's last event closes it: no search
-            at = np.searchsorted(key, key[at[open_]] + tau)
-            end = end[open_]
+            at = np.searchsorted(key, key[at] + tau)
             inside = at < end
             at, end = at[inside], end[inside]
+            keep[at] = True
         key = key[keep]
+        del start, keep
     trial = key // stride
-    ps = key - trial * stride
+    ps = key  # each event's time in its trial, in place
+    del key  # so that gating's copies release it
+    ps -= trial * stride
     if budget.rep_period is not None:
         gate = round(budget.rep_period * PS_PER_SECOND)
         ps //= gate  # the gate's start, ps - ps % gate, by one division (% is slower)
@@ -524,7 +576,8 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
         # still sorted: drop an event whose trial and gate equal the one before
         new = np.ones(ps.size, dtype=bool)
         new[1:] = (ps[1:] != ps[:-1]) | (trial[1:] != trial[:-1])
-        ps, trial = ps[new], trial[new]
+        ps = ps[new]  # one at a time: one copy alive beside the two arrays
+        trial = trial[new]
     return ps, trial
 
 
@@ -536,8 +589,8 @@ def transmit(config: SourceConfig, budget: LinkBudget, rng: np.random.Generator)
     """
     window_ps = round(config.duration * PS_PER_SECOND)
     t, tid = _arrivals(config, 1, rng, budget)
-    ps, _ = _detect(_to_ps(t, window_ps), tid, 1, window_ps, budget)
-    return PhotonSequence(ps.astype(np.uint64), window_ps)
+    ps, _ = _detect(_to_ps(t, window_ps), tid, 1, window_ps, budget)  # the float times become ps
+    return PhotonSequence(ps.view(np.uint64), window_ps)
 
 
 @dataclass(frozen=True)

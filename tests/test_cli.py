@@ -500,6 +500,20 @@ def test_plan_files_that_do_not_parse_exit_2(tmp_path, capsys, text, says):
     assert err.startswith(f"error: plan {plan}: ") and says in err
 
 
+@pytest.mark.parametrize("breakage, says", [
+    (lambda band: {**band, "channels_hz": [band["channels_hz"][0], 1e9, *band["channels_hz"][2:]]},
+     "band 'letters' channel must be finite and in [50000, 75000], got 1000000000.0"),
+    (lambda band: {**band, "low_hz": -1.0}, "band 'letters' low must be finite and in (0, inf), got -1.0"),
+], ids=["channel-out-of-band", "negative-low"])
+def test_plan_file_whose_band_fails_its_own_check_names_the_file(tmp_path, capsys, breakage, says):
+    plan = tmp_path / "plan.json"
+    save_plan(plan, letter_plan())
+    doc = json.loads(plan.read_text())
+    plan.write_text(json.dumps({**doc, "bands": [breakage(doc["bands"][0])]}))
+    assert run(["transmit-text", "--plan", plan, "AB"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: plan {plan} band 0: {says}")
+
+
 def test_plan_file_with_a_band_name_used_twice_exits_2(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     save_plan(plan, rgb_image_plan())

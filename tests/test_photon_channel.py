@@ -415,14 +415,29 @@ def test_screened_thinning_keeps_the_exact_decisions(case):
 
 
 class _Planted:
-    """Stands in for a generator whose uniform draws are given."""
+    """Stands in for a generator whose uniform draws are given: ``random(size)`` and
+    ``random(out=...)`` serve consecutive slices of them, and leaving the ``with``
+    block asserts that every one was drawn."""
 
     def __init__(self, values):
-        self.values = values
+        self.values, self.drawn = values, 0
 
-    def random(self, size):
-        assert size == self.values.size
-        return self.values.copy()
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else size
+        values = self.values[self.drawn:self.drawn + n]
+        assert values.size == n, f"{n} draws asked, {values.size} left"
+        self.drawn += n
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        if kind is None:
+            assert self.drawn == self.values.size, f"{self.drawn} of {self.values.size} values drawn"
 
 
 @pytest.mark.parametrize("tones", [1, 2, 4])
@@ -438,8 +453,9 @@ def test_screened_thinning_leaves_ties_to_the_exact_test(tones):
     target = _rate(config, t) * eta
     level = np.concatenate([target, np.nextafter(target, np.inf), np.nextafter(target, -np.inf)])
     times = np.tile(t, 3)
-    with mock.patch.object(SourceConfig, "rate", autospec=True, side_effect=_rate) as exact:
-        keep = photon_channel._survivors(times, _Planted(level / 2.0**20), eta, config)
+    with mock.patch.object(SourceConfig, "rate", autospec=True, side_effect=_rate) as exact, \
+            _Planted(level / 2.0**20) as rng:
+        keep = photon_channel._survivors(times, rng, eta, config)
     assert keep.tolist() == [False] * (2 * t.size) + [True] * t.size
     checked = np.concatenate([np.atleast_1d(call.args[1]) for call in exact.call_args_list])
     assert np.isin(times, checked).all()
@@ -478,8 +494,10 @@ def test_loss_cut_leaves_every_level_below_it_to_the_rate(eta, chunk):
     level = np.concatenate(planted + [rng.uniform(0.0, config.rate_ceiling, filler.size)])
     order = rng.permutation(times.size)  # planted candidates spread over the 7-candidate chunks
     times, level = times[order], level[order]
-    with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk):
-        keep = photon_channel._screened_thinning(times, level, eta, config)
+    # a ceiling of 1 makes each planted uniform its own level, exactly
+    with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk), \
+            mock.patch.object(SourceConfig, "rate_ceiling", 1.0), _Planted(level) as planted:
+        keep = photon_channel._survivors(times, planted, eta, config)
     want = level < _rate(config, times) * eta
     assert np.array_equal(keep, want)
     assert want.any() and not want.all()
@@ -537,6 +555,19 @@ def test_dead_time_and_gating_match_the_sequential_rule(case):
     if period is None:
         gaps = np.diff(out)[np.diff(out_tid) == 0]
         assert np.all(gaps >= tau)
+
+
+@pytest.mark.parametrize("trials, tau", [
+    ([[0, 100, 105, 110, 300, 301, 302, 303]], 10),  # the last cluster runs to the end of the array
+    ([list(range(0, 1000, 50)), [7, 57, 200]], 50),  # every event its own cluster, gaps of exactly tau
+    ([list(range(0, 300, 3)), [5, 40, 41, 90]], 5),  # trial 0 is one cluster of 100 events
+], ids=["last-cluster-at-end", "every-event-a-cluster", "one-trial-one-cluster"])
+def test_dead_time_walks_edge_clusters(trials, tau):
+    ps = np.array([t for times in trials for t in times], dtype=np.int64)
+    tid = np.repeat(np.arange(len(trials)), [len(times) for times in trials])
+    out, out_tid = _detect(ps[::-1], tid[::-1], len(trials), 1000, LinkBudget(dead_time=tau * 1e-12))
+    for i, times in enumerate(trials):
+        assert out[out_tid == i].tolist() == _registered(times, tau)
 
 
 def test_gating_is_idempotent_and_merges_within_a_trial_only():
@@ -605,6 +636,32 @@ def test_dead_time_mean_count_follows_the_non_extending_rate():
                                 LinkBudget(dead_time=dead)).counts()
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert counts.mean() == pytest.approx(rate * duration / (1 + rate * dead), abs=4 * se)
+
+
+def _traced_peak(sample):
+    """What ``sample()`` returns, and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        return sample(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_sampling_holds_one_candidate_array():
+    # the largest sweep point of the benchmark: ~2.3M candidates, ~1.15M events;
+    # the candidate times and the survivors' copy are alive at once, nothing more
+    config = SourceConfig(1.44e6, 1e-3, tuple(Tone(f) for f in (30e3, 50e3, 70e3)))
+    candidates = int(derive_rng(41).poisson(config.rate_ceiling * config.duration, size=800).sum())
+    batch, peak = _traced_peak(lambda: sample_event_batch(config, 800, derive_rng(41)))
+    assert peak <= 8 * candidates + 8 * batch.times.size + 2_000_000, (peak, candidates, batch.times.size)
+
+
+def test_transmit_holds_at_most_48_bytes_per_registered_event():
+    # one second at 1.44 Mcps through loss, background, jitter and dead time: ~1.08M events
+    config = SourceConfig(1.44e6, 1.0, (Tone(50e3),))
+    budget = LinkBudget(transmittance=0.8, noise_rate=20e3, jitter_sigma=50e-12, dead_time=50e-9)
+    seq, peak = _traced_peak(lambda: transmit(config, budget, derive_rng(42)))
+    assert peak <= 48 * len(seq), (peak, len(seq))
 
 
 def test_batch_counts_shape():
