@@ -415,6 +415,8 @@ def run_image_transmission(
 
 def _cell(value):
     """A CSV cell: integers (numpy ones and bools too) as int, other numbers as repr(float)."""
+    if isinstance(value, float):  # numpy's float64 too: the common cell, before the ABC checks
+        return repr(float(value))
     if isinstance(value, (numbers.Integral, np.bool_)):
         return int(value)
     if isinstance(value, numbers.Real):

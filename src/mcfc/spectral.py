@@ -48,8 +48,12 @@ Barnett, Magland & af Klinteberg 2019): one ``exp`` per event to rotate it
 by the run's centre frequency, a spread of each event onto a periodic grid
 (the least power of two at least twice the run's length), one FFT, and a
 division by the kernel's transform.  Its cost per event does not grow with
-the run's length, and falls where events crowd onto the same grid cells: a
-run of events sharing a cell is added up before it is spread.
+the run's length, and falls where events crowd onto the same grid cells.
+The spread takes one of two forms a block, by its mean events per run of
+events sharing a first cell: on long runs, each run's moments against a
+Chebyshev basis, turned into its cells' sums by one small matrix product
+(the kernel as a polynomial at each cell offset, no per-event ``exp``); on
+short ones, the kernel at every event, spread on its own.
 
 Both paths hold one contract, a bound against the exact sum ``X`` of the
 float64 times at the float64 frequencies, with ``P = fl(2*pi)`` and no
@@ -208,14 +212,21 @@ _ES_BETA = 2.3 * _ES_WIDTH
 #: blocks of 8192 took 25.4 ms with four times the work arrays (~2 MB a block).
 _NUFFT_BLOCK = 2048
 
-#: A block of the NUFFT adds up runs of events sharing a first grid cell before
-#: spreading them when its runs average at least this many events
-#: (:func:`_nufft_run`).  On the same Xeon, 5001-point scans of sorted events
-#: on 1 s took 17.8 ms by run sums against 13.0 ms event by event at 3.2
-#: events a run, 21.7 against 20.4 at 4.9, 25.0 against 24.5 at 6.1, 29.2
-#: against 31.5 at 7.9 and 33.8 against 37.9 at 9.8: each run costs a
-#: ``reduceat`` inner loop per cell, each event a ``bincount`` add per cell.
-_NUFFT_RUN_EVENTS = 6
+#: A block of the NUFFT whose runs of events sharing a first grid cell average
+#: at least this many events spreads them by their kernel moments
+#: (:func:`_nufft_run`): one Python step and one small matrix product a run, in
+#: place of the kernel at every event.  On a 2-vCPU Xeon (best of 7), sorted
+#: events on 1 s over 2001 points (4096 cells) took 12.8 ms by moments against
+#: 8.3 ms event by event at 4 events a run, 12.0 against 9.7 at 6, 12.2 against
+#: 12.1 at 8, 13.1 against 19.8 at 10 and 14.1 against 23.5 at 12; over 5001
+#: points (16 384 cells) 40.2 against 26.4 at 4, 47.4 against 37.7 at 6, 52.2
+#: against 49.5 at 8, 55.5 against 61.2 at 10 and 56.8 against 72.2 at 12.  At
+#: 9 (best of 11) moments took 16.5 against 18.4 and 53.2 against 55.4 ms.
+_NUFFT_MOMENT_EVENTS = 9
+
+#: Chebyshev terms of the polynomials that stand in for the kernel on the
+#: moments path, one polynomial per cell offset (:data:`_ES_POLYNOMIALS`).
+_ES_TERMS = 16
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
@@ -226,6 +237,42 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
     z -= 1.0
     z *= _ES_BETA
     return np.exp(z, out=z)
+
+
+def _es_polynomials() -> np.ndarray:
+    """Chebyshev coefficients of the kernel at each cell offset, shape (``_ES_WIDTH``, ``_ES_TERMS``).
+
+    An event at ``n*x`` on the grid, whose first cell ``ceil(n*x - W/2)``
+    lies ``r`` in ``[0, 1)`` past ``n*x - W/2``, has kernel
+    ``phi((j - W/2 + r) * 2/W)`` at offset ``j``; row ``j`` is that value as
+    ``sum_k C[j, k] * T_k(y)`` in ``y = 2*r - 1``.
+    The coefficients interpolate at the ``D = _ES_TERMS`` Chebyshev points of the
+    first kind (``C[j, k] = 2/D * sum_m phi_m * cos(pi*k*(2m + 1)/(2D))``,
+    halved at ``k = 0``), each cosine's angle reduced to one turn in whole
+    numbers first, and the kernel taken as ``exp(-beta*z*z / (1 +
+    sqrt(1 - z*z)))``, which does not cancel near ``z = 0``.
+
+    The fit bound, on 20 000 positions per offset: at 16 terms every
+    polynomial lies within 1.5e-15 of the kernel (1.3e-15 measured, against
+    4.3e-14 at 12 terms and 3.4e-15 at 13; more terms only add the
+    coefficients' rounding), and within 4e-15 of :func:`_es_kernel`, whose
+    own rounding reaches 3.1e-15.  Over the 16 offsets of one event the
+    errors add up to 5.7e-15.  Built by products and sums alone, in ~50 us: no
+    LAPACK, BLAS or ``numpy.polynomial``.
+    """
+    m = np.arange(_ES_TERMS)
+    y = np.cos(np.pi / (2 * _ES_TERMS) * (2 * m + 1))
+    z = (np.arange(_ES_WIDTH)[:, None] + (y + 1.0 - _ES_WIDTH) / 2) * (2.0 / _ES_WIDTH)
+    values = np.exp(-_ES_BETA * z * z / (1.0 + np.sqrt(1.0 - z * z)))
+    cosines = np.cos(np.pi / (2 * _ES_TERMS) * (np.outer(m, 2 * m + 1) % (4 * _ES_TERMS)))
+    coef = (values[:, None, :] * cosines).sum(axis=2) * (2.0 / _ES_TERMS)
+    coef[:, 0] /= 2
+    return coef
+
+
+#: The kernel at each cell offset as a Chebyshev series (:func:`_es_polynomials`).
+_ES_POLYNOMIALS = _es_polynomials()
+_ES_OFFSETS = np.arange(_ES_WIDTH)
 
 
 #: Trapezoid rule on [0, 1] for the kernel's Fourier transform, its weights
@@ -242,8 +289,10 @@ _ES_WEIGHTS *= _es_kernel(_ES_NODES.copy())
 #: exact sum, on runs of 150 to 4001 points over 20k events on 1 s whose
 #: phases round finely (0.01 Hz steps from 1 Hz: a walk below 1.2e-16 an
 #: event), the largest error was 5.6e-16 an event, with the events sorted
-#: (run sums) and shuffled (event by event) alike; at 1 Hz steps it stayed
-#: within the walk of the phase roundings, up to 1.1e-14 an event.
+#: (then spread as sums over runs) and shuffled (event by event) alike; at
+#: 1 Hz steps it stayed within the walk of the phase roundings, up to 1.1e-14
+#: an event.  The moments path's polynomials take at most half of this bound
+#: (:func:`_nufft_run`).
 _NUFFT_EPS = 3e-14
 
 #: ``(fl(pi) - pi) / pi``: the phase ``P*f*t`` of the ladder and of the
@@ -522,16 +571,30 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     and by ``_PI_ROUNDING * k * s`` onto the reference phase's ``fl(2*pi)``.
 
     Events are spread in blocks of :data:`_NUFFT_BLOCK`, each onto the
-    :data:`_ES_WIDTH` cells from its first cell ``ceil(n*x - W/2)`` on.  Where
+    :data:`_ES_WIDTH` cells from its first cell ``ceil(n*x - W/2)`` on, and
+    a block's sums go into the grid over the cells it spans alone.  Where
     ``s*t`` sweeps the grid about once, consecutive events share a first
     cell: ~175 at a time on a 180k-event 1 s capture scanned over 501 points.
-    A block whose runs of events sharing a first cell average at least
-    :data:`_NUFFT_RUN_EVENTS` events adds up each run's weighted kernel
-    values by ``np.add.reduceat`` (pairwise within the run) and scatters the
-    ``runs x W`` sums; any other block (a time-shuffled capture, a scan with
-    about as many cells as events) scatters its ``events x W`` values one at
-    a time.  Either way a cell's total adds the same terms, only in another
-    order.
+    By the mean length of a block's runs of events sharing a first cell:
+
+    * at least :data:`_NUFFT_MOMENT_EVENTS` (:func:`_spread_moments`): with
+      ``r`` an event's place in ``[0, 1)`` past its first cell and
+      ``y = 2*r - 1``, the kernel at offset ``j`` is the polynomial
+      ``C[j] . T(y)`` (:data:`_ES_POLYNOMIALS`), so a run's ``W`` cell sums
+      of the weights ``c`` and ``t*c`` are ``C @ (V_run @ W_run)``, ``V`` the
+      block's Chebyshev values by recurrence and ``W`` the four real weights
+      an event: no kernel value or product per event;
+    * fewer, as on a time-shuffled capture or a scan with about as many
+      cells as events (:func:`_spread_events`): the kernel's values
+      scattered one event at a time.
+
+    The polynomials lie within 1.5e-15 of the kernel at each offset
+    (:func:`_es_polynomials`), 5.7e-15 summed over an event's 16 offsets,
+    which the division by the kernel's transform (at least 0.39, at twofold
+    oversampling) raises to 1.5e-14 of a mode an event: half of
+    :data:`_NUFFT_EPS`, so within ``N * _NUFFT_EPS`` however the errors add
+    up; the float64 kernel of the event-by-event form rounds by up to
+    3.1e-15 a value.
 
     Against the bound of :func:`phasor_sums`: the rotation's phase
     ``fl(P*fl(fc*t))`` is within ``2u*phi_i`` of ``P*fc*t``, and the modes'
@@ -560,28 +623,20 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
     n = 1 << (2 * max(m, _ES_WIDTH) - 1).bit_length()  # the least power of two >= 2*max(m, W)
     grid = np.zeros((4, n + _ES_WIDTH))  # cells past n wrap around to the start
-    offsets = np.arange(_ES_WIDTH)
     for lo in range(0, t.size, _NUFFT_BLOCK):
         block = t[lo: lo + _NUFFT_BLOCK]
-        c = np.exp(-1j * (2.0 * np.pi * (fc * block)))
-        weighted = c * block
+        phasors = np.empty((block.size, 2), dtype=np.complex128)  # c and t*c, an event a row
+        np.exp(-1j * (2.0 * np.pi * (fc * block)), out=phasors[:, 0])
+        np.multiply(phasors[:, 0], block, out=phasors[:, 1])
         x = s * block
         nx = n * (x - np.floor(x))
         first = np.ceil(nx - _ES_WIDTH / 2)
         cell = first.astype(np.intp) & (n - 1)  # n is a power of two: a negative cell wraps as by % n
         runs = np.flatnonzero(np.diff(cell, prepend=-1))  # each run's first event
-        if _NUFFT_RUN_EVENTS * runs.size <= block.size:  # offsets x events, added up along each run
-            kernel = _es_kernel(np.add.outer(offsets, first - nx) * (2.0 / _ES_WIDTH))  # exact, in [-1, 1)
-            cells = np.add.outer(offsets, cell[runs]).ravel()
-            for row, weight in ((0, c), (2, weighted)):
-                sums = np.add.reduceat(kernel * weight, runs, axis=1).ravel()
-                grid[row] += np.bincount(cells, sums.real, minlength=grid.shape[1])
-                grid[row + 1] += np.bincount(cells, sums.imag, minlength=grid.shape[1])
-        else:  # events x offsets, each event on its own cells
-            kernel = _es_kernel(np.add.outer(first - nx, offsets) * (2.0 / _ES_WIDTH))
-            cells = np.add.outer(cell, offsets).ravel()
-            for row, weight in enumerate((c.real, c.imag, weighted.real, weighted.imag)):
-                grid[row] += np.bincount(cells, (kernel * weight[:, None]).ravel(), minlength=grid.shape[1])
+        low = cell.min()  # the block's cells, counted from its lowest: a block that wraps spans the grid
+        cell -= low
+        spread = _spread_moments if _NUFFT_MOMENT_EVENTS * runs.size <= block.size else _spread_events
+        spread(grid[:, low: low + cell.max() + _ES_WIDTH], cell, runs, first - nx, phasors)
     grid[:, :_ES_WIDTH] += grid[:, n:]
     modes = np.fft.fft(grid[0::2, :n] + 1j * grid[1::2, :n])[:, k.astype(np.intp) % n]
     transform = np.zeros(h + 1)
@@ -589,6 +644,45 @@ def _nufft_run(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         transform += weight * np.cos((np.pi * _ES_WIDTH / n * node) * np.arange(h + 1))
     modes /= (_ES_WIDTH / 2) * transform[np.abs(k).astype(np.intp)]
     return modes[0] - 2j * np.pi * shift * modes[1]
+
+
+# Each spreader adds one block's events into ``band``, the grid rows from the
+# block's lowest first cell on: ``cell`` is each event's first cell counted
+# from there, ``runs`` the first event of each run sharing one, ``frac`` is
+# ``first - n*x`` (in ``[-W/2, 1 - W/2)``, exact) and ``phasors`` holds ``c``
+# and ``t*c`` an event a row.  ``bincount`` over the band adds each cell's
+# terms in the order given.
+def _spread_moments(band, cell, runs, frac, phasors) -> None:
+    """Runs x offsets from each run's moments: ``C @ (V_run @ W_run)``."""
+    y = frac
+    y *= 2.0
+    y += _ES_WIDTH - 1.0  # 2*r - 1, exact, in [-1, 1)
+    cheb = np.empty((_ES_TERMS, y.size))  # T_d(y), a row per term
+    cheb[0] = 1.0
+    cheb[1] = y
+    known = 1  # rows 0 .. known filled
+    while known + 1 < _ES_TERMS:  # T_(known+j) = 2*T_known*T_j - T_(known-j), j = 1 .. known
+        top = min(2 * known, _ES_TERMS - 1)
+        rows = cheb[known + 1: top + 1]
+        np.multiply(cheb[1: top - known + 1], 2.0 * cheb[known], out=rows)
+        rows -= cheb[2 * known - top: known][::-1]
+        known = top
+    weights = phasors.view(np.float64)  # the four grid rows' weights, an event a row
+    moments = np.empty((runs.size, _ES_TERMS, 4))
+    for moment, a, b in zip(moments, runs.tolist(), runs[1:].tolist() + [y.size]):
+        np.matmul(cheb[:, a:b], weights[a:b], out=moment)
+    sums = np.matmul(_ES_POLYNOMIALS, moments)  # runs x offsets x rows
+    cells = np.add.outer(cell[runs], _ES_OFFSETS).ravel()
+    for row in range(4):
+        band[row] += np.bincount(cells, sums[:, :, row].ravel(), minlength=band.shape[1])
+
+
+def _spread_events(band, cell, runs, frac, phasors) -> None:
+    """Events x offsets, each event on its own cells."""
+    kernel = _es_kernel(np.add.outer(frac, _ES_OFFSETS) * (2.0 / _ES_WIDTH))
+    cells = np.add.outer(cell, _ES_OFFSETS).ravel()
+    for row, weight in enumerate(phasors.view(np.float64).T):
+        band[row] += np.bincount(cells, (kernel * weight[:, None]).ravel(), minlength=band.shape[1])
 
 
 def band_argmax(magnitudes: np.ndarray, widths: Sequence[int]) -> np.ndarray:

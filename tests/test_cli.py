@@ -4,6 +4,7 @@ import ast
 import errno
 import importlib.util
 import json
+import numbers
 import os
 import subprocess
 import sys
@@ -93,6 +94,37 @@ def test_spectrum_csv_exact_bytes(tmp_path, capsys):
     assert out.read_bytes() == (b"frequency_hz,re,im,abs\r\n"
                                 b"1000.0,3.0,-4.0,5.0\r\n"
                                 b"1500.5,-6.0,8.0,10.0\r\n")
+
+
+def test_spectrum_csv_matches_rows_of_numpy_scalars(tmp_path, capsys):
+    # the columns go out as lists; each cell must read as the row of numpy
+    # scalars did, abs() of each complex value included (np.abs on an array may
+    # round its last bit apart from it), over magnitudes from 1e-300 to 1e300
+    rng = derive_rng(82)
+    freqs = np.sort(rng.uniform(0.0, 1e6, 400))
+    values = rng.normal(size=400) * 10.0 ** rng.integers(-300, 300, 400) + 1j * rng.normal(size=400) * 1e3
+    values[:4] = [0j, -0.0 - 0.0j, 3 - 4j, 1e-320 + 1e-320j]
+    src, out, rows = tmp_path / "s.pts1", tmp_path / "spec.csv", tmp_path / "rows.csv"
+    write_pts1(src, PhotonSequence.from_seconds([0.0], 1e-3))
+    with mock.patch.object(cli, "periodogram", return_value=Spectrum(freqs, values, 1e-3, 1)):
+        assert run(["spectrum", "--in", src, "--low", 1e3, "--high", 2e3, "--resolution", 1, "--out", out]) == EXIT_OK
+    write_csv(rows, ("frequency_hz", "re", "im", "abs"),
+              ((f, v.real, v.imag, abs(v)) for f, v in zip(freqs, values)))
+    assert out.read_bytes() == rows.read_bytes()
+
+
+@pytest.mark.parametrize("value", [1.5, np.float64(-2.25e-300), np.float32(0.1), 7, np.int64(-3), True,
+                                   np.bool_(False), np.uint8(255), float("inf"), np.float64("nan"), "text", -0.0])
+def test_csv_cells_read_as_before(value):
+    # integers (numpy ones and bools too) as int, other reals as repr(float), the rest as given
+    if isinstance(value, (numbers.Integral, np.bool_)):
+        expected = int(value)
+    elif isinstance(value, numbers.Real):
+        expected = repr(float(value))
+    else:
+        expected = value
+    cell = harness._cell(value)
+    assert type(cell) is type(expected) and cell == expected
 
 
 def test_spectrum_finds_tone(tmp_path, capsys):
@@ -664,6 +696,19 @@ def test_import_loads_no_scipy(tmp_path):
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(mcfc.__file__)))
     probe = ("import sys, mcfc, mcfc.cli; "
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_polynomial(tmp_path):
+    # the NUFFT's kernel polynomials are built by sums, not numpy.polynomial's fits
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(mcfc.__file__)))
+    probe = "import sys, mcfc, mcfc.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, cwd=tmp_path,

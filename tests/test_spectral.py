@@ -316,8 +316,8 @@ def test_scan_error_stays_within_ten_rounding_walks():
 
 
 def test_shuffled_events_hold_the_bound_like_sorted_ones():
-    # sorted, each block adds up runs of events sharing a first cell; shuffled,
-    # neighbours seldom share one and each event is spread on its own
+    # sorted, each block spreads runs of events sharing a first cell by their
+    # moments; shuffled, neighbours seldom share one and each event is spread on its own
     t, scan = _scanned_capture()
     shuffled = derive_rng(64).permutation(t)
     exact = exact_sums(t, scan)
@@ -327,26 +327,128 @@ def test_shuffled_events_hold_the_bound_like_sorted_ones():
         assert errors.max() <= _nufft_tight(times, scan)
 
 
+def _spreads(times, freqs):
+    """``_nufft_run`` on ``times``, and the spreader each block took, in order."""
+    taken = []
+    spreaders = {name: getattr(spectral, name) for name in ("_spread_moments", "_spread_events")}
+
+    def recorder(name):
+        def spread(*args):
+            taken.append(name)
+            return spreaders[name](*args)
+        return spread
+
+    with mock.patch.multiple(spectral, **{name: recorder(name) for name in spreaders}):
+        values = spectral._nufft_run(times, freqs)
+    return values, taken
+
+
 def test_dense_blocks_spread_run_sums_and_sparse_blocks_each_event():
-    # the capture's blocks hold ~40 events a run: two reduceats a block (the
-    # phasors and their time-weighted twins); 2000 events over 4096 cells hold
-    # about one event a run, which goes on its own
+    # dense blocks spread sums over runs of events sharing a first cell, from the
+    # runs' moments (the capture, ~40 events a run); 2000 events over 4096
+    # cells hold about one event a run, which goes on its own
     dense, scan = _scanned_capture()
     sparse = np.sort(derive_rng(65).uniform(0.0, 1.0, 2000))
     wide = 40_000.0 + 1.0 * np.arange(2001)
-    blocks = -(-dense.size // spectral._NUFFT_BLOCK)
-    for times, freqs, reduceats in [(dense, scan, 2 * blocks), (sparse, wide, 0)]:
-        with mock.patch.object(np, "add", wraps=np.add) as add:
-            values = spectral._nufft_run(times, freqs)
-        assert add.reduceat.call_count == reduceats
+    for times, freqs, spread in [(dense, scan, "_spread_moments"), (sparse, wide, "_spread_events")]:
+        values, taken = _spreads(times, freqs)
+        assert taken == [spread] * -(-times.size // spectral._NUFFT_BLOCK)
         _assert_within_bound(values, times, freqs, nufft=True)
+
+
+def test_the_gate_is_a_mean_of_events_a_run():
+    # one block of 256 runs of 8 events (one time each, whole cells apart on the
+    # 4096-cell grid): the moments from _NUFFT_MOMENT_EVENTS = 8 down, each
+    # event on its own above it; both within N * _NUFFT_EPS of each other
+    t = (np.repeat(np.arange(256), 8) + 0.5) / 4096
+    wide = 40_000.0 + 1.0 * np.arange(2001)
+    values = {}
+    for gate, spread in [(8, "_spread_moments"), (9, "_spread_events")]:
+        with mock.patch.object(spectral, "_NUFFT_MOMENT_EVENTS", gate):
+            values[spread], taken = _spreads(t, wide)
+        assert taken == [spread], gate
+    assert np.abs(values["_spread_moments"] - values["_spread_events"]).max() <= t.size * spectral._NUFFT_EPS
+
+
+def _benchmark_capture():
+    """A 1 s capture of ~180k events and a 501-point scan across its line: ~175
+    events share each first cell of the 1024-cell grid, as on the benchmark's
+    capture scan."""
+    seq = transmit(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), LinkBudget(), derive_rng(66))
+    return seq.seconds, 49_750.0 + 1.0 * np.arange(501)
+
+
+def test_benchmark_density_holds_ten_walks_at_the_ends_line_and_quiet_points():
+    t, scan = _benchmark_capture()
+    assert t.size / 1024 >= 150
+    values, taken = _spreads(t, scan)
+    assert set(taken) == {"_spread_moments"}
+    order = np.argsort(np.abs(values))
+    points = np.unique(np.concatenate([[0, scan.size - 1], order[-1:], order[:12],
+                                       np.linspace(0, scan.size - 1, 10).astype(int)]))
+    assert scan[order[-1]] == 50e3 and np.abs(values[order[:12]]).max() < math.sqrt(t.size)
+    errors = _assert_within_bound(values[points], t, scan[points], nufft=True)
+    assert errors.max() <= _nufft_tight(t, scan), (errors.max(), points[np.argmax(errors)])
+
+
+def test_a_shuffled_benchmark_capture_holds_the_bound():
+    t, scan = _benchmark_capture()
+    shuffled = derive_rng(80).permutation(t)
+    values, taken = _spreads(shuffled, scan)
+    assert set(taken) == {"_spread_events"}
+    points = np.unique(np.concatenate([[0, scan.size - 1, 250], np.linspace(0, scan.size - 1, 12).astype(int)]))
+    _assert_within_bound(values[points], shuffled, scan[points], nufft=True)
+
+
+def test_kernel_polynomials_match_the_kernel_within_their_fit_bound():
+    # on 20k positions a cell offset: within 4e-15 of _es_kernel and 1.5e-15 of
+    # the kernel in a form that does not cancel (within ~1e-16 of exact), the
+    # bounds of _es_polynomials' docstring; each T_k from its closed form
+    r = np.linspace(0.0, 1.0, 20_001)[:-1]
+    z = (np.arange(spectral._ES_WIDTH)[:, None] - spectral._ES_WIDTH / 2 + r) * (2.0 / spectral._ES_WIDTH)
+    chebyshev = np.cos(np.arange(spectral._ES_TERMS)[:, None] * np.arccos(2.0 * r - 1.0))
+    polynomials = spectral._ES_POLYNOMIALS @ chebyshev
+    kernel = spectral._es_kernel(z.copy())
+    steady = np.exp(-spectral._ES_BETA * z * z / (1.0 + np.sqrt(1.0 - z * z)))
+    assert np.abs(polynomials - kernel).max() <= 4e-15
+    assert np.abs(polynomials - steady).max() <= 1.5e-15
+
+
+def test_moments_give_the_same_bits_call_after_call():
+    t, scan = _benchmark_capture()
+    first = spectral._nufft_run(t, scan)
+    assert np.array_equal(first, spectral._nufft_run(t, scan))
+    assert np.array_equal(first, spectral._nufft_run(t.copy(), scan.copy()))
+
+
+_THREADS_PROBE = """
+import hashlib, numpy as np
+from mcfc.photon_channel import LinkBudget, SourceConfig, Tone, derive_rng, transmit
+from mcfc.spectral import Band, periodogram, phasor_sums
+seq = transmit(SourceConfig(4e4, 1.0, (Tone(50e3, depth=0.5),)), LinkBudget(), derive_rng(81))
+crowded = np.sort(derive_rng(82).uniform(0.0, 1.0, 1 << 19))
+values = [periodogram(seq, Band(49_875.0, 50_125.0), 1.0).values, phasor_sums(crowded, 5e4 + np.arange(65.0))]
+print(hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest())
+"""
+
+
+def test_periodogram_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the moments' matrix products go through BLAS: ~80 events a run on the
+    # capture, and ~2048 (a whole block) on 2**19 events over 256 cells
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": source_root, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1] and len(digests[0]) == 64
 
 
 def test_nufft_work_arrays_stay_small():
     # the grid and one block's kernel, products and sums; nothing the size of
     # the capture (1.4 MB of times), which would show in the process's peak RSS
-    t = transmit(SourceConfig(1.8e5, 1.0, (Tone(50e3, depth=0.5),)), LinkBudget(), derive_rng(66)).seconds
-    scan = 49_750.0 + 1.0 * np.arange(501)
+    t, scan = _benchmark_capture()
     assert t.size > 170_000
     spectral._nufft_run(t, scan)
     tracemalloc.start()
