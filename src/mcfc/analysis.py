@@ -176,7 +176,11 @@ def g2(seq: PhotonSequence, max_lag: float, bin_width: float) -> G2Curve:
     t = seq.seconds
     n = t.size
     window = seq.window
-    cells, counts = np.unique(np.floor(t / max_lag), return_counts=True)
+    cell = t / max_lag
+    np.floor(cell, out=cell)  # nondecreasing, as the times are: each cell is one run
+    first = np.flatnonzero(np.concatenate(([n > 0], cell[1:] != cell[:-1])))  # each run's first event
+    cells, counts = cell[first], np.diff(first, append=n)
+    del cell  # event-sized: not to be held through the passes
     adjacent = counts[:-1] + counts[1:] * (np.diff(cells) == 1)
     passes = int(max(counts.max(initial=0), adjacent.max(initial=0)))
     if n * passes > _G2_MAX_STEPS:

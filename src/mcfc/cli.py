@@ -171,13 +171,12 @@ def _cmd_generate(args) -> int:
 def _cmd_spectrum(args) -> int:
     seq = read_pts1(args.input)
     spec = periodogram(seq, Band(args.low, args.high), args.resolution)
-    values = spec.values
-    # np.hypot rounds as abs() of each complex scalar does; np.abs on an array may not (a SIMD loop)
-    columns = (spec.frequencies, values.real, values.imag, np.hypot(values.real, values.imag))
+    magnitude = spec.magnitude  # one rounding of |X| for the abs column and the peak
+    columns = (spec.frequencies, spec.values.real, spec.values.imag, magnitude)
     write_csv(args.out, ("frequency_hz", "re", "im", "abs"), zip(*(column.tolist() for column in columns)))
-    peak = int(np.argmax(spec.magnitude)) if len(seq) else 0
+    peak = int(np.argmax(magnitude)) if len(seq) else 0
     print(f"wrote {args.out}: {spec.frequencies.size} points, "
-          f"peak {spec.magnitude[peak]:.3f} at {spec.frequencies[peak]:g} Hz")
+          f"peak {magnitude[peak]:.3f} at {spec.frequencies[peak]:g} Hz")
     return EXIT_OK
 
 

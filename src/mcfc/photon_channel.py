@@ -20,11 +20,12 @@ the exact float64 test, so the kept events are those of the exact test, bit
 for bit (see :func:`_screened_thinning` for the cut and the bound).  Uniform
 draws come from ``Generator.random``, scaled where needed: the same numbers
 as ``Generator.uniform``, which returns ``low + (high - low) * random()``.
-The thinning levels are drawn :data:`SCREEN_CHUNK` candidates at a time into
-one buffer, each chunk just before the screen decides it (the numbers of one
-draw, in its order), and each chunk's survivors are gathered in place to the
-front of the candidate times: sampling holds one candidate-sized array, 8 bytes
-a candidate, beside a 1-byte mask.
+The candidate times and their thinning levels are drawn :data:`SCREEN_CHUNK`
+at a time, the times from a copy of the generator and the levels from the
+generator moved past all the times, so that every number is the one drawn
+when all times come first; each chunk is decided as soon as it is drawn and
+its survivors go straight into an events-sized buffer: no array spans the
+candidates.
 
 One pipeline, :func:`sample_event_batch`, samples many trials at once:
 source thinning with loss folded in, background light and dark counts,
@@ -46,6 +47,7 @@ Every count goes through :func:`check_count` with its real interval.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import numbers
 import os
@@ -347,8 +349,8 @@ class LinkBudget:
 # the sampling pipeline, and the four per-sequence stages the tracer rebinds
 # ---------------------------------------------------------------------------
 
-#: Candidates per pass of the thinning screen (:func:`_survivors`): its five
-#: work vectors, the levels among them, ~0.6 MB, stay in a 2 MiB L2 cache.
+#: Candidates per pass of the sampler: a chunk's times, levels and mask and the
+#: thinning screen's four work vectors, ~0.7 MB, stay in a 2 MiB L2 cache.
 SCREEN_CHUNK = 1 << 14
 
 #: Tone phases (rad) from which the thinning screen's reduction error would
@@ -356,43 +358,42 @@ SCREEN_CHUNK = 1 << 14
 _SCREEN_MAX_PHASE = 2.0**32
 
 
-def _poisson_times(rate: float, duration: float, trials: int, rng: np.random.Generator):
-    """Homogeneous Poisson arrivals on [0, duration): float seconds, grouped by trial, and counts."""
-    counts = rng.poisson(rate * duration, size=trials)
-    t = rng.random(int(counts.sum()))
-    t *= duration  # rng.uniform(0.0, duration) to the bit: it returns 0.0 + duration * random()
-    return t, counts
+def _skip(rng: np.random.Generator, n: int, buffer: np.ndarray) -> None:
+    """Move ``rng`` past ``n`` draws of ``random``: by ``advance`` where each is one step of the
+    bit generator (PCG64, PCG64DXSM), else by drawing them into ``buffer``, a chunk at a time."""
+    bits = rng.bit_generator
+    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        state = bits.state
+        bits.advance(n)
+        # advance drops a buffered 32-bit half, which float64 draws leave alone: keep it
+        bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    else:
+        for lo in range(0, n, buffer.size):
+            rng.random(out=buffer[:min(buffer.size, n - lo)])
 
 
-def _survivors(t: np.ndarray, rng: np.random.Generator, eta: float, config: SourceConfig) -> np.ndarray:
-    """Keep each event with probability ``eta``, times ``rate(t) / ceiling`` if ``config`` is modulated.
-
-    A modulated source keeps candidate ``i`` where ``u_i * ceiling < rate(t_i) * eta``
-    (:func:`_screened_thinning` decides the same test with few float64 sines).  The
-    uniforms ``u`` are drawn :data:`SCREEN_CHUNK` at a time into one buffer, each chunk
-    just before it is decided: the numbers of one draw of ``t.size``, in its order.
+def _thinning(eta: float, config: SourceConfig, width: int):
+    """The thinning decision of a chunk of at most ``width`` candidates on ``[0, duration]``: a
+    function of the chunk's times, its uniforms ``u`` (made its levels in place) and its mask,
+    which it sets to the candidates kept.  A homogeneous source keeps ``u < eta``, a modulated
+    one ``u * ceiling < rate(t) * eta``, decided by :func:`_screened_thinning`.
     """
     if config.tones:
-        decide = _screened_thinning(t, eta, config)
-    else:
-        def decide(chunk, u, out):
-            np.less(u, eta, out=out)
-    keep = np.zeros(t.size, dtype=bool)
-    u = np.empty(min(SCREEN_CHUNK, t.size))
-    for lo in range(0, t.size, SCREEN_CHUNK):
-        chunk = t[lo:lo + SCREEN_CHUNK]
-        decide(chunk, rng.random(out=u[:chunk.size]), keep[lo:lo + SCREEN_CHUNK])
-    return keep
+        return _screened_thinning(eta, config, width)
+
+    def decide(chunk, u, out):
+        np.less(u, eta, out=out)
+    return decide
 
 
-def _screened_thinning(t: np.ndarray, eta: float, config: SourceConfig):
+def _screened_thinning(eta: float, config: SourceConfig, width: int):
     """The test ``level < config.rate(t) * eta``, ``level = u * ceiling``, bit for bit, mostly
-    without float64 ``sin``: a function of a chunk of ``t``, its uniforms ``u`` (made its levels
-    in place) and that chunk of the mask, which it leaves ``False`` where it rejects.  Its
-    constants, below, are worked out once, for all of ``t``.
+    without float64 ``sin``: a function of a chunk of at most ``width`` times in ``[0, duration]``,
+    their uniforms ``u`` (made their levels in place) and the chunk's mask, which it sets to the
+    candidates kept.  Its constants, below, are worked out once, for the whole window.
 
     Loss is a thinning of its own (Lewis & Shedler 1979), so with ``eta < 1``
-    each chunk of :data:`SCREEN_CHUNK` candidates first drops, with no sine,
+    each chunk first drops, with no sine,
     those whose ``level`` is at or above ``cut``, the most that float64
     ``rate(t) * eta`` can be; ~``1 - eta`` of them go there.  With ``eps =
     2**-53``, ``k`` tones, ``q = fl(mean_rate / k)`` and ``|sin| <= 1``, so that
@@ -432,18 +433,18 @@ def _screened_thinning(t: np.ndarray, eta: float, config: SourceConfig):
 
     So ``|rate(t)*eta - A| <= B = q*eta*(sum_i d_i*e_i + 32*k**2*eps)``, over
     ten per cent above the sum of these terms, which covers the rounding of
-    ``level - A`` too.  Where a tone's ``|x|`` can reach :data:`_SCREEN_MAX_PHASE`
-    the reduction term would outgrow the float32 terms, and every candidate
-    takes the exact test.
+    ``level - A`` too.  ``|x_i|`` is bounded over the whole window, ``t <=
+    duration``, so one set of constants serves every chunk.  Where a tone's
+    ``|x|`` can reach :data:`_SCREEN_MAX_PHASE` the reduction term would outgrow
+    the float32 terms, and every candidate takes the exact test.
     """
     tones = config.tones
     k = len(tones)
     q = config.mean_rate / k
     ceiling = config.rate_ceiling
     eps = np.finfo(np.float64).eps / 2
-    reach = float(max(t.max(), -t.min())) if t.size else 0.0
     scales = [2.0 * np.pi * tone.frequency for tone in tones]  # as in SourceConfig.rate
-    phases = [abs(scale) * reach + tone.phase for scale, tone in zip(scales, tones)]
+    phases = [abs(scale) * config.duration + tone.phase for scale, tone in zip(scales, tones)]
     if max(phases) >= _SCREEN_MAX_PHASE:
         def exact(chunk, u, out):
             u *= ceiling
@@ -452,7 +453,6 @@ def _screened_thinning(t: np.ndarray, eta: float, config: SourceConfig):
     sines = sum(tone.depth * (2.0**-20 + 2.0 * eps * (x + 8.0)) for tone, x in zip(tones, phases))
     bound = q * eta * (sines + 32.0 * k * k * eps)
     cut = q * eta * (k + sum(tone.depth for tone in tones)) * (1.0 + 16.0 * k * eps) if eta < 1.0 else None
-    width = min(SCREEN_CHUNK, t.size)
     x, r, acc = np.empty(width), np.empty(width), np.empty(width)
     sine = np.empty(width, dtype=np.float32)
 
@@ -462,6 +462,7 @@ def _screened_thinning(t: np.ndarray, eta: float, config: SourceConfig):
         if cut is not None:
             live = np.flatnonzero(level < cut)
             chunk, level = chunk[live], level[live]
+            out.fill(False)
         n = chunk.size
         x_, r_, acc_, sine_ = x[:n], r[:n], acc[:n], sine[:n]
         acc_.fill(k)
@@ -490,35 +491,69 @@ def _jitter(t: np.ndarray, sigma: float, high: float, rng: np.random.Generator) 
     return np.clip(t, 0.0, high, out=t)
 
 
-def _arrivals(config: SourceConfig, trials: int, rng: np.random.Generator, budget: LinkBudget):
-    """Source thinning with loss folded in, background and dark counts, jitter: seconds, trial ids.
+def _room(out: np.ndarray, n: int, size: int) -> np.ndarray:
+    """``out`` if it holds ``size`` values, else a buffer a quarter larger or more holding its first ``n``."""
+    if size <= out.size:
+        return out
+    grown = np.empty(max(size, out.size + out.size // 4))
+    grown[:n] = out[:n]
+    return grown
 
-    Each chunk's survivors are gathered to the front of the candidate array, and
-    the survivors before each trial's end counted on the way; the trial ids are
-    built once the candidates are released.  No other array spans the candidates
-    but the survivors' 1-byte mask.
+
+def _arrivals(config: SourceConfig, trials: int, rng: np.random.Generator, budget: LinkBudget):
+    """Source thinning with loss folded in, background and dark counts, jitter: the event times in
+    seconds and the sizes of their ``2 * trials`` groups, each trial's survivors, then each trial's
+    background and dark counts.
+
+    The draws are those of one rule: every trial's candidate count, every candidate time, every
+    thinning uniform, then the extra counts, their times and the jitter.  The times and the
+    uniforms, ``total`` draws each, are drawn :data:`SCREEN_CHUNK` at a time and each chunk is
+    decided as soon as it is drawn (:func:`_thinning`).  A call of more than one chunk draws the
+    times from a copy of ``rng`` and first moves ``rng`` past them (:func:`_skip`), so that it
+    draws the uniforms from where the times end and stops where the rule stops.  Each chunk's
+    survivors go straight into one buffer sized for the expected events, which grows if they
+    overrun it, and the extra counts follow them there: no array spans the candidates.
     """
-    t, counts = _poisson_times(config.rate_ceiling, config.duration, trials, rng)
-    keep = _survivors(t, rng, budget.transmittance, config)
+    duration, eta = config.duration, budget.transmittance
+    counts = rng.poisson(config.rate_ceiling * duration, size=trials)
+    total = int(counts.sum())
+    width = min(SCREEN_CHUNK, total)
+    chunk, level, keep = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
+    time_rng = rng  # one chunk: its times, then its uniforms, from rng itself
+    if total > width:
+        time_rng = copy.deepcopy(rng)
+        _skip(rng, total, level)
+    decide = _thinning(eta, config, width)
+    # the expected events, and room for four standard deviations more
+    expected = (budget.noise_rate + budget.dark_rate) * duration * trials
+    if total:
+        expected += total * eta * config.expected_count / (config.rate_ceiling * duration)
+    out = np.empty(int(expected + 4.0 * math.sqrt(expected)) + 16)
     bounds = np.zeros(trials + 1, dtype=np.intp)  # each trial's first candidate, then the last one's end
     np.cumsum(counts, out=bounds[1:])
     before = np.empty_like(bounds)  # survivors before each bound
     n = 0
-    for lo in range(0, t.size + 1, SCREEN_CHUNK):  # to t.size itself: the bounds there count too
-        at = lo + np.flatnonzero(keep[lo:lo + SCREEN_CHUNK])
-        here = slice(*np.searchsorted(bounds, (lo, lo + SCREEN_CHUNK)))
-        before[here] = n + np.searchsorted(at, bounds[here])
-        t[n:n + at.size] = t[at]
+    for lo in range(0, total, SCREEN_CHUNK):
+        m = min(SCREEN_CHUNK, total - lo)
+        t = time_rng.random(out=chunk[:m])
+        t *= duration  # rng.uniform(0.0, duration) to the bit: it returns 0.0 + duration * random()
+        decide(t, rng.random(out=level[:m]), keep[:m])
+        at = np.flatnonzero(keep[:m])
+        here = slice(*np.searchsorted(bounds, (lo, lo + m)))
+        before[here] = n + np.searchsorted(at, bounds[here] - lo)
+        out = _room(out, n, n + at.size)
+        out[n:n + at.size] = t[at]
         n += at.size
-    del keep
+    before[np.searchsorted(bounds, total):] = n
     # background and dark counts (none drawn at rate 0) follow the survivors, each grouped by trial
-    te, extra = _poisson_times(budget.noise_rate + budget.dark_rate, config.duration, trials, rng)
-    t = np.concatenate([t[:n], te])
-    ids = np.arange(trials)
-    tid = np.repeat(np.concatenate([ids, ids]), np.concatenate([before[1:] - before[:-1], extra]))
-    if budget.jitter_sigma > 0.0 and t.size:
-        _jitter(t, budget.jitter_sigma, config.duration - 1e-12, rng)
-    return t, tid
+    extra = rng.poisson((budget.noise_rate + budget.dark_rate) * duration, size=trials)
+    size = n + int(extra.sum())
+    out = _room(out, n, size)[:size]  # a view: shrinking in place by realloc fragments the heap
+    rng.random(out=out[n:])
+    out[n:] *= duration
+    if budget.jitter_sigma > 0.0 and size:
+        _jitter(out, budget.jitter_sigma, duration - 1e-12, rng)
+    return out, np.concatenate([np.diff(before), extra])
 
 
 def _to_ps(t: np.ndarray, window_ps: int) -> np.ndarray:
@@ -530,7 +565,7 @@ def _to_ps(t: np.ndarray, window_ps: int) -> np.ndarray:
     return np.minimum(ps, window_ps - 1, out=ps)
 
 
-def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
+def _detect(ps: np.ndarray, tid: np.ndarray | None, trials: int, window_ps: int,
             budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
     """Non-extending dead time, then gating, of int64 ps times; sorted by trial and time.
 
@@ -543,13 +578,21 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
     registered one.  One division splits the registered keys into trials and
     times; gating floors each time onto its gate and drops an event whose
     trial and gate equal those of the event before it.
+
+    One trial needs neither ids (``tid`` may be ``None``) nor the split: its
+    keys are its times, sorted in ``ps``'s own buffer, so a caller that hands
+    over its only reference to ``ps`` holds no event-sized array beside them.
     """
     tau = round(budget.dead_time * PS_PER_SECOND)
     stride = window_ps + tau
     if trials * stride > np.iinfo(np.int64).max:
         raise ValueError(f"{trials} trials of a {window_ps} ps window overflow int64 picoseconds")
-    key = np.multiply(tid, stride)
-    key += ps
+    if trials == 1:
+        key = ps
+    else:
+        key = np.multiply(tid, stride)
+        key += ps
+    del ps, tid  # so that the copies below release the caller's buffer, if it handed it over
     key.sort()
     if tau > 0:
         start = np.empty(key.size + 1, dtype=bool)  # cluster starts, and one past the last event
@@ -565,20 +608,24 @@ def _detect(ps: np.ndarray, tid: np.ndarray, trials: int, window_ps: int,
             keep[at] = True
         key = key[keep]
         del start, keep
-    trial = key // stride
-    ps = key  # each event's time in its trial, in place
+    ps, trial = key, None  # each event's time in its trial, in place
     del key  # so that gating's copies release it
-    ps -= trial * stride
+    if trials > 1:
+        trial = ps // stride
+        ps -= trial * stride
     if budget.rep_period is not None:
         gate = round(budget.rep_period * PS_PER_SECOND)
         ps //= gate  # the gate's start, ps - ps % gate, by one division (% is slower)
         ps *= gate
         # still sorted: drop an event whose trial and gate equal the one before
         new = np.ones(ps.size, dtype=bool)
-        new[1:] = (ps[1:] != ps[:-1]) | (trial[1:] != trial[:-1])
+        np.not_equal(ps[1:], ps[:-1], out=new[1:])
+        if trial is not None:
+            new[1:] |= trial[1:] != trial[:-1]
         ps = ps[new]  # one at a time: one copy alive beside the two arrays
-        trial = trial[new]
-    return ps, trial
+        if trial is not None:
+            trial = trial[new]
+    return ps, np.zeros(ps.size, dtype=np.intp) if trial is None else trial
 
 
 def transmit(config: SourceConfig, budget: LinkBudget, rng: np.random.Generator) -> PhotonSequence:
@@ -588,8 +635,8 @@ def transmit(config: SourceConfig, budget: LinkBudget, rng: np.random.Generator)
     numbers from ``rng``, with the registered times kept in picoseconds.
     """
     window_ps = round(config.duration * PS_PER_SECOND)
-    t, tid = _arrivals(config, 1, rng, budget)
-    ps, _ = _detect(_to_ps(t, window_ps), tid, 1, window_ps, budget)  # the float times become ps
+    # the arrivals' buffer becomes their picoseconds, then _detect's keys: no name here holds it
+    ps, _ = _detect(_to_ps(_arrivals(config, 1, rng, budget)[0], window_ps), None, 1, window_ps, budget)
     return PhotonSequence(ps.view(np.uint64), window_ps)
 
 
@@ -627,7 +674,8 @@ def sample_event_batch(
     """
     check_count(NON_NEGATIVE, trials=trials)
     budget = budget or LinkBudget()
-    t, tid = _arrivals(config, trials, rng, budget)
+    t, sizes = _arrivals(config, trials, rng, budget)
+    tid = np.repeat(np.tile(np.arange(trials), 2), sizes)
     if budget.dead_time > 0.0 or budget.rep_period is not None:
         window_ps = round(config.duration * PS_PER_SECOND)
         ps, tid = _detect(_to_ps(t, window_ps), tid, trials, window_ps, budget)
@@ -671,7 +719,7 @@ def apply_detector(seq: PhotonSequence, budget: LinkBudget, rng: np.random.Gener
     if budget.jitter_sigma > 0.0 and ps.size:
         sigma_ps = budget.jitter_sigma * PS_PER_SECOND
         ps = np.rint(_jitter(ps.astype(np.float64), sigma_ps, seq.window_ps - 1, rng)).astype(np.int64)
-    ps, _ = _detect(ps, np.zeros_like(ps), 1, seq.window_ps, budget)
+    ps, _ = _detect(ps, None, 1, seq.window_ps, budget)
     return PhotonSequence(ps.astype(np.uint64), seq.window_ps)
 
 

@@ -127,7 +127,9 @@ class Spectrum:
 
     @property
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
+        """``|values|`` by ``np.hypot``: ``abs()`` of each complex value, to the bit (``np.abs`` of a
+        complex array may round its SIMD loop's last bit apart)."""
+        return np.hypot(self.values.real, self.values.imag)
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,19 @@ def test_g2_pass_bound_covers_the_passes(times, max_lag):
             g2(seq, max_lag, max_lag)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 0.999), st.sampled_from([0.25, 0.5, 0.5 + 1e-12, 0.75])),
+                min_size=1, max_size=300), st.floats(1e-3, 1.0))
+def test_g2_pass_bound_is_the_fullest_two_adjacent_cells(times, max_lag):
+    # the bound g2 states when it refuses, against the cells' counts taken by np.unique
+    seq = PhotonSequence.from_seconds(times, 1.0)
+    cells, counts = np.unique(np.floor(seq.seconds / max_lag), return_counts=True)
+    passes = int(max(counts.max(), (counts[:-1] + counts[1:] * (np.diff(cells) == 1)).max(initial=0)))
+    with mock.patch.object(analysis, "_G2_MAX_STEPS", len(seq) * passes - 1):
+        with pytest.raises(ValueError, match=rf"up to {passes} passes over {len(seq)} events"):
+            g2(seq, max_lag, max_lag)
+
+
 def test_mandel_q_flat_stream(flat_stream):
     assert abs(mandel_q(flat_stream, 1e-3)) < 0.05
 

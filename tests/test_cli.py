@@ -113,6 +113,25 @@ def test_spectrum_csv_matches_rows_of_numpy_scalars(tmp_path, capsys):
     assert out.read_bytes() == rows.read_bytes()
 
 
+def test_spectrum_prints_the_largest_abs_of_its_csv_as_the_peak(tmp_path, capsys):
+    # Spectrum.magnitude, the printed peak and the CSV's abs column are one rounding of |X|,
+    # abs() of each complex value; the peak is a value np.abs rounds apart, where this host's
+    # numpy has one, scaled by 2**600 (exactly) above the rest
+    rng = derive_rng(83)
+    values = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+    apart = np.flatnonzero(np.abs(values) != np.array([abs(v) for v in values]))
+    values[apart[0] if apart.size else 0] *= 2.0**600
+    freqs = np.arange(values.size, dtype=float)
+    spectrum = Spectrum(freqs, values, 1e-3, 1)
+    assert np.array_equal(spectrum.magnitude, [abs(v) for v in values])
+    src, out = tmp_path / "s.pts1", tmp_path / "spec.csv"
+    write_pts1(src, PhotonSequence.from_seconds([0.0], 1e-3))
+    with mock.patch.object(cli, "periodogram", return_value=spectrum):
+        assert run(["spectrum", "--in", src, "--low", 1e3, "--high", 2e3, "--resolution", 1, "--out", out]) == EXIT_OK
+    largest = max(float(row.split(",")[3]) for row in out.read_text().splitlines()[1:])
+    assert f"peak {largest:.3f} at " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", [1.5, np.float64(-2.25e-300), np.float32(0.1), 7, np.int64(-3), True,
                                    np.bool_(False), np.uint8(255), float("inf"), np.float64("nan"), "text", -0.0])
 def test_csv_cells_read_as_before(value):

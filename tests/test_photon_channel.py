@@ -379,6 +379,41 @@ def _thinning_reference(t, rng, eta, config):
     return rng.uniform(size=t.size) * config.rate_ceiling < _rate(config, t) * eta
 
 
+def _exact_thinning(eta, config, width):
+    """The sampler's chunk decision written out: the thinning test on each chunk's levels."""
+    def decide(chunk, u, out):
+        out[...] = u < eta if not config.tones else u * config.rate_ceiling < _rate(config, chunk) * eta
+    return decide
+
+
+def _survivors(t, rng, eta, config):
+    """The sampler's chunk decision over given times: each chunk's uniforms drawn from ``rng``
+    just before it is decided, as the sampler draws its levels."""
+    width = min(photon_channel.SCREEN_CHUNK, t.size)
+    decide = photon_channel._thinning(eta, config, width)
+    keep, u = np.empty(t.size, dtype=bool), np.empty(width)
+    for lo in range(0, t.size, photon_channel.SCREEN_CHUNK):
+        chunk = t[lo:lo + width]
+        decide(chunk, rng.random(out=u[:chunk.size]), keep[lo:lo + width])
+    return keep
+
+
+def _drawn_first(config, trials, rng, budget):
+    """The sampler's rule written out, each kind of draw taken whole: the candidate counts, all
+    candidate times, all levels, the background and dark counts, their times, the jitter."""
+    ids = np.arange(trials)
+    counts = rng.poisson(config.rate_ceiling * config.duration, size=trials)
+    t = rng.uniform(0.0, config.duration, size=int(counts.sum()))
+    keep = _thinning_reference(t, rng, budget.transmittance, config)
+    extra = rng.poisson((budget.noise_rate + budget.dark_rate) * config.duration, size=trials)
+    times = np.concatenate([t[keep], rng.uniform(0.0, config.duration, size=int(extra.sum()))])
+    tid = np.concatenate([np.repeat(ids, counts)[keep], np.repeat(ids, extra)])
+    if budget.jitter_sigma > 0.0 and times.size:
+        times = np.clip(times + rng.normal(0.0, budget.jitter_sigma, size=times.size),
+                        0.0, config.duration - 1e-12)
+    return times, tid
+
+
 @st.composite
 def _thinning_cases(draw):
     """1-4 tones up to ~1e6 rad over the window, depths including 0 and 1, eta in (0, 1]."""
@@ -400,18 +435,75 @@ def test_screened_thinning_keeps_the_exact_decisions(case):
     config, eta, seed, chunk = case
     t = np.random.default_rng(seed).uniform(0.0, config.duration, 20_000)
     assert np.array_equal(config.rate(t), _rate(config, t))
+    budget = LinkBudget(transmittance=eta)
     with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk):
-        got = photon_channel._survivors(t, np.random.default_rng(seed), eta, config)
-        budget = LinkBudget(transmittance=eta)
+        got = _survivors(t, np.random.default_rng(seed), eta, config)
         batch = sample_event_batch(config, 3, np.random.default_rng(seed), budget)
         window = transmit(config, budget, np.random.default_rng(seed))
+        with mock.patch.object(photon_channel, "_thinning", side_effect=_exact_thinning) as exact:
+            want_batch = sample_event_batch(config, 3, np.random.default_rng(seed), budget)
+            want_window = transmit(config, budget, np.random.default_rng(seed))
+    assert exact.call_count == 2  # the sampler decides by the patched rule
     assert np.array_equal(got, _thinning_reference(t, np.random.default_rng(seed), eta, config))
-    with mock.patch.object(photon_channel, "_survivors", _thinning_reference):
-        want_batch = sample_event_batch(config, 3, np.random.default_rng(seed), budget)
-        want_window = transmit(config, budget, np.random.default_rng(seed))
-    assert np.array_equal(batch.times, want_batch.times)
-    assert np.array_equal(batch.trial_ids, want_batch.trial_ids)
-    assert np.array_equal(window.times_ps, want_window.times_ps)
+    times, tid = _drawn_first(config, 3, np.random.default_rng(seed), budget)
+    for sampled in (batch, want_batch):
+        assert np.array_equal(sampled.times, times) and np.array_equal(sampled.trial_ids, tid)
+    times, _ = _drawn_first(config, 1, np.random.default_rng(seed), budget)
+    for sampled in (window, want_window):
+        assert np.array_equal(sampled.times_ps, PhotonSequence.from_seconds(times, config.duration).times_ps)
+
+
+def _seed_for(bits, lam, trials, total):
+    """The first seed whose generator draws Poisson(lam) counts for ``trials`` that sum to ``total``."""
+    seed = 0
+    while np.random.Generator(bits(seed)).poisson(lam, size=trials).sum() != total:
+        seed += 1
+    return seed
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                                  np.random.SFC64, np.random.Philox])
+@pytest.mark.parametrize("chunk", [7, 1000, 1 << 14])
+@pytest.mark.parametrize("past", [-1, 0, 1])
+def test_sampler_draws_as_if_all_times_came_first(bits, chunk, past):
+    # totals of one chunk less one, one chunk and one chunk and one: one cursor, then two; the
+    # generator's state after the call, a buffered 32-bit half included, is the rule's too
+    total = chunk + past
+    tones = (Tone(3e3, depth=0.8), Tone(7e3, phase=1.0))
+    budget = LinkBudget(transmittance=0.7, noise_rate=30e3, dark_rate=5e3, jitter_sigma=1e-9)
+    detector = LinkBudget(transmittance=0.7, noise_rate=30e3, dark_rate=5e3, jitter_sigma=1e-9,
+                          dead_time=2e-7, rep_period=1e-7)
+    for trials in (3, 1):
+        config = SourceConfig(total / trials / 1e-3 / 1.9, 1e-3, tones)
+        seed = _seed_for(bits, config.rate_ceiling * config.duration, trials, total)
+        rng, ref = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+        for g in (rng, ref):
+            g.integers(0, 2**31, size=1, dtype=np.int32)  # one 32-bit half left buffered
+        with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk):
+            if trials == 1:
+                got = transmit(config, detector, rng)
+            else:
+                batch = sample_event_batch(config, trials, rng, budget)
+        times, tid = _drawn_first(config, trials, ref, detector if trials == 1 else budget)
+        if trials == 1:
+            ps = PhotonSequence.from_seconds(times, config.duration).times_ps
+            assert got.times_ps.tolist() == _registered(ps.tolist(), 200_000, 100_000)
+        else:
+            assert np.array_equal(batch.times, times) and np.array_equal(batch.trial_ids, tid)
+        assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                              ref.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert np.array_equal(rng.random(3), ref.random(3))
+
+
+def test_survivor_buffer_grows_when_the_events_overrun_it():
+    # an expected count of zero sizes the buffer for the background alone: it grows chunk by chunk
+    config = SourceConfig(2e6, 1e-3, (Tone(40e3),))
+    budget = LinkBudget(transmittance=0.9, noise_rate=1e5)
+    with mock.patch.object(photon_channel, "SCREEN_CHUNK", 1000), \
+            mock.patch.object(SourceConfig, "expected_count", 0.0):
+        batch = sample_event_batch(config, 4, derive_rng(43), budget)
+    times, tid = _drawn_first(config, 4, derive_rng(43), budget)
+    assert np.array_equal(batch.times, times) and np.array_equal(batch.trial_ids, tid)
 
 
 class _Planted:
@@ -455,7 +547,7 @@ def test_screened_thinning_leaves_ties_to_the_exact_test(tones):
     times = np.tile(t, 3)
     with mock.patch.object(SourceConfig, "rate", autospec=True, side_effect=_rate) as exact, \
             _Planted(level / 2.0**20) as rng:
-        keep = photon_channel._survivors(times, rng, eta, config)
+        keep = _survivors(times, rng, eta, config)
     assert keep.tolist() == [False] * (2 * t.size) + [True] * t.size
     checked = np.concatenate([np.atleast_1d(call.args[1]) for call in exact.call_args_list])
     assert np.isin(times, checked).all()
@@ -466,7 +558,7 @@ def test_screened_thinning_falls_back_at_huge_phases():
     config = SourceConfig(2e6, 1e-3, (Tone(1e12, depth=0.8), Tone(3e3)))
     t = np.random.default_rng(81).uniform(0.0, 1e-3, 5000)
     with mock.patch.object(SourceConfig, "rate", autospec=True, side_effect=_rate) as exact:
-        keep = photon_channel._survivors(t, np.random.default_rng(82), 0.9, config)
+        keep = _survivors(t, np.random.default_rng(82), 0.9, config)
     assert exact.call_count == 1 and exact.call_args.args[1].size == t.size
     assert np.array_equal(keep, _thinning_reference(t, np.random.default_rng(82), 0.9, config))
 
@@ -497,7 +589,7 @@ def test_loss_cut_leaves_every_level_below_it_to_the_rate(eta, chunk):
     # a ceiling of 1 makes each planted uniform its own level, exactly
     with mock.patch.object(photon_channel, "SCREEN_CHUNK", chunk), \
             mock.patch.object(SourceConfig, "rate_ceiling", 1.0), _Planted(level) as planted:
-        keep = photon_channel._survivors(times, planted, eta, config)
+        keep = _survivors(times, planted, eta, config)
     want = level < _rate(config, times) * eta
     assert np.array_equal(keep, want)
     assert want.any() and not want.all()
@@ -506,17 +598,14 @@ def test_loss_cut_leaves_every_level_below_it_to_the_rate(eta, chunk):
 def test_random_draws_are_the_uniform_draws():
     # uniform(low, high) returns low + (high - low) * random(), so random() scaled by the
     # window is uniform(0.0, window) to the bit; this fails if numpy's two ever part
-    # (seed 235 draws Poisson counts of exactly 1 and 16 385 at those means)
     config = SourceConfig(2e6, 1e-3, (Tone(40e3, depth=0.7), Tone(95e3, phase=1.0)))
     for size in (0, 1, 16_385):
-        t, counts = photon_channel._poisson_times(float(size), 1.0, 1, np.random.default_rng(235))
-        rng = np.random.default_rng(235)
-        want_counts = rng.poisson(float(size), size=1)
-        assert counts.tolist() == want_counts.tolist() == [size]
-        assert np.array_equal(t, rng.uniform(0.0, 1.0, size=size))
+        t = np.random.default_rng(235).random(size)
+        t *= 1e-3
+        assert np.array_equal(t, np.random.default_rng(235).uniform(0.0, 1e-3, size=size))
         t = np.random.default_rng(size).uniform(0.0, config.duration, size)
         for source in (SourceConfig(2e6, 1e-3), config):
-            got = photon_channel._survivors(t, np.random.default_rng(235), 0.6, source)
+            got = _survivors(t, np.random.default_rng(235), 0.6, source)
             assert np.array_equal(got, _thinning_reference(t, np.random.default_rng(235), 0.6, source))
 
 
@@ -647,21 +736,21 @@ def _traced_peak(sample):
         tracemalloc.stop()
 
 
-def test_batch_sampling_holds_one_candidate_array():
-    # the largest sweep point of the benchmark: ~2.3M candidates, ~1.15M events;
-    # the candidate times and the survivors' copy are alive at once, nothing more
+def test_batch_sampling_holds_no_candidate_sized_array():
+    # the largest sweep point of the benchmark: ~2.3M candidates, ~1.15M events; the events'
+    # times and trial ids, and a chunk's work vectors (~0.7 MB), nothing the size of the candidates
     config = SourceConfig(1.44e6, 1e-3, tuple(Tone(f) for f in (30e3, 50e3, 70e3)))
-    candidates = int(derive_rng(41).poisson(config.rate_ceiling * config.duration, size=800).sum())
     batch, peak = _traced_peak(lambda: sample_event_batch(config, 800, derive_rng(41)))
-    assert peak <= 8 * candidates + 8 * batch.times.size + 2_000_000, (peak, candidates, batch.times.size)
+    assert peak <= 16 * batch.times.size + 1_000_000, (peak, batch.times.size)
 
 
-def test_transmit_holds_at_most_48_bytes_per_registered_event():
+def test_transmit_holds_at_most_20_bytes_per_registered_event():
     # one second at 1.44 Mcps through loss, background, jitter and dead time: ~1.08M events
+    # of ~1.17M arrivals; the arrivals' picoseconds, their cluster-start mask and gaps
     config = SourceConfig(1.44e6, 1.0, (Tone(50e3),))
     budget = LinkBudget(transmittance=0.8, noise_rate=20e3, jitter_sigma=50e-12, dead_time=50e-9)
     seq, peak = _traced_peak(lambda: transmit(config, budget, derive_rng(42)))
-    assert peak <= 48 * len(seq), (peak, len(seq))
+    assert peak <= 20 * len(seq), (peak, len(seq))
 
 
 def test_batch_counts_shape():
